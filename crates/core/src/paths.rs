@@ -15,6 +15,10 @@ use spidernet_util::id::PeerId;
 /// symmetric per-pair delay memo so hot leg lookups (baseline enumeration,
 /// BCP leg pricing) skip the tree walk entirely.
 ///
+/// Nothing is ever invalidated: the overlay graph is immutable and routing
+/// ignores peer liveness, so cached trees and pair delays stay exact
+/// through churn.
+///
 /// In the geometric (scale) overlay mode every query is answered in O(1)
 /// from coordinates — no SSSP tree or pair memo is ever built, which is
 /// what lets one machine hold 10^5–10^6 peers.
@@ -166,32 +170,6 @@ impl PathTable {
         Some(cap)
     }
 
-    /// Drops all cached SSSP results. Call after overlay liveness changes
-    /// if stale routes would matter (experiments that fail peers
-    /// mid-stream re-resolve paths per composition anyway).
-    pub fn invalidate(&mut self) {
-        self.cache.clear();
-        self.pairs.clear();
-    }
-
-    /// Drops only the cached results a departed peer can affect: the entry
-    /// sourced at `peer` plus any source whose shortest-path tree routes
-    /// through it. Under churn this keeps every unrelated SSSP warm where
-    /// [`PathTable::invalidate`] throws the whole cache away. Pair-memo
-    /// slots fed by the dropped trees are shed with them; slots produced
-    /// by surviving trees stay valid (the overlay graph itself is static).
-    pub fn invalidate_peer(&mut self, peer: PeerId) {
-        let mut dropped = Vec::new();
-        self.cache.retain(|&src, res| {
-            let keep = !res.routes_via(peer.index());
-            if !keep {
-                dropped.push(src.index());
-            }
-            keep
-        });
-        self.pairs.invalidate_sources(&dropped);
-    }
-
     /// Number of cached sources.
     pub fn cached_sources(&self) -> usize {
         self.cache.len()
@@ -277,70 +255,12 @@ mod tests {
     }
 
     #[test]
-    fn caching_and_invalidation() {
+    fn caches_one_tree_per_source() {
         let ov = overlay();
         let mut pt = PathTable::new();
         pt.delay(&ov, PeerId::new(0), PeerId::new(1));
         pt.delay(&ov, PeerId::new(0), PeerId::new(2));
         assert_eq!(pt.cached_sources(), 1);
-        pt.invalidate();
-        assert_eq!(pt.cached_sources(), 0);
-    }
-
-    #[test]
-    fn per_peer_invalidation_drops_only_affected_trees() {
-        let ov = overlay();
-        let mut pt = PathTable::new();
-        let sources = [PeerId::new(0), PeerId::new(3), PeerId::new(9)];
-        // Warm the cache and record each tree's waypoint set: the nodes
-        // some shortest path routes *through* (final hops excluded).
-        let mut waypoints: Vec<std::collections::HashSet<PeerId>> = Vec::new();
-        for &s in &sources {
-            let mut w = std::collections::HashSet::new();
-            for dest in ov.peers() {
-                if let Some(path) = pt.peer_path(&ov, s, dest) {
-                    for &hop in &path[..path.len() - 1] {
-                        w.insert(hop);
-                    }
-                }
-            }
-            waypoints.push(w);
-        }
-        assert_eq!(pt.cached_sources(), 3);
-        let dead = *waypoints[0].iter().min_by_key(|p| p.index()).unwrap();
-        pt.invalidate_peer(dead);
-        // Exactly the trees touching `dead` are gone.
-        let expect = sources
-            .iter()
-            .zip(&waypoints)
-            .filter(|&(&s, w)| s != dead && !w.contains(&dead))
-            .count();
-        assert_eq!(pt.cached_sources(), expect);
-        assert!(expect < 3, "source 0's tree must be dropped");
-        // Re-querying rebuilds the identical result (static overlay).
-        let d = pt.delay(&ov, PeerId::new(0), PeerId::new(17));
-        assert!((d - ov.route_delay(PeerId::new(0), PeerId::new(17))).abs() < 1e-9);
-    }
-
-    #[test]
-    fn invalidating_an_uninvolved_peer_keeps_the_cache() {
-        let ov = overlay();
-        let mut pt = PathTable::new();
-        pt.delay(&ov, PeerId::new(0), PeerId::new(1));
-        // A peer no cached tree routes through: one whose only appearance
-        // is as a leaf. Find it by scanning the lone cached tree.
-        let mut interior = std::collections::HashSet::new();
-        for dest in ov.peers() {
-            if let Some(path) = pt.peer_path(&ov, PeerId::new(0), dest) {
-                for &hop in &path[..path.len() - 1] {
-                    interior.insert(hop);
-                }
-            }
-        }
-        if let Some(leaf) = ov.peers().find(|p| !interior.contains(p)) {
-            pt.invalidate_peer(leaf);
-            assert_eq!(pt.cached_sources(), 1, "leaf invalidation must keep the tree");
-        }
     }
 
     #[test]

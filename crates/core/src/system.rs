@@ -768,9 +768,8 @@ impl SpiderNet {
         self.world_epoch += 1;
         self.trust_epoch += 1;
         self.state.fail_peer(peer);
-        // Shed only the shortest-path trees the departed peer participates
-        // in; unrelated cached SSSPs stay warm through churn.
-        self.paths.invalidate_peer(peer);
+        // The path table needs no update: the overlay graph is immutable
+        // and shortest paths ignore liveness.
         self.pastry.remove_node(peer);
         self.directory.handle_departure(&self.pastry, peer);
         // Affected sessions' sources lose trust in the failed host.
@@ -1247,6 +1246,65 @@ mod tests {
         // Revival restores discoverability.
         net.revive_peer(victim);
         assert!(net.state().is_alive(victim));
+    }
+
+    /// Discovery stays exact through churn. On the `open_churn` benchmark's
+    /// world shape, after every crash/revive cycle a lookup of any function
+    /// from a sample of live peers ends at the key's responsible node and
+    /// returns exactly the function's live replicas.
+    #[test]
+    fn directory_lookups_stay_exact_under_churn() {
+        use spidernet_dht::NodeId;
+        use spidernet_sim::trace::TraceBuffer;
+        use spidernet_util::hash::function_key;
+        use spidernet_util::id::FunctionId;
+
+        let mut net = SpiderNet::build(
+            &SpiderNetConfig::builder().ip_nodes(1_500).peers(300).seed(11).build(),
+        );
+        net.populate(&PopulationConfig { functions: 40, ..Default::default() });
+        let mut rng = rng_for(11, "sys-directory-churn");
+        let mut trace = TraceBuffer::new();
+        let mut down: Vec<PeerId> = Vec::new();
+        let mut lookups = 0;
+        for cycle in 0..40 {
+            let mut live: Vec<PeerId> = net.pastry.peers().collect();
+            live.sort_unstable();
+            let victim = live[rng.gen_range(0..live.len())];
+            net.fail_peer(victim);
+            down.push(victim);
+            // Each victim stays down for two cycles, so up to three peers
+            // are dead at once.
+            if down.len() > 2 {
+                net.revive_peer(down.remove(0));
+            }
+            let mut live: Vec<PeerId> = net.pastry.peers().collect();
+            live.sort_unstable();
+            for f in (0..net.reg.catalog().len()).map(FunctionId::from) {
+                let name = net.reg.catalog().name(f);
+                let root = net.pastry.responsible(NodeId::new(function_key(name)));
+                let mut want: Vec<ComponentId> = net
+                    .reg
+                    .replicas(f)
+                    .iter()
+                    .copied()
+                    .filter(|&c| net.state.is_alive(net.reg.get(c).peer))
+                    .collect();
+                want.sort_unstable();
+                for &from in live.iter().step_by(7) {
+                    let (list, route) = net
+                        .directory
+                        .lookup(&net.pastry, from, name, &mut |_, _| 0.0, &mut trace)
+                        .expect("no routing loop");
+                    let mut got: Vec<ComponentId> = list.iter().map(|m| m.component).collect();
+                    got.sort_unstable();
+                    assert_eq!(got, want, "cycle {cycle}: {name} from {from}");
+                    assert_eq!(Some(route.destination()), root, "cycle {cycle}: {name} from {from}");
+                    lookups += 1;
+                }
+            }
+        }
+        assert!(lookups > 60_000, "{lookups} lookups");
     }
 
     #[test]

@@ -60,10 +60,12 @@ impl LeafSet {
         list.truncate(self.side);
     }
 
-    /// Removes a departed node.
-    pub fn remove(&mut self, id: NodeId) {
+    /// Removes a departed node; returns whether it was a member.
+    pub fn remove(&mut self, id: NodeId) -> bool {
+        let before = self.len();
         self.cw.retain(|(e, _)| *e != id);
         self.ccw.retain(|(e, _)| *e != id);
+        self.len() != before
     }
 
     /// All members, both sides.
@@ -151,7 +153,8 @@ mod tests {
     #[test]
     fn remove_departed() {
         let mut l = ls(100, 4, &[101, 99]);
-        l.remove(id(101));
+        assert!(l.remove(id(101)));
+        assert!(!l.remove(id(101)), "a non-member is not removed");
         assert_eq!(l.len(), 1);
         assert_eq!(l.members().next().unwrap().0 .0, 99);
     }

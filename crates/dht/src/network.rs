@@ -14,6 +14,7 @@ use spidernet_sim::trace::{TraceBuffer, TraceEvent};
 use spidernet_util::id::PeerId;
 use spidernet_util::par::par_map_with;
 use std::collections::{BTreeMap, HashMap};
+use std::ops::Bound::{Excluded, Unbounded};
 
 /// Per-node Pastry state.
 #[derive(Clone, Debug)]
@@ -283,22 +284,31 @@ impl PastryNetwork {
         self.nodes.insert(peer, PastryNode { id, peer, table, leaves });
     }
 
-    /// Removes a departed node and repairs every survivor's leaf set from
-    /// ring membership (the converged end state of Pastry's failure
-    /// recovery). Routing-table holes are left to the fallback path, as in
-    /// real Pastry before lazy repair fills them.
+    /// Removes a departed node and repairs the leaf set of every survivor
+    /// that held it (the converged end state of Pastry's failure recovery).
+    /// A leaf set keeps only the nearest ids on each side, so refilling it
+    /// from the survivor's `leaf_side` ring successors and predecessors
+    /// yields exactly the set a refill from the whole membership would;
+    /// survivors that never held the departed id are already converged.
+    /// Routing-table holes are left to the fallback path, as in real Pastry
+    /// before lazy repair fills them.
     pub fn remove_node(&mut self, peer: PeerId) {
         let Some(node) = self.nodes.remove(&peer) else { return };
         self.ring.remove(&node.id);
-        let membership: Vec<(NodeId, PeerId)> = self.ring.iter().map(|(k, v)| (*k, *v)).collect();
+        let side = self.leaf_side;
         for survivor in self.nodes.values_mut() {
             survivor.table.remove(node.id);
-            survivor.leaves.remove(node.id);
-            // Refill the leaf set: O(N) scan, run rarely (churn events only).
-            for &(oid, opeer) in &membership {
-                if oid != survivor.id {
-                    survivor.leaves.insert(oid, opeer);
-                }
+            if !survivor.leaves.remove(node.id) {
+                continue;
+            }
+            // Cyclic windows; on rings smaller than 2 × side + 1 they
+            // overlap, and `insert` ignores the repeats.
+            let (id, ring) = (survivor.id, &self.ring);
+            let after = || ring.range((Excluded(id), Unbounded));
+            let succ = after().chain(ring.range(..id)).take(side);
+            let pred = ring.range(..id).rev().chain(after().rev()).take(side);
+            for (&oid, &opeer) in succ.chain(pred) {
+                survivor.leaves.insert(oid, opeer);
             }
         }
     }
@@ -411,6 +421,7 @@ fn prefix_range(id: NodeId, row: usize, digit: usize) -> (u128, u128) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use spidernet_util::rng::rng_for;
 
     fn flat_latency(_: PeerId, _: PeerId) -> f64 {
         1.0
@@ -483,6 +494,76 @@ mod tests {
             let out = net.route(start, key, &mut flat_latency).unwrap();
             assert_eq!(out.destination(), new_root, "from {start}");
         }
+    }
+
+    /// The departure repair `remove_node` ran before the ring-window
+    /// refill: every survivor is re-offered the whole membership. Kept as
+    /// the oracle the ring-window repair must match.
+    fn remove_node_full_refill(net: &mut PastryNetwork, peer: PeerId) {
+        let Some(node) = net.nodes.remove(&peer) else { return };
+        net.ring.remove(&node.id);
+        let membership: Vec<(NodeId, PeerId)> = net.ring.iter().map(|(k, v)| (*k, *v)).collect();
+        for survivor in net.nodes.values_mut() {
+            survivor.table.remove(node.id);
+            survivor.leaves.remove(node.id);
+            for &(oid, opeer) in &membership {
+                if oid != survivor.id {
+                    survivor.leaves.insert(oid, opeer);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn ring_window_repair_matches_full_membership_refill() {
+        let mut rng = rng_for(12, "leaf-repair-oracle");
+        let overlap_below = 2 * DEFAULT_SIDE + 1;
+        let mut overlapping_steps = 0;
+        for trial in 0..48u64 {
+            // Even trials start below the overlap size, odd ones anywhere
+            // up to 64; a random walk of departures and (re)joins then
+            // keeps the ring between 1 and 64 nodes.
+            let start = if trial % 2 == 0 {
+                rng.gen_range(2..overlap_below as u64)
+            } else {
+                rng.gen_range(2..65u64)
+            };
+            let mut live: Vec<PeerId> = (0..start).map(PeerId::new).collect();
+            let mut dead: Vec<PeerId> = Vec::new();
+            let mut next = start;
+            let mut net = PastryNetwork::build(&live, &mut flat_latency);
+            let mut reference = net.clone();
+            for step in 0..50 {
+                let depart = live.len() >= 64 || (live.len() > 1 && rng.gen_range(0..2u32) == 0);
+                if depart {
+                    let victim = live.swap_remove(rng.gen_range(0..live.len()));
+                    net.remove_node(victim);
+                    remove_node_full_refill(&mut reference, victim);
+                    dead.push(victim);
+                } else {
+                    let joiner = if !dead.is_empty() && rng.gen_range(0..2u32) == 0 {
+                        dead.swap_remove(rng.gen_range(0..dead.len()))
+                    } else {
+                        let fresh = PeerId::new(next);
+                        next += 1;
+                        fresh
+                    };
+                    net.add_node(joiner, &mut flat_latency);
+                    reference.add_node(joiner, &mut flat_latency);
+                    live.push(joiner);
+                }
+                if live.len() < overlap_below {
+                    overlapping_steps += 1;
+                }
+                assert_eq!(net.ring, reference.ring, "trial {trial} step {step}: ring");
+                for (peer, want) in &reference.nodes {
+                    let got: Vec<(NodeId, PeerId)> = net.nodes[peer].leaves.members().collect();
+                    let want: Vec<(NodeId, PeerId)> = want.leaves.members().collect();
+                    assert_eq!(got, want, "trial {trial} step {step}: leaf set of {peer}");
+                }
+            }
+        }
+        assert!(overlapping_steps > 100, "only {overlapping_steps} steps on overlapping rings");
     }
 
     #[test]

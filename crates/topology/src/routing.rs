@@ -57,14 +57,6 @@ impl PathResult {
         self.prev[v]
     }
 
-    /// True if `v` participates in this SSSP tree as a routing waypoint:
-    /// it is the source itself or the parent of at least one node, i.e.
-    /// some cached shortest path routes through it. Lets caches invalidate
-    /// only the results a departed node can actually affect.
-    pub fn routes_via(&self, v: NodeIndex) -> bool {
-        self.source == v || self.prev.contains(&Some(v))
-    }
-
     /// Bottleneck capacity (min link capacity) along the shortest path to
     /// `v`. `None` if unreachable; the trivial path to the source itself has
     /// infinite bottleneck.
@@ -92,9 +84,7 @@ impl PathResult {
 /// `d(a,b) == d(b,a)` mathematically, but the two trees can disagree in
 /// the last ulp (different addition order along tied paths), and callers
 /// that pin bit-exact outputs must get back exactly the value the
-/// producing tree computed. Each slot is implicitly owned by its
-/// direction's source node, which is how invalidation finds it when that
-/// source's tree is shed.
+/// producing tree computed.
 #[derive(Clone, Debug, Default)]
 pub struct PairDelayCache {
     map: FxHashMap<(NodeIndex, NodeIndex), PairSlots>,
@@ -167,23 +157,6 @@ impl PairDelayCache {
         }
     }
 
-    /// Drops every slot whose producing source is in `sources` (the trees
-    /// a churn event invalidated). Slots fed by surviving trees stay.
-    pub fn invalidate_sources(&mut self, sources: &[NodeIndex]) {
-        if sources.is_empty() {
-            return;
-        }
-        self.map.retain(|&(lo, hi), slots| {
-            if sources.contains(&lo) {
-                slots.fwd = None;
-            }
-            if sources.contains(&hi) {
-                slots.rev = None;
-            }
-            slots.fwd.is_some() || slots.rev.is_some()
-        });
-    }
-
     /// Number of symmetric pair entries held.
     pub fn len(&self) -> usize {
         self.map.len()
@@ -222,11 +195,6 @@ impl PairDelayCache {
     /// True if nothing is cached.
     pub fn is_empty(&self) -> bool {
         self.map.is_empty()
-    }
-
-    /// Drops everything.
-    pub fn clear(&mut self) {
-        self.map.clear();
     }
 
     fn key(a: NodeIndex, b: NodeIndex) -> (NodeIndex, NodeIndex) {
@@ -367,18 +335,6 @@ mod tests {
     }
 
     #[test]
-    fn routes_via_identifies_tree_waypoints() {
-        let g = diamond();
-        let r = dijkstra(&g, 0);
-        // Tree from 0: 0→1→2→3 (the 10ms shortcut is unused), so 0, 1 and
-        // 2 are waypoints while 3 is a leaf.
-        assert!(r.routes_via(0), "the source anchors its own tree");
-        assert!(r.routes_via(1));
-        assert!(r.routes_via(2));
-        assert!(!r.routes_via(3), "a leaf routes nothing");
-    }
-
-    #[test]
     fn unreachable_nodes() {
         let mut g = diamond();
         let iso = g.add_node();
@@ -386,21 +342,6 @@ mod tests {
         assert!(r.delay_to(iso).is_infinite());
         assert!(r.path_to(iso).is_none());
         assert!(r.bottleneck_capacity_to(&g, iso).is_none());
-    }
-
-    #[test]
-    fn routes_via_edge_cases() {
-        let mut g = diamond();
-        let iso = g.add_node();
-        let r = dijkstra(&g, 0);
-        // An unreachable node is never a waypoint of the tree.
-        assert!(!r.routes_via(iso));
-        // A tree rooted at an isolated node still anchors itself even
-        // though it reaches nothing.
-        let ri = dijkstra(&g, iso);
-        assert!(ri.routes_via(iso), "a source routes via itself");
-        assert!(!ri.routes_via(0));
-        assert_eq!(ri.source(), iso);
     }
 
     #[test]
@@ -427,25 +368,6 @@ mod tests {
         assert_eq!(pc.get(3, 0), Some(5.0 + 1e-13));
         assert_eq!(pc.get(0, 3), Some(5.0));
         assert_eq!(pc.len(), 1, "both directions share one symmetric entry");
-    }
-
-    #[test]
-    fn pair_cache_invalidation_by_producing_source() {
-        let mut pc = PairDelayCache::new();
-        pc.insert(0, 3, 5.0); // produced by source 0
-        pc.insert(3, 0, 5.0); // produced by source 3
-        pc.insert(1, 2, 1.0); // produced by source 1
-        // Shedding source 0's tree drops only the slot it produced.
-        pc.invalidate_sources(&[0]);
-        assert_eq!(pc.get(0, 3), None);
-        assert_eq!(pc.get(3, 0), Some(5.0));
-        assert_eq!(pc.get(1, 2), Some(1.0));
-        // Dropping the surviving producer removes the entry entirely.
-        pc.invalidate_sources(&[3]);
-        assert_eq!(pc.get(3, 0), None);
-        assert_eq!(pc.len(), 1);
-        pc.clear();
-        assert!(pc.is_empty());
     }
 
     #[test]
