@@ -680,64 +680,3 @@ mod tests {
         assert!(avg("probing-0.2") >= avg("Static"), "probing below static");
     }
 }
-
-#[cfg(test)]
-mod profile {
-    use super::*;
-
-    #[test]
-    #[ignore]
-    fn probing_cell_phase_split() {
-        let cfg = Fig8Config::default();
-        let mut net = SpiderNet::build(&SpiderNetConfig {
-            ip_nodes: cfg.ip_nodes,
-            peers: cfg.peers,
-            seed: cfg.seed,
-            ..SpiderNetConfig::default()
-        });
-        net.populate(&cfg.population);
-        let mut req_rng: Rng = rng_for(cfg.seed, "fig8-requests");
-        let mut paths = crate::paths::PathTable::new();
-        let mut expiry = EventCore::new();
-        let expire = expiry.register_handler("e");
-        let mut live: SlotArena<SessionAllocation> = SlotArena::new();
-        let (mut t_req, mut t_compose, mut t_commit, mut t_expire) = (0.0f64, 0.0, 0.0, 0.0);
-        let workload = 25u64;
-        for unit in 0..cfg.duration_units {
-            let t = Instant::now();
-            for fired in expiry.pop_until(SimTime::from_secs(unit)) {
-                if let Some(alloc) = live.remove(SlotKey::from_raw(fired.payload)) {
-                    net.state_mut().release(&alloc);
-                }
-            }
-            t_expire += t.elapsed().as_secs_f64();
-            for _ in 0..workload {
-                let t = Instant::now();
-                let req = random_request(net.overlay(), net.registry(), &cfg.request, &mut req_rng);
-                let lifetime = { let (lo, hi) = cfg.session_lifetime; req_rng.gen_range(lo..=hi) };
-                t_req += t.elapsed().as_secs_f64();
-                let t = Instant::now();
-                let budget = fraction_budget(&net, &req, 0.2);
-                let bcp = BcpConfig {
-                    budget,
-                    quota: QuotaPolicy::ReplicaFraction(0.2),
-                    merge_cap: 256,
-                    lookup: LookupMode::Prefetch,
-                    ..BcpConfig::default()
-                };
-                let picked = net.compose(&req, &bcp).ok().map(|o| (o.best, o.eval));
-                t_compose += t.elapsed().as_secs_f64();
-                if let Some((graph, _)) = picked {
-                    let t = Instant::now();
-                    let (peers, links) = recovery::session_demands(&graph, &req, net.registry(), net.overlay(), &mut paths);
-                    if let Ok(alloc) = net.state_mut().commit(&peers, &links) {
-                        let key = live.insert(alloc);
-                        expiry.schedule(SimTime::from_secs(unit + lifetime), expire, key.to_raw());
-                    }
-                    t_commit += t.elapsed().as_secs_f64();
-                }
-            }
-        }
-        eprintln!("req={t_req:.3}s compose={t_compose:.3}s commit={t_commit:.3}s expire={t_expire:.3}s");
-    }
-}

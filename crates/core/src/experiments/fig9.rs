@@ -17,7 +17,7 @@ use spidernet_util::id::PeerId;
 use spidernet_util::par::par_map_with;
 use spidernet_util::rng::rng_for;
 use spidernet_sim::metrics::{counter, MetricsRegistry};
-use spidernet_sim::ChurnModel;
+use spidernet_sim::{FaultAction, FaultPlan};
 use std::fmt;
 
 /// Experiment parameters.
@@ -33,8 +33,10 @@ pub struct Fig9Config {
     pub sessions: usize,
     /// Time units simulated (paper: 60).
     pub duration_units: u64,
-    /// Churn process (paper: 1% per unit).
-    pub churn: ChurnModel,
+    /// Fraction of live peers failing per time unit (paper: 0.01).
+    pub fail_fraction: f64,
+    /// Units after which a failed peer rejoins (`None` = never).
+    pub rejoin_after_units: Option<u64>,
     /// Backup bound U for the with-recovery mode.
     pub backup_upper_bound: f64,
     /// Component population.
@@ -56,7 +58,8 @@ impl Default for Fig9Config {
             seed: 9,
             sessions: 100,
             duration_units: 60,
-            churn: ChurnModel::paper_fig9(),
+            fail_fraction: 0.01,
+            rejoin_after_units: Some(10),
             backup_upper_bound: 4.0,
             population: PopulationConfig { functions: 30, ..PopulationConfig::default() },
             // Bounds sized so sessions sit at meaningful fractions of their
@@ -148,43 +151,43 @@ fn run_mode(cfg: &Fig9Config, proactive: bool) -> (Vec<u64>, f64, f64, u64, Metr
     let mean_backups = net.sessions().mean_backup_count();
 
     // Churn loop. The failure pattern is seeded independently of the mode
-    // so both curves see the same failure schedule.
-    let mut churn_rng = rng_for(cfg.seed, "fig9-churn");
+    // so both curves see the same failure schedule. Only churn kills or
+    // revives peers here, so the plan's modeled live set is the world's.
+    let plan = FaultPlan::churn(
+        cfg.seed,
+        &mut rng_for(cfg.seed, "fig9-churn"),
+        cfg.peers as u64,
+        cfg.fail_fraction,
+        cfg.duration_units,
+        cfg.rejoin_after_units,
+    );
     let mut failures_per_unit = Vec::with_capacity(cfg.duration_units as usize);
-    let mut pending_rejoin: Vec<(u64, PeerId)> = Vec::new();
     let mut hits = 0u64;
     let mut recovered = 0u64;
 
     for unit in 0..cfg.duration_units {
-        // Rejoins due this unit.
-        let (due, rest): (Vec<_>, Vec<_>) =
-            pending_rejoin.into_iter().partition(|(t, _)| *t <= unit);
-        pending_rejoin = rest;
-        for (_, p) in due {
-            net.revive_peer(p);
-        }
-
-        let live = net.state().live_peers();
-        let victims = cfg.churn.sample_failures(&live, &mut churn_rng);
         let mut unit_failures = 0u64;
-        for v in victims {
-            let outcomes = net.fail_peer(v);
-            for (sid, outcome) in outcomes {
-                hits += 1;
-                match outcome {
-                    FailureOutcome::RecoveredByBackup { .. } => {
-                        recovered += 1;
-                    }
-                    FailureOutcome::NeedsReactive => {
-                        unit_failures += 1;
-                        // Keep the population of sessions steady: reactive
-                        // BCP re-places the session (or abandons it).
-                        let _ = net.reactive_recover(sid, &cfg.bcp);
+        for action in plan.actions_at(unit) {
+            match *action {
+                FaultAction::Revive { peer } => net.revive_peer(PeerId::new(peer)),
+                FaultAction::Crash { peer } => {
+                    for (sid, outcome) in net.fail_peer(PeerId::new(peer)) {
+                        hits += 1;
+                        match outcome {
+                            FailureOutcome::RecoveredByBackup { .. } => {
+                                recovered += 1;
+                            }
+                            FailureOutcome::NeedsReactive => {
+                                unit_failures += 1;
+                                // Keep the population of sessions steady:
+                                // reactive BCP re-places the session (or
+                                // abandons it).
+                                let _ = net.reactive_recover(sid, &cfg.bcp);
+                            }
+                        }
                     }
                 }
-            }
-            if let Some(k) = cfg.churn.rejoin_after_units {
-                pending_rejoin.push((unit + k, v));
+                _ => {}
             }
         }
         net.maintenance_tick();

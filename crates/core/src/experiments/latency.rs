@@ -20,7 +20,7 @@ use crate::bcp::BcpConfig;
 use crate::recovery::{FailureOutcome, RecoveryConfig};
 use crate::system::{SpiderNet, SpiderNetConfig};
 use crate::workload::{random_request, PopulationConfig, RequestConfig};
-use spidernet_sim::ChurnModel;
+use spidernet_sim::{FaultAction, FaultPlan};
 use spidernet_util::id::PeerId;
 use spidernet_util::par::par_map_with;
 use spidernet_util::rng::rng_for;
@@ -40,8 +40,10 @@ pub struct LatencyConfig {
     pub sessions: usize,
     /// Churn time units simulated.
     pub duration_units: u64,
-    /// Churn process.
-    pub churn: ChurnModel,
+    /// Fraction of live peers failing per time unit.
+    pub fail_fraction: f64,
+    /// Units after which a failed peer rejoins (`None` = never).
+    pub rejoin_after_units: Option<u64>,
     /// Recovery policy (detection/switch delays).
     pub recovery: RecoveryConfig,
     /// Component population.
@@ -63,7 +65,8 @@ impl Default for LatencyConfig {
             seed: 77,
             sessions: 80,
             duration_units: 40,
-            churn: ChurnModel { fail_fraction: 0.02, rejoin_after_units: Some(8) },
+            fail_fraction: 0.02,
+            rejoin_after_units: Some(8),
             recovery: RecoveryConfig { backup_upper_bound: 4.0, ..RecoveryConfig::default() },
             population: PopulationConfig { functions: 25, ..PopulationConfig::default() },
             request: RequestConfig {
@@ -167,39 +170,45 @@ fn run_arm(cfg: &LatencyConfig, proactive: bool) -> LatencyDist {
         }
     }
 
-    let mut churn_rng = rng_for(cfg.seed, "latency-churn");
+    // Only churn kills or revives peers here, so the plan's modeled live
+    // set is the world's.
+    let plan = FaultPlan::churn(
+        cfg.seed,
+        &mut rng_for(cfg.seed, "latency-churn"),
+        cfg.peers as u64,
+        cfg.fail_fraction,
+        cfg.duration_units,
+        cfg.rejoin_after_units,
+    );
     let mut dist = LatencyDist::default();
-    let mut pending_rejoin: Vec<(u64, PeerId)> = Vec::new();
 
     for unit in 0..cfg.duration_units {
-        let (due, rest): (Vec<_>, Vec<_>) =
-            pending_rejoin.into_iter().partition(|(t, _)| *t <= unit);
-        pending_rejoin = rest;
-        for (_, p) in due {
-            net.revive_peer(p);
-        }
-        let victims = cfg.churn.sample_failures(&net.state().live_peers(), &mut churn_rng);
-        for v in victims {
-            for (sid, outcome) in net.fail_peer(v) {
-                match outcome {
-                    FailureOutcome::RecoveredByBackup { switch_ms, .. } => {
-                        dist.samples.push(switch_ms);
-                    }
-                    FailureOutcome::NeedsReactive => {
-                        // Reactive latency: detection + BCP protocol time
-                        // + re-init ack (≈ a quarter of the protocol time,
-                        // one reversed traversal of the selected graph).
-                        if let Some(stats) = net.reactive_recover_with_stats(sid, &cfg.bcp) {
-                            let protocol = stats.discovery_ms + stats.probing_ms;
-                            dist.samples.push(
-                                recovery.detection_delay_ms + protocol + protocol * 0.25,
-                            );
+        for action in plan.actions_at(unit) {
+            match *action {
+                FaultAction::Revive { peer } => net.revive_peer(PeerId::new(peer)),
+                FaultAction::Crash { peer } => {
+                    for (sid, outcome) in net.fail_peer(PeerId::new(peer)) {
+                        match outcome {
+                            FailureOutcome::RecoveredByBackup { switch_ms, .. } => {
+                                dist.samples.push(switch_ms);
+                            }
+                            FailureOutcome::NeedsReactive => {
+                                // Reactive latency: detection + BCP protocol
+                                // time + re-init ack (≈ a quarter of the
+                                // protocol time, one reversed traversal of
+                                // the selected graph).
+                                if let Some(stats) = net.reactive_recover_with_stats(sid, &cfg.bcp)
+                                {
+                                    let protocol = stats.discovery_ms + stats.probing_ms;
+                                    dist.samples.push(
+                                        recovery.detection_delay_ms + protocol + protocol * 0.25,
+                                    );
+                                }
+                            }
                         }
                     }
                 }
-            }
-            if let Some(k) = cfg.churn.rejoin_after_units {
-                pending_rejoin.push((unit + k, v));
+                _ => {}
             }
         }
         net.maintenance_tick();

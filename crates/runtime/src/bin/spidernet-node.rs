@@ -7,7 +7,8 @@
 //!
 //! `serve` runs one peer as an OS process: it joins the overlay, registers
 //! its service component in the DHT, and speaks the `spidernet-wire`
-//! protocol over TCP until a `CtrlShutdown` control frame arrives.
+//! protocol over TCP until a `CtrlShutdown` control frame arrives. The
+//! daemon runs on Linux only (its connections share one `epoll` loop).
 //!
 //! `deploy` spawns an N-process loopback cluster of `serve` daemons,
 //! drives one composition and one streaming session end-to-end
@@ -17,7 +18,6 @@
 
 use spidernet_runtime::net::{
     deploy, deploy_many, run_node, setup_fingerprint, setup_to_wire, DeployConfig, NodeConfig,
-    TransportKind,
 };
 use spidernet_runtime::{Cluster, ClusterConfig, NetFaultConfig};
 use spidernet_util::{BenchBlock, BenchReport};
@@ -30,11 +30,10 @@ fn usage() -> ! {
          spidernet-node serve --index I --peers N --ports P0,P1,... [--seed S] \
          [--jitter J] [--time-scale T] [--collect-window-ms W] [--quota Q] \
          [--failover-timeout-ms F] [--maintenance-period-ms M] \
-         [--drop-prob D] [--extra-delay-ms E] [--transport event|blocking]\n  \
+         [--drop-prob D] [--extra-delay-ms E]\n  \
          spidernet-node deploy [--peers N] [--seed S] [--frames F] \
          [--interval-ms I] [--budget B] [--time-scale T] [--timeout-secs T] \
-         [--drop-prob D] [--extra-delay-ms E] [--transport event|blocking] \
-         [--kill-primary]\n  \
+         [--drop-prob D] [--extra-delay-ms E] [--kill-primary]\n  \
          spidernet-node deploy --sessions N [--verify-inprocess] \
          [--json [path]] [...same flags as deploy]"
     );
@@ -129,12 +128,7 @@ fn serve(args: &[String]) {
         eprintln!("--ports must list one port per peer and --index must be in range");
         usage()
     }
-    let cfg = NodeConfig {
-        index,
-        cluster: cluster_config(&values, peers),
-        ports,
-        transport: get(&values, "transport", TransportKind::default()),
-    };
+    let cfg = NodeConfig { index, cluster: cluster_config(&values, peers), ports };
     if let Err(e) = run_node(cfg) {
         eprintln!("spidernet-node[{index}]: {e}");
         std::process::exit(1);
@@ -154,7 +148,6 @@ fn run_deploy(args: &[String]) {
         .build();
     cfg.interval_ms = get(&values, "interval-ms", cfg.interval_ms);
     cfg.budget = get(&values, "budget", cfg.budget);
-    cfg.transport = get(&values, "transport", TransportKind::default());
 
     if values.contains_key("sessions") {
         let sessions: u64 = require(&values, "sessions");
@@ -215,7 +208,6 @@ fn run_deploy_many(
         usage()
     }
     let peers = cfg.cluster.peers;
-    let transport = cfg.transport;
     let faults_active = cfg.cluster.faults.is_active();
     let cluster_cfg = cfg.cluster.clone();
     let (source, dest) = (cfg.source, cfg.dest);
@@ -298,7 +290,7 @@ fn run_deploy_many(
     let wire_bytes_tx: u64 = outcome.stats.iter().map(|s| s.bytes_tx).sum();
 
     println!(
-        "deploy: {}/{} sessions composed over {peers} peers ({transport}), \
+        "deploy: {}/{} sessions composed over {peers} peers, \
          setup p50/p90/p99 = {p50:.1}/{p90:.1}/{p99:.1} ms, \
          {}/{} frames delivered ({frames_per_sec:.0} frames/s), \
          {conns_opened} conns, peak child RSS {:.1} MB",
@@ -321,7 +313,6 @@ fn run_deploy_many(
         rep.int("sessions", outcome.sessions)
             .int("setups_ok", outcome.setups_ok)
             .int("peers", peers as u64)
-            .str("transport", &transport.to_string())
             .num("compose_secs", outcome.compose_secs)
             .num("stream_secs", outcome.stream_secs)
             .int("frames_sent", outcome.frames_sent)

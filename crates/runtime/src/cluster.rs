@@ -1,159 +1,73 @@
 //! The in-process channel transport: one actor thread per peer, one
-//! network thread injecting WAN delays.
+//! delay-queue thread injecting WAN delays.
 //!
 //! All protocol logic lives in [`crate::node::PeerNode`]; this module
 //! only moves messages. Each peer actor drains an mpsc inbox and feeds
-//! the engine through a [`ChannelOutbox`] whose `wire` goes into the
-//! delay-queue network thread (converting model delay to compressed wall
-//! time) and whose driver results resolve the caller's reply channels.
-//! The socket transport ([`crate::net`]) drives the *same* engine over
-//! TCP — a deployment built from the same [`ClusterConfig`] and seed
-//! behaves identically in model time.
+//! the engine through a channel-backed [`Outbox`] whose `wire` and
+//! `timer` go into one shared delay queue (converting model delay to
+//! compressed wall time) and whose driver results resolve the caller's
+//! reply channels. Peer frames travel as unencoded [`WireMsg`] values. The
+//! socket transport ([`crate::net`]) drives the *same* engine over TCP —
+//! a deployment built from the same [`ClusterConfig`] and seed behaves
+//! identically in model time.
 //!
 //! Peer failure is modeled by the network dropping all traffic to the
-//! dead peer; streaming sources detect the resulting ack gap and fail
-//! over to a backup path — the proactive recovery data path of §5,
-//! exercised with real threads.
+//! dead peer (its timers included); streaming sources detect the
+//! resulting ack gap and fail over to a backup path — the proactive
+//! recovery data path of §5, exercised with real threads.
 //!
 //! Wall-clock time is compressed by `time_scale` (wall = model × scale);
 //! all reported times are model milliseconds.
 
+use crate::delay::{roll_faults, DelayQueue, Fault};
 use crate::media::MediaFunction;
-use crate::msg::Msg;
-use crate::node::{Outbox, PeerNode, World};
+use crate::node::{Outbox, PeerNode, Timer, World};
 use spidernet_sim::trace::TraceEvent;
 use spidernet_util::id::PeerId;
 use spidernet_util::rng::rng_for;
-use std::collections::{BinaryHeap, HashMap};
+use spidernet_wire::WireMsg;
+use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::{channel, sync_channel, Receiver, Sender, SyncSender};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::Arc;
+use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 pub use crate::node::{ClusterConfig, NetFaultConfig, SetupResult, StreamReport};
 
-// ---------------------------------------------------------------------
-// Network thread: a delay queue delivering messages at their due time.
-// ---------------------------------------------------------------------
+/// What a peer actor's inbox receives: traffic released by the delay
+/// queue, and the driver's commands.
+enum Inbox {
+    /// A peer frame.
+    Wire(WireMsg),
+    /// One of the peer's own timers.
+    Timer(Timer),
+    /// Driver command: compose a session.
+    Compose {
+        request: u64,
+        dest: PeerId,
+        chain: Vec<MediaFunction>,
+        budget: u32,
+        reply: SyncSender<SetupResult>,
+    },
+    /// Driver command: stream frames along an established session.
+    StartStream {
+        setup: SetupResult,
+        frames: u64,
+        interval_ms: f64,
+        dims: (usize, usize),
+        reply: SyncSender<StreamReport>,
+    },
+    /// Stop the peer thread.
+    Halt,
+}
 
-struct QueuedMsg {
-    due: Instant,
-    seq: u64,
+/// A delay-queue entry: traffic bound for peer `to`.
+struct Packet {
     to: PeerId,
-    msg: Msg,
-    /// Already went through fault injection (re-queued with extra jitter);
-    /// never rolled twice.
-    delayed: bool,
-}
-
-impl PartialEq for QueuedMsg {
-    fn eq(&self, other: &Self) -> bool {
-        self.due == other.due && self.seq == other.seq
-    }
-}
-impl Eq for QueuedMsg {}
-impl Ord for QueuedMsg {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        other.due.cmp(&self.due).then_with(|| other.seq.cmp(&self.seq))
-    }
-}
-impl PartialOrd for QueuedMsg {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-#[derive(Default)]
-struct NetQueue {
-    heap: BinaryHeap<QueuedMsg>,
-    seq: u64,
-    shutdown: bool,
-}
-
-struct NetInner {
-    queue: Mutex<NetQueue>,
-    cond: Condvar,
-}
-
-/// Sender handle into the delay-queue network.
-#[derive(Clone)]
-struct Net {
-    inner: Arc<NetInner>,
-    scale: f64,
-}
-
-impl Net {
-    /// Enqueues `msg` for `to`, delivered after `model_ms` of model time.
-    fn send(&self, to: PeerId, msg: Msg, model_ms: f64) {
-        let wall = Duration::from_secs_f64((model_ms * self.scale / 1_000.0).max(0.0));
-        let mut q = self.inner.queue.lock().unwrap();
-        let seq = q.seq;
-        q.seq += 1;
-        q.heap.push(QueuedMsg { due: Instant::now() + wall, seq, to, msg, delayed: false });
-        self.inner.cond.notify_one();
-    }
-
-    fn shutdown(&self) {
-        self.inner.queue.lock().unwrap().shutdown = true;
-        self.inner.cond.notify_one();
-    }
-}
-
-fn network_thread(
-    inner: Arc<NetInner>,
-    peers: Vec<Sender<Msg>>,
-    world: Arc<World>,
-    dead: Arc<Vec<AtomicBool>>,
-) {
-    let faults = world.cfg.faults;
-    let mut rng = rng_for(world.cfg.seed, "net-faults");
-    let scale = world.cfg.time_scale;
-    loop {
-        let mut q = inner.queue.lock().unwrap();
-        if q.shutdown {
-            return;
-        }
-        let now = Instant::now();
-        let wait = match q.heap.peek() {
-            Some(e) if e.due <= now => {
-                let e = q.heap.pop().expect("peeked");
-                drop(q);
-                if dead[e.to.index()].load(Ordering::Relaxed) {
-                    continue;
-                }
-                if faults.is_active() && !e.delayed && e.msg.droppable() {
-                    if faults.drop_prob > 0.0 && rng.gen::<f64>() < faults.drop_prob {
-                        world.msgs_dropped.fetch_add(1, Ordering::Relaxed);
-                        continue;
-                    }
-                    if faults.extra_delay_ms > 0.0 {
-                        // Re-queue once with the extra jitter, marked so the
-                        // message is not rolled again on redelivery.
-                        let extra = rng.gen::<f64>() * faults.extra_delay_ms;
-                        let wall = Duration::from_secs_f64(extra * scale / 1_000.0);
-                        let mut q = inner.queue.lock().unwrap();
-                        let seq = q.seq;
-                        q.seq += 1;
-                        q.heap.push(QueuedMsg {
-                            due: Instant::now() + wall,
-                            seq,
-                            to: e.to,
-                            msg: e.msg,
-                            delayed: true,
-                        });
-                        inner.cond.notify_one();
-                        continue;
-                    }
-                }
-                // Channels are unbounded; send only fails at shutdown.
-                let _ = peers[e.to.index()].send(e.msg);
-                continue;
-            }
-            Some(e) => e.due - now,
-            None => Duration::from_millis(50),
-        };
-        let _ = inner.cond.wait_timeout(q, wait).unwrap();
-    }
+    body: Inbox,
+    /// Already held back by the fault injector; never rolled twice.
+    rolled: bool,
 }
 
 // ---------------------------------------------------------------------
@@ -161,11 +75,11 @@ fn network_thread(
 // ---------------------------------------------------------------------
 
 /// The engine's effects, routed through the in-process transport:
-/// `wire` and `timer` go into the delay-queue network, driver results
-/// resolve the pending reply channels.
+/// `wire` and `timer` go into the delay queue, driver results resolve
+/// the pending reply channels.
 struct ChannelOutbox<'a> {
     me: PeerId,
-    net: &'a Net,
+    net: &'a DelayQueue<Packet>,
     epoch: Instant,
     scale: f64,
     pending_setups: &'a mut HashMap<u64, SyncSender<SetupResult>>,
@@ -173,12 +87,12 @@ struct ChannelOutbox<'a> {
 }
 
 impl Outbox for ChannelOutbox<'_> {
-    fn wire(&mut self, to: PeerId, msg: Msg, delay_ms: f64) {
-        self.net.send(to, msg, delay_ms);
+    fn wire(&mut self, to: PeerId, msg: WireMsg, delay_ms: f64) {
+        self.net.push(Packet { to, body: Inbox::Wire(msg), rolled: false }, delay_ms);
     }
 
-    fn timer(&mut self, msg: Msg, delay_ms: f64) {
-        self.net.send(self.me, msg, delay_ms);
+    fn timer(&mut self, timer: Timer, delay_ms: f64) {
+        self.net.push(Packet { to: self.me, body: Inbox::Timer(timer), rolled: false }, delay_ms);
     }
 
     fn now_ms(&self) -> f64 {
@@ -200,8 +114,8 @@ impl Outbox for ChannelOutbox<'_> {
 
 struct PeerActor {
     me: PeerId,
-    inbox: Receiver<Msg>,
-    net: Net,
+    inbox: Receiver<Inbox>,
+    net: DelayQueue<Packet>,
     epoch: Instant,
     scale: f64,
     node: PeerNode,
@@ -211,7 +125,7 @@ struct PeerActor {
 
 impl PeerActor {
     fn run(mut self) {
-        while let Ok(msg) = self.inbox.recv() {
+        while let Ok(input) = self.inbox.recv() {
             let mut out = ChannelOutbox {
                 me: self.me,
                 net: &self.net,
@@ -220,37 +134,28 @@ impl PeerActor {
                 pending_setups: &mut self.pending_setups,
                 pending_reports: &mut self.pending_reports,
             };
-            match msg {
-                Msg::Halt => return,
-                Msg::Compose { request, dest, chain, budget, reply } => {
+            match input {
+                Inbox::Halt => return,
+                Inbox::Wire(msg) => self.node.handle(msg, &mut out),
+                Inbox::Timer(timer) => self.node.on_timer(timer, &mut out),
+                Inbox::Compose { request, dest, chain, budget, reply } => {
                     out.pending_setups.insert(request, reply);
                     self.node.compose(request, dest, chain, budget, &mut out);
                 }
-                Msg::StartStream {
-                    session,
-                    path,
-                    functions,
-                    backups,
-                    dest,
-                    frames,
-                    interval_ms,
-                    dims,
-                    reply,
-                } => {
-                    out.pending_reports.insert(session, reply);
+                Inbox::StartStream { setup, frames, interval_ms, dims, reply } => {
+                    out.pending_reports.insert(setup.request, reply);
                     self.node.start_stream(
-                        session,
-                        path,
-                        functions,
-                        backups,
-                        dest,
+                        setup.request,
+                        setup.path,
+                        setup.functions,
+                        setup.backups,
+                        setup.dest,
                         frames,
                         interval_ms,
                         dims,
                         &mut out,
                     );
                 }
-                other => self.node.handle(other, &mut out),
             }
         }
     }
@@ -263,11 +168,11 @@ impl PeerActor {
 /// A running cluster of peer threads.
 pub struct Cluster {
     world: Arc<World>,
-    senders: Vec<Sender<Msg>>,
+    senders: Vec<Sender<Inbox>>,
     dead: Arc<Vec<AtomicBool>>,
-    net: Net,
-    handles: Vec<std::thread::JoinHandle<()>>,
-    net_handle: Option<std::thread::JoinHandle<()>>,
+    net: DelayQueue<Packet>,
+    handles: Vec<JoinHandle<()>>,
+    net_handle: Option<JoinHandle<()>>,
     next_request: AtomicU64,
 }
 
@@ -284,9 +189,6 @@ impl Cluster {
 
         let dead: Arc<Vec<AtomicBool>> =
             Arc::new((0..cfg.peers).map(|_| AtomicBool::new(false)).collect());
-        let inner =
-            Arc::new(NetInner { queue: Mutex::new(NetQueue::default()), cond: Condvar::new() });
-        let net = Net { inner: inner.clone(), scale: cfg.time_scale };
         let epoch = Instant::now();
 
         let mut senders = Vec::with_capacity(cfg.peers);
@@ -296,11 +198,28 @@ impl Cluster {
             senders.push(tx);
             receivers.push(rx);
         }
-        let net_handle = {
-            let senders = senders.clone();
+        // The network: traffic to a dead peer vanishes before the fault
+        // injector sees it; survivors are rolled once, then delivered.
+        let (net, net_handle) = {
+            let peers = senders.clone();
             let world = world.clone();
             let dead = dead.clone();
-            std::thread::spawn(move || network_thread(inner, senders, world, dead))
+            let mut rng = rng_for(cfg.seed, "net-faults");
+            DelayQueue::start(cfg.time_scale, move |p: Packet| {
+                if dead[p.to.index()].load(Ordering::Relaxed) {
+                    return None;
+                }
+                if let (Inbox::Wire(msg), false) = (&p.body, p.rolled) {
+                    match roll_faults(&world, msg, &mut rng) {
+                        Fault::Drop => return None,
+                        Fault::Delay(ms) => return Some((Packet { rolled: true, ..p }, ms)),
+                        Fault::Deliver => {}
+                    }
+                }
+                // Channels are unbounded; send only fails at shutdown.
+                let _ = peers[p.to.index()].send(p.body);
+                None
+            })
         };
         let scale = cfg.time_scale;
         let mut handles = Vec::with_capacity(cfg.peers);
@@ -356,7 +275,7 @@ impl Cluster {
         let request = self.next_request.fetch_add(1, Ordering::Relaxed);
         let (tx, rx) = sync_channel(1);
         self.senders[source.index()]
-            .send(Msg::Compose { request, dest, chain, budget, reply: tx })
+            .send(Inbox::Compose { request, dest, chain, budget, reply: tx })
             .ok()?;
         rx.recv_timeout(timeout).ok()
     }
@@ -375,17 +294,7 @@ impl Cluster {
         assert!(setup.ok, "cannot stream over a failed setup");
         let (tx, rx) = sync_channel(1);
         self.senders[source.index()]
-            .send(Msg::StartStream {
-                session: setup.request,
-                path: setup.path.clone(),
-                functions: setup.functions.clone(),
-                backups: setup.backups.clone(),
-                dest: setup.dest,
-                frames,
-                interval_ms,
-                dims,
-                reply: tx,
-            })
+            .send(Inbox::StartStream { setup: setup.clone(), frames, interval_ms, dims, reply: tx })
             .ok()?;
         rx.recv_timeout(timeout).ok()
     }
@@ -441,7 +350,7 @@ impl Drop for Cluster {
     fn drop(&mut self) {
         for (i, s) in self.senders.iter().enumerate() {
             self.dead[i].store(false, Ordering::Relaxed);
-            let _ = s.send(Msg::Halt);
+            let _ = s.send(Inbox::Halt);
         }
         for h in self.handles.drain(..) {
             let _ = h.join();

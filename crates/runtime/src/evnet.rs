@@ -1,12 +1,14 @@
-//! The event-driven socket transport: every connection of a daemon
-//! multiplexed over one `epoll` poller thread (see [`crate::poll`]).
+//! The daemon's connection I/O: every connection of a `spidernet-node`
+//! process multiplexed over one `epoll` poller thread (see
+//! [`crate::poll`]).
 //!
-//! The engine, delay queues, fault injection, and control protocol are
-//! untouched — this module only replaces the *connection I/O* of
-//! [`crate::net`]'s blocking transport (thread-per-connection reads,
-//! per-peer writer threads). Everything upstream of a socket behaves
-//! identically, which is what keeps deployment fingerprints bit-equal
-//! across the two transports and the in-process cluster.
+//! The engine, delay queues, fault injection, and control protocol live
+//! upstream in [`crate::net`]; this module only moves frames between them
+//! and sockets. It never inspects frame contents beyond routing: peer
+//! frames go to the engine as they decoded, and the engine's entry check
+//! drops malformed ones. Everything upstream of a socket behaves as in the
+//! in-process cluster, which is what keeps deployment fingerprints
+//! bit-equal to it.
 //!
 //! ## Structure
 //!
@@ -23,8 +25,7 @@
 //!
 //! Dials stay blocking — on loopback they resolve in microseconds, and
 //! running them on short-lived helper threads keeps the retry/backoff/
-//! handshake logic shared with the blocking transport instead of
-//! reimplemented as a poller state machine.
+//! handshake logic a plain loop instead of a poller state machine.
 //!
 //! ## Backpressure
 //!
@@ -46,7 +47,6 @@
 
 #![cfg(target_os = "linux")]
 
-use crate::msg::Msg;
 use crate::net::{dial_peer, EngineInput, NetStats, ReplySink, PEER_DOWN_COOLDOWN};
 use crate::node::World;
 use crate::poll::{Poller, Waker};
@@ -246,7 +246,7 @@ enum Cmd {
 /// Handle to a running event transport: cheap to clone, safe to use from
 /// any thread. Dropping every handle does not stop the poller thread —
 /// the daemon's lifetime is the process (shutdown is `CtrlShutdown` →
-/// `run_node` returns → process exit), matching the blocking transport.
+/// `run_node` returns → process exit).
 #[derive(Clone)]
 pub(crate) struct EventNet {
     cmds: Sender<Cmd>,
@@ -376,7 +376,7 @@ impl Loop {
     /// dropped during a peer's down cooldown, or triggering a fresh dial.
     fn send_to_peer(&mut self, to: PeerId, msg: WireMsg) {
         // The only frame class backpressure may shed. This is narrower
-        // than `Msg::droppable` on purpose: probes/acks tolerate *wire*
+        // than `WireMsg::droppable` on purpose: probes/acks tolerate *wire*
         // loss, but shedding them locally under load would couple setup
         // outcomes to scheduling. Media frames are the paper's droppable
         // payload class.
@@ -405,8 +405,7 @@ impl Loop {
                 }
             }
             Some(OutState::Down(until)) if Instant::now() < *until => {
-                // Peer presumed dead: drop its traffic (the blocking
-                // transport's writer loop does the same).
+                // Peer presumed dead: drop its traffic.
             }
             _ => {
                 // No state or an expired cooldown: dial.
@@ -661,10 +660,9 @@ impl Loop {
                     false
                 }
             },
-            ConnKind::PeerIn(_) | ConnKind::PeerOut(_) => match Msg::from_wire(&frame) {
-                Some(msg) => self.engine.send(EngineInput::Deliver(msg)).is_ok(),
-                None => true, // not peer traffic; ignore
-            },
+            ConnKind::PeerIn(_) | ConnKind::PeerOut(_) => {
+                self.engine.send(EngineInput::Wire(frame)).is_ok()
+            }
             ConnKind::Ctrl => {
                 let sink = self.net.reply_sink(token);
                 self.engine.send(EngineInput::Ctrl(frame, sink)).is_ok()
@@ -820,7 +818,7 @@ mod tests {
         let msg = WireMsg::DhtLookup { query: 9, key: 42, origin: 0, hops: 1, at_ms: 12.5 };
         net0.send(PeerId::new(1), msg);
         match rx1.recv_timeout(Duration::from_secs(5)).unwrap() {
-            EngineInput::Deliver(Msg::DhtLookup { query, hops, .. }) => {
+            EngineInput::Wire(WireMsg::DhtLookup { query, hops, .. }) => {
                 assert_eq!((query, hops), (9, 1));
             }
             _ => panic!("expected the lookup delivered to node 1's engine"),

@@ -4,17 +4,18 @@
 //! PlanetLab hosts across the US and Europe, populated with six multimedia
 //! service components and driven by a customizable video-streaming
 //! application (§6.2). This crate reproduces that system twice over one
-//! shared protocol engine — in-process (threads + channels) and as real
-//! networked OS processes (TCP + the `spidernet-wire` codec):
+//! shared protocol engine and one message set, the `spidernet-wire`
+//! [`WireMsg`](spidernet_wire::WireMsg) — in-process (threads + channels)
+//! and as real networked OS processes (TCP + the wire codec):
 //!
 //! * [`wan`] — a measured-RTT-scale wide-area delay model (regions, jitter);
 //! * [`media`] — the six multimedia components as real byte transforms over
 //!   synthetic video frames;
-//! * [`msg`] — the runtime message set, with conversions to/from the
-//!   `spidernet-wire` frame forms;
 //! * [`node`] — the transport-agnostic protocol engine ([`node::PeerNode`]
-//!   behind the [`node::Outbox`] trait) and the shared deterministic
-//!   environment ([`node::World`]);
+//!   behind the [`node::Outbox`] trait), which checks every frame at its
+//!   entry, and the shared deterministic environment ([`node::World`]);
+//! * `delay` — the wall-time delay queue and sender-side fault rule both
+//!   transports share;
 //! * [`cluster`] — the in-process (channel) transport: one actor thread per
 //!   peer plus a delay-queue network thread; DHT lookups, BCP probes,
 //!   session setup acks, heartbeats, and media frames all travel hop by hop
@@ -22,21 +23,21 @@
 //! * [`mc`] — the model-checker adapter: `PeerNode`s behind a virtual
 //!   [`mc::ModelOutbox`], exposing every delivery interleaving (plus
 //!   drop/duplicate/crash faults) to the `spidernet-sim` explorer;
-//! * [`net`] — the socket transport: TCP connection management for the
-//!   `spidernet-node` daemon (one OS process per peer) and the loopback
-//!   `deploy` orchestrator;
+//! * [`net`] — the socket transport: the Linux `spidernet-node` daemon (one
+//!   OS process per peer, connections on one `epoll` loop), its control
+//!   client, and the loopback `deploy` orchestrator;
 //! * [`experiments`] — the Fig. 10 driver (session setup time vs function
 //!   number, decomposed into discovery / probing / session-init phases).
 
 #![warn(missing_docs)]
 
 pub mod cluster;
+mod delay;
 #[cfg(target_os = "linux")]
 pub(crate) mod evnet;
 pub mod experiments;
 pub mod mc;
 pub mod media;
-pub mod msg;
 pub mod net;
 pub mod node;
 #[cfg(target_os = "linux")]
@@ -48,6 +49,6 @@ pub use mc::{CheckedWorld, McAction, McScenario, ModelOutbox, NetModel};
 pub use media::{Frame, MediaFunction};
 pub use node::{
     ClusterConfig, NetFaultConfig, NetFaultConfigBuilder, Outbox, PeerNode, SetupResult,
-    StreamReport, World,
+    StreamReport, Timer, World,
 };
 pub use wan::{Region, WanModel};

@@ -25,13 +25,14 @@
 //! minimized schedule replayable: removing an unrelated action does not
 //! renumber the survivors.
 
-use crate::media::MediaFunction;
-use crate::msg::{mix, Msg};
+use crate::media::{wire_digest, MediaFunction};
 use crate::node::{
-    probe_digest, ClusterConfig, Outbox, PeerNode, SetupResult, StreamReport, World,
+    delay_salt, mix, probe_digest, ClusterConfig, Outbox, PeerNode, SetupResult, StreamReport,
+    Timer, World,
 };
 use spidernet_sim::mc::ModelSystem;
 use spidernet_util::id::PeerId;
+use spidernet_wire::WireMsg;
 use std::collections::BTreeMap;
 use std::collections::BTreeSet;
 use std::sync::Arc;
@@ -43,7 +44,7 @@ pub struct NetModel {
     /// Deliver in-flight messages in any order. When false, delivery is
     /// FIFO per `(from, to)` channel — the TCP ordering guarantee.
     pub reorder: bool,
-    /// How many droppable-class messages ([`Msg::droppable`]) the
+    /// How many droppable-class messages ([`WireMsg::droppable`]) the
     /// adversary may drop.
     pub drops: u32,
     /// How many droppable-class messages the adversary may duplicate.
@@ -186,9 +187,9 @@ pub struct ModelOutbox {
     /// Model time [`Outbox::now_ms`] reports.
     pub now: f64,
     /// Captured wire sends: `(to, msg, delay_ms)`.
-    pub sent: Vec<(PeerId, Msg, f64)>,
-    /// Captured timer schedules: `(msg, delay_ms)`.
-    pub timers: Vec<(Msg, f64)>,
+    pub sent: Vec<(PeerId, WireMsg, f64)>,
+    /// Captured timer schedules: `(timer, delay_ms)`.
+    pub timers: Vec<(Timer, f64)>,
     /// Captured driver setup results.
     pub setups: Vec<SetupResult>,
     /// Captured driver stream reports.
@@ -203,12 +204,12 @@ impl ModelOutbox {
 }
 
 impl Outbox for ModelOutbox {
-    fn wire(&mut self, to: PeerId, msg: Msg, delay_ms: f64) {
+    fn wire(&mut self, to: PeerId, msg: WireMsg, delay_ms: f64) {
         self.sent.push((to, msg, delay_ms));
     }
 
-    fn timer(&mut self, msg: Msg, delay_ms: f64) {
-        self.timers.push((msg, delay_ms));
+    fn timer(&mut self, timer: Timer, delay_ms: f64) {
+        self.timers.push((timer, delay_ms));
     }
 
     fn now_ms(&self) -> f64 {
@@ -248,7 +249,7 @@ struct InFlight {
     seq: u64,
     from: PeerId,
     to: PeerId,
-    msg: Msg,
+    msg: WireMsg,
 }
 
 #[derive(Clone, Debug)]
@@ -256,126 +257,142 @@ struct TimerEntry {
     key: u64,
     peer: PeerId,
     due_ms: f64,
-    msg: Msg,
+    timer: Timer,
 }
 
-/// The model timestamp a wire message carries (0 for variants without
-/// one — they sort as "already due").
-fn msg_at(msg: &Msg) -> f64 {
+/// What one delivery hands a peer.
+enum Input {
+    Wire(WireMsg),
+    Timer(Timer),
+}
+
+/// The model timestamp a wire message carries (0 for kinds without one —
+/// they sort as "already due").
+fn msg_at(msg: &WireMsg) -> f64 {
     match msg {
-        Msg::DhtLookup { at_ms, .. }
-        | Msg::DhtReply { at_ms, .. }
-        | Msg::SetupAck { at_ms, .. }
-        | Msg::StreamFrame { at_ms, .. }
-        | Msg::FrameAck { at_ms, .. } => *at_ms,
-        Msg::Probe(p) => p.at_ms,
+        WireMsg::DhtLookup { at_ms, .. }
+        | WireMsg::DhtReply { at_ms, .. }
+        | WireMsg::SetupAck { at_ms, .. }
+        | WireMsg::StreamFrame { at_ms, .. }
+        | WireMsg::FrameAck { at_ms, .. } => *at_ms,
+        WireMsg::Probe(p) => p.at_ms,
         _ => 0.0,
     }
 }
 
-/// Content salt for timer identity (parallels [`Msg::delay_salt`] for
-/// the timer variants, which that salt does not cover).
-fn timer_salt(msg: &Msg) -> u64 {
-    match msg {
-        Msg::TimerCollect { request } => mix(20, *request),
-        Msg::TimerStream { session } => mix(21, *session),
-        Msg::TimerMaintenance { session } => mix(22, *session),
-        _ => mix(29, 0),
+/// Content salt for timer identity (parallels [`delay_salt`] for wire
+/// messages).
+fn timer_salt(timer: &Timer) -> u64 {
+    match *timer {
+        Timer::Collect { request } => mix(20, request),
+        Timer::Stream { session } => mix(21, session),
+        Timer::Maintenance { session } => mix(22, session),
     }
 }
 
-fn kind_name(msg: &Msg) -> &'static str {
+fn kind_name(msg: &WireMsg) -> &'static str {
     match msg {
-        Msg::DhtLookup { .. } => "DhtLookup",
-        Msg::DhtReply { .. } => "DhtReply",
-        Msg::Register { .. } => "Register",
-        Msg::Probe(_) => "Probe",
-        Msg::SetupAck { .. } => "SetupAck",
-        Msg::StreamFrame { .. } => "StreamFrame",
-        Msg::FrameAck { .. } => "FrameAck",
-        Msg::Compose { .. } => "Compose",
-        Msg::StartStream { .. } => "StartStream",
-        Msg::PathProbe { .. } => "PathProbe",
-        Msg::PathProbeAck { .. } => "PathProbeAck",
-        Msg::TimerMaintenance { .. } => "TimerMaintenance",
-        Msg::TimerCollect { .. } => "TimerCollect",
-        Msg::TimerStream { .. } => "TimerStream",
-        Msg::Halt => "Halt",
+        WireMsg::DhtLookup { .. } => "DhtLookup",
+        WireMsg::DhtReply { .. } => "DhtReply",
+        WireMsg::Register { .. } => "Register",
+        WireMsg::Probe(_) => "Probe",
+        WireMsg::SetupAck { .. } => "SetupAck",
+        WireMsg::StreamFrame { .. } => "StreamFrame",
+        WireMsg::FrameAck { .. } => "FrameAck",
+        WireMsg::PathProbe { .. } => "PathProbe",
+        WireMsg::PathProbeAck { .. } => "PathProbeAck",
+        _ => "Control",
     }
 }
 
-/// Full-content digest of a wire or timer message (the delay salt plus
-/// everything it elides: timestamps, payload bits, carried paths).
-fn msg_digest(msg: &Msg) -> u64 {
-    let mut h = mix(0x4d53_4744, msg.delay_salt());
+fn timer_name(timer: &Timer) -> &'static str {
+    match timer {
+        Timer::Collect { .. } => "TimerCollect",
+        Timer::Stream { .. } => "TimerStream",
+        Timer::Maintenance { .. } => "TimerMaintenance",
+    }
+}
+
+/// Full-content digest of a wire message (the delay salt plus everything
+/// it elides: timestamps, payload bits, carried paths).
+fn msg_digest(msg: &WireMsg) -> u64 {
+    let mut h = mix(0x4d53_4744, delay_salt(msg));
     match msg {
-        Msg::DhtLookup { origin, at_ms, .. } => {
+        WireMsg::DhtLookup { origin, at_ms, .. } => {
             h = mix(h, 1);
-            h = mix(h, origin.raw());
+            h = mix(h, *origin);
             h = mix(h, at_ms.to_bits());
         }
-        Msg::DhtReply { metas, at_ms, .. } => {
+        WireMsg::DhtReply { metas, at_ms, .. } => {
             h = mix(h, 2);
             for m in metas {
-                h = mix(h, m.peer.raw());
-                h = mix(h, m.function.code() as u64);
+                h = mix(h, m.peer);
+                h = mix(h, m.function as u64);
             }
             h = mix(h, at_ms.to_bits());
         }
-        Msg::Register { replica, .. } => {
+        WireMsg::Register { replica, .. } => {
             h = mix(h, 3);
-            h = mix(h, replica.peer.raw());
-            h = mix(h, replica.function.code() as u64);
+            h = mix(h, replica.peer);
+            h = mix(h, replica.function as u64);
         }
-        Msg::Probe(p) => {
+        WireMsg::Probe(p) => {
             h = mix(h, 4);
             h = probe_digest(h, p);
         }
-        Msg::SetupAck { path, functions, source, backups, selected_ms, at_ms, .. } => {
+        WireMsg::SetupAck { path, functions, source, backups, selected_ms, at_ms, .. } => {
             h = mix(h, 5);
-            for p in path {
-                h = mix(h, p.raw());
+            for &p in path {
+                h = mix(h, p);
             }
-            for f in functions {
-                h = mix(h, f.code() as u64);
+            for &f in functions {
+                h = mix(h, f as u64);
             }
-            h = mix(h, source.raw());
+            h = mix(h, *source);
             for b in backups {
                 h = mix(h, b.len() as u64);
-                for p in b {
-                    h = mix(h, p.raw());
+                for &p in b {
+                    h = mix(h, p);
                 }
             }
             h = mix(h, selected_ms.to_bits());
             h = mix(h, at_ms.to_bits());
         }
-        Msg::StreamFrame { frame, orig_dims, at_ms, .. } => {
+        WireMsg::StreamFrame { frame, orig_w, orig_h, at_ms, .. } => {
             h = mix(h, 6);
-            h = mix(h, frame.digest());
+            h = mix(h, wire_digest(frame));
             h = mix(h, frame.seq);
-            h = mix(h, orig_dims.0 as u64);
-            h = mix(h, orig_dims.1 as u64);
+            h = mix(h, *orig_w as u64);
+            h = mix(h, *orig_h as u64);
             h = mix(h, at_ms.to_bits());
         }
-        Msg::FrameAck { valid, digest, at_ms, .. } => {
+        WireMsg::FrameAck { valid, digest, at_ms, .. } => {
             h = mix(h, 7);
             h = mix(h, *valid as u64);
             h = mix(h, *digest);
             h = mix(h, at_ms.to_bits());
         }
-        Msg::PathProbe { path, .. } => {
+        WireMsg::PathProbe { path, .. } => {
             h = mix(h, 8);
-            for p in path {
-                h = mix(h, p.raw());
+            for &p in path {
+                h = mix(h, p);
             }
         }
-        Msg::PathProbeAck { .. } => h = mix(h, 9),
-        Msg::TimerCollect { request } => h = mix(h, mix(10, *request)),
-        Msg::TimerStream { session } => h = mix(h, mix(11, *session)),
-        Msg::TimerMaintenance { session } => h = mix(h, mix(12, *session)),
-        Msg::Compose { .. } | Msg::StartStream { .. } | Msg::Halt => h = mix(h, 99),
+        WireMsg::PathProbeAck { .. } => h = mix(h, 9),
+        _ => h = mix(h, 99),
     }
     h
+}
+
+/// Digest of a pending timer (kinds continue the wire digest's numbering;
+/// timers carry no delay salt).
+fn timer_digest(timer: &Timer) -> u64 {
+    let h = mix(0x4d53_4744, 0);
+    match *timer {
+        Timer::Collect { request } => mix(h, mix(10, request)),
+        Timer::Stream { session } => mix(h, mix(11, session)),
+        Timer::Maintenance { session } => mix(h, mix(12, session)),
+    }
 }
 
 fn setup_digest(mut h: u64, s: &SetupResult) -> u64 {
@@ -520,8 +537,8 @@ impl CheckedWorld {
     /// Injects an adversarial wire message (as if a rogue peer sent it)
     /// and returns its action key. Exercises handler paths only
     /// reachable over the wire — e.g. a zero-function probe.
-    pub fn inject_wire(&mut self, from: PeerId, to: PeerId, msg: Msg) -> u64 {
-        let base = mix(mix(mix(1, from.raw()), to.raw()), msg.delay_salt());
+    pub fn inject_wire(&mut self, from: PeerId, to: PeerId, msg: WireMsg) -> u64 {
+        let base = mix(mix(mix(1, from.raw()), to.raw()), delay_salt(&msg));
         let key = self.next_key(base);
         let seq = self.bump_seq();
         self.wire.push(InFlight { key, seq, from, to, msg });
@@ -551,25 +568,26 @@ impl CheckedWorld {
         self.setups.extend(out.setups);
         self.reports.extend(out.reports);
         for (to, msg, _delay) in out.sent {
-            if let Msg::PathProbe { session, path, idx: 0, origin, backup_idx } = &msg {
-                if *origin == from {
-                    self.ghost_check_probe_send(from, *session, *backup_idx, path);
+            if let WireMsg::PathProbe { session, path, idx: 0, origin, backup_idx } = &msg {
+                if *origin == from.raw() {
+                    let path: Vec<PeerId> = path.iter().map(|&p| PeerId::new(p)).collect();
+                    self.ghost_check_probe_send(from, *session, *backup_idx as usize, &path);
                 }
             }
             if !self.alive[to.index()] {
                 self.sent_to_dead += 1;
                 continue;
             }
-            let base = mix(mix(mix(1, from.raw()), to.raw()), msg.delay_salt());
+            let base = mix(mix(mix(1, from.raw()), to.raw()), delay_salt(&msg));
             let key = self.next_key(base);
             let seq = self.bump_seq();
             self.wire.push(InFlight { key, seq, from, to, msg });
         }
-        for (msg, delay) in out.timers {
-            let base = mix(mix(2, from.raw()), timer_salt(&msg));
+        for (timer, delay) in out.timers {
+            let base = mix(mix(2, from.raw()), timer_salt(&timer));
             let key = self.next_key(base);
             let due_ms = self.clock_ms + delay;
-            self.timers.push(TimerEntry { key, peer: from, due_ms, msg });
+            self.timers.push(TimerEntry { key, peer: from, due_ms, timer });
         }
     }
 
@@ -616,24 +634,27 @@ impl CheckedWorld {
         }
     }
 
-    /// Delivers `msg` to `to`, running the ghost checks that bracket the
+    /// Delivers `input` to `to`, running the ghost checks that bracket the
     /// two handlers the stable-slot refactor protects: crediting a
     /// maintenance ack, and choosing a failover target.
-    fn deliver(&mut self, to: PeerId, msg: Msg) {
-        let ack_pre = match &msg {
-            Msg::PathProbeAck { session, backup_idx } => self.nodes[to.index()]
+    fn deliver(&mut self, to: PeerId, input: Input) {
+        let ack_pre = match &input {
+            Input::Wire(WireMsg::PathProbeAck { session, backup_idx }) => self.nodes[to.index()]
                 .stream_snapshot(*session)
-                .map(|s| (*session, *backup_idx, s)),
+                .map(|s| (*session, *backup_idx as usize, s)),
             _ => None,
         };
-        let switch_pre = match &msg {
-            Msg::TimerStream { session } => {
+        let switch_pre = match &input {
+            Input::Timer(Timer::Stream { session }) => {
                 self.nodes[to.index()].stream_snapshot(*session).map(|s| (*session, s))
             }
             _ => None,
         };
         let mut out = ModelOutbox::at(self.clock_ms);
-        self.nodes[to.index()].handle(msg, &mut out);
+        match input {
+            Input::Wire(msg) => self.nodes[to.index()].handle(msg, &mut out),
+            Input::Timer(timer) => self.nodes[to.index()].on_timer(timer, &mut out),
+        }
         if let Some((session, bi, pre)) = ack_pre {
             if let Some(post) = self.nodes[to.index()].stream_snapshot(session) {
                 let credited =
@@ -788,7 +809,7 @@ impl ModelSystem for CheckedWorld {
                     return false;
                 }
                 self.clock_ms = self.clock_ms.max(msg_at(&e.msg));
-                self.deliver(e.to, e.msg);
+                self.deliver(e.to, Input::Wire(e.msg));
                 true
             }
             McAction::Timer(key) => {
@@ -800,7 +821,7 @@ impl ModelSystem for CheckedWorld {
                     return false;
                 }
                 self.clock_ms = self.clock_ms.max(t.due_ms);
-                self.deliver(t.peer, t.msg);
+                self.deliver(t.peer, Input::Timer(t.timer));
                 true
             }
             McAction::Drop(key) => {
@@ -827,7 +848,7 @@ impl ModelSystem for CheckedWorld {
                 };
                 let (from, to, msg) =
                     (self.wire[i].from, self.wire[i].to, self.wire[i].msg.clone());
-                let base = mix(mix(mix(1, from.raw()), to.raw()), msg.delay_salt());
+                let base = mix(mix(mix(1, from.raw()), to.raw()), delay_salt(&msg));
                 let key = self.next_key(base);
                 let seq = self.bump_seq();
                 self.wire.push(InFlight { key, seq, from, to, msg });
@@ -871,7 +892,7 @@ impl ModelSystem for CheckedWorld {
         let mut timers: Vec<(u64, u64, u64)> = self
             .timers
             .iter()
-            .map(|t| (t.key, t.due_ms.to_bits(), msg_digest(&t.msg)))
+            .map(|t| (t.key, t.due_ms.to_bits(), timer_digest(&t.timer)))
             .collect();
         timers.sort_unstable();
         for (k, due, d) in timers {
@@ -1027,7 +1048,7 @@ impl ModelSystem for CheckedWorld {
                     .timers
                     .iter()
                     .find(|t| t.key == key)
-                    .map(|t| format!("{}:{}", kind_name(&t.msg), t.peer.raw()))
+                    .map(|t| format!("{}:{}", timer_name(&t.timer), t.peer.raw()))
                     .unwrap_or_else(|| "?".into());
                 format!("timer:{desc}:{key:016x}")
             }

@@ -7,8 +7,11 @@
 //!
 //! Frames are grayscale byte matrices; each transform manipulates the
 //! pixel buffer for real, so a composed chain's output is checkable.
+//! A [`Frame`] travels as a [`WirePixels`] payload and converts to and
+//! from it by move, without copying pixels.
 
-use std::sync::Arc;
+use spidernet_util::rng::splitmix64;
+use spidernet_wire::WirePixels;
 
 /// A synthetic video frame: `width × height` grayscale pixels.
 #[derive(Clone, Debug, PartialEq)]
@@ -18,7 +21,7 @@ pub struct Frame {
     /// Rows.
     pub height: usize,
     /// Row-major pixel bytes (`width * height` long).
-    pub pixels: Arc<[u8]>,
+    pub pixels: Vec<u8>,
     /// Sequence number within the stream.
     pub seq: u64,
 }
@@ -30,10 +33,10 @@ impl Frame {
         let mut px = Vec::with_capacity(width * height);
         for y in 0..height {
             for x in 0..width {
-                px.push(((x + y + seq as usize) % 251) as u8);
+                px.push((((x + y) as u64).wrapping_add(seq) % 251) as u8);
             }
         }
-        Frame { width, height, pixels: px.into(), seq }
+        Frame { width, height, pixels: px, seq }
     }
 
     /// Pixel at (x, y).
@@ -50,15 +53,35 @@ impl Frame {
     /// the per-frame fingerprint carried in delivery acks so two
     /// transports can prove they delivered identical bytes.
     pub fn digest(&self) -> u64 {
-        use spidernet_util::rng::splitmix64;
-        let mut h = splitmix64(0x4652414d45 ^ (self.width as u64) << 32 ^ self.height as u64);
-        h = splitmix64(h ^ self.seq);
-        for chunk in self.pixels.chunks(8) {
-            let mut word = [0u8; 8];
-            word[..chunk.len()].copy_from_slice(chunk);
-            h = splitmix64(h ^ u64::from_le_bytes(word));
-        }
-        h
+        pixel_digest(self.width as u64, self.height as u64, self.seq, &self.pixels)
+    }
+}
+
+/// [`Frame::digest`] of a frame still in wire form.
+pub fn wire_digest(p: &WirePixels) -> u64 {
+    pixel_digest(p.width as u64, p.height as u64, p.seq, &p.pixels)
+}
+
+fn pixel_digest(width: u64, height: u64, seq: u64, pixels: &[u8]) -> u64 {
+    let mut h = splitmix64(0x4652414d45 ^ width << 32 ^ height);
+    h = splitmix64(h ^ seq);
+    for chunk in pixels.chunks(8) {
+        let mut word = [0u8; 8];
+        word[..chunk.len()].copy_from_slice(chunk);
+        h = splitmix64(h ^ u64::from_le_bytes(word));
+    }
+    h
+}
+
+impl From<WirePixels> for Frame {
+    fn from(p: WirePixels) -> Frame {
+        Frame { width: p.width as usize, height: p.height as usize, pixels: p.pixels, seq: p.seq }
+    }
+}
+
+impl From<Frame> for WirePixels {
+    fn from(f: Frame) -> WirePixels {
+        WirePixels { width: f.width as u32, height: f.height as u32, seq: f.seq, pixels: f.pixels }
     }
 }
 
@@ -143,6 +166,18 @@ impl MediaFunction {
         }
     }
 
+    /// Dimensions of the frame this transform makes of a `width × height`
+    /// one.
+    pub fn output_dims(&self, width: usize, height: usize) -> (usize, usize) {
+        match self {
+            MediaFunction::UpScale => (width * 2, height * 2),
+            MediaFunction::DownScale | MediaFunction::SubImage => {
+                ((width / 2).max(1), (height / 2).max(1))
+            }
+            _ => (width, height),
+        }
+    }
+
     /// Applies the transform.
     pub fn apply(&self, input: &Frame) -> Frame {
         match self {
@@ -159,7 +194,7 @@ impl MediaFunction {
 /// Writes a recognizable ticker band: alternating 0xFF/0x00 columns, at the
 /// top (stock) or bottom (weather).
 fn embed_ticker(f: &Frame, top: bool) -> Frame {
-    let mut px = f.pixels.to_vec();
+    let mut px = f.pixels.clone();
     let rows = TICKER_ROWS.min(f.height);
     let row_range = if top { 0..rows } else { f.height - rows..f.height };
     for y in row_range {
@@ -167,22 +202,22 @@ fn embed_ticker(f: &Frame, top: bool) -> Frame {
             px[y * f.width + x] = if x % 2 == 0 { 0xFF } else { 0x00 };
         }
     }
-    Frame { width: f.width, height: f.height, pixels: px.into(), seq: f.seq }
+    Frame { width: f.width, height: f.height, pixels: px, seq: f.seq }
 }
 
 fn upscale(f: &Frame) -> Frame {
-    let (w, h) = (f.width * 2, f.height * 2);
+    let (w, h) = MediaFunction::UpScale.output_dims(f.width, f.height);
     let mut px = Vec::with_capacity(w * h);
     for y in 0..h {
         for x in 0..w {
             px.push(f.pixel(x / 2, y / 2));
         }
     }
-    Frame { width: w, height: h, pixels: px.into(), seq: f.seq }
+    Frame { width: w, height: h, pixels: px, seq: f.seq }
 }
 
 fn downscale(f: &Frame) -> Frame {
-    let (w, h) = ((f.width / 2).max(1), (f.height / 2).max(1));
+    let (w, h) = MediaFunction::DownScale.output_dims(f.width, f.height);
     let mut px = Vec::with_capacity(w * h);
     for y in 0..h {
         for x in 0..w {
@@ -197,11 +232,11 @@ fn downscale(f: &Frame) -> Frame {
             px.push((sum / 4) as u8);
         }
     }
-    Frame { width: w, height: h, pixels: px.into(), seq: f.seq }
+    Frame { width: w, height: h, pixels: px, seq: f.seq }
 }
 
 fn sub_image(f: &Frame) -> Frame {
-    let (w, h) = ((f.width / 2).max(1), (f.height / 2).max(1));
+    let (w, h) = MediaFunction::SubImage.output_dims(f.width, f.height);
     let (ox, oy) = ((f.width - w) / 2, (f.height - h) / 2);
     let mut px = Vec::with_capacity(w * h);
     for y in 0..h {
@@ -209,12 +244,12 @@ fn sub_image(f: &Frame) -> Frame {
             px.push(f.pixel(x + ox, y + oy));
         }
     }
-    Frame { width: w, height: h, pixels: px.into(), seq: f.seq }
+    Frame { width: w, height: h, pixels: px, seq: f.seq }
 }
 
 fn requantize(f: &Frame) -> Frame {
     let px: Vec<u8> = f.pixels.iter().map(|&p| p & 0xF0).collect();
-    Frame { width: f.width, height: f.height, pixels: px.into(), seq: f.seq }
+    Frame { width: f.width, height: f.height, pixels: px, seq: f.seq }
 }
 
 #[cfg(test)]
@@ -325,6 +360,7 @@ mod tests {
         let f = frame();
         for func in MediaFunction::ALL {
             let out = func.apply(&f);
+            assert_eq!((out.width, out.height), func.output_dims(f.width, f.height));
             let actual = out.byte_len() as f64 / f.byte_len() as f64;
             match func {
                 MediaFunction::Requantize => {

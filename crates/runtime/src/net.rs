@@ -1,12 +1,12 @@
-//! The socket transport: TCP connection management, the `spidernet-node`
-//! daemon runtime, and the loopback `deploy` orchestrator.
+//! The socket transport: the `spidernet-node` daemon runtime, its
+//! control client, and the loopback `deploy` orchestrator.
 //!
 //! One OS process per peer. Each daemon rebuilds the shared [`World`]
 //! deterministically from `(config, seed)`, runs the same
 //! [`PeerNode`] engine as the in-process cluster, and exchanges
-//! [`spidernet_wire`] frames over per-pair TCP connections
-//! (thread-per-connection, `std::net` — no async runtime, so
-//! deterministic tests never depend on an executor's scheduling).
+//! [`spidernet_wire`] frames over per-pair TCP connections, all
+//! multiplexed over one `epoll` poller thread (module `evnet`). The
+//! daemon is Linux-only; [`crate::Cluster`] is the portable path.
 //!
 //! ## Connection lifecycle
 //!
@@ -22,11 +22,10 @@
 //!
 //! ## Fault injection
 //!
-//! [`NetFaultConfig`] is honored at the *sender's* network layer, before
-//! bytes reach a socket: droppable frames ([`Msg::droppable`]) roll the
-//! drop probability once and survivors may be re-queued with extra
-//! delay — the same two-step rule as the in-process delay queue, so a
-//! fault config means the same thing in both deployments.
+//! [`NetFaultConfig`](crate::NetFaultConfig) is honored at the *sender's*
+//! network layer, before bytes reach a socket, by the same fault rule
+//! the in-process delay queue applies (`delay::roll_faults`), so a fault
+//! config means the same thing in both deployments.
 //!
 //! ## Model time
 //!
@@ -36,23 +35,22 @@
 //! functions of message content — a socket deployment reports the same
 //! numbers as the in-process cluster for the same seed.
 
+use crate::delay::{roll_faults, DelayQueue, Fault};
 use crate::media::MediaFunction;
-use crate::msg::Msg;
-use crate::node::{ClusterConfig, Outbox, PeerNode, SetupResult, StreamReport, World};
+use crate::node::{ClusterConfig, Outbox, PeerNode, SetupResult, StreamReport, Timer, World};
 use spidernet_sim::trace::TraceEvent;
 use spidernet_util::id::PeerId;
-use spidernet_util::rng::{rng_for_indexed, splitmix64, Rng};
+use spidernet_util::rng::{rng_for_indexed, splitmix64};
 use spidernet_wire::{
-    encode_to_vec, negotiate, FrameDecoder, WireMsg, WireSetup, WireStats, WireStreamReport,
-    CONTROL_PEER, PROTO_VERSION,
+    encode_to_vec, FrameDecoder, WireMsg, WireSetup, WireStats, WireStreamReport, CONTROL_PEER,
+    PROTO_VERSION,
 };
-use std::collections::{BinaryHeap, HashMap};
+use std::collections::HashMap;
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::process::{Child, Command, Stdio};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::mpsc::{channel, Receiver, Sender};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 // ---------------------------------------------------------------------
@@ -75,27 +73,6 @@ pub fn setup_to_wire(s: &SetupResult) -> WireSetup {
     }
 }
 
-/// Reconstructs a setup result from its control frame (`None` on unknown
-/// function codes).
-pub fn setup_from_wire(w: &WireSetup) -> Option<SetupResult> {
-    Some(SetupResult {
-        request: w.request,
-        ok: w.ok,
-        dest: PeerId::new(w.dest),
-        path: w.path.iter().map(|&p| PeerId::new(p)).collect(),
-        functions: w.functions.iter().map(|&c| MediaFunction::from_code(c)).collect::<Option<_>>()?,
-        backups: w
-            .backups
-            .iter()
-            .map(|b| b.iter().map(|&p| PeerId::new(p)).collect())
-            .collect(),
-        discovery_ms: w.discovery_ms,
-        probing_ms: w.probing_ms,
-        init_ms: w.init_ms,
-        total_ms: w.total_ms,
-    })
-}
-
 /// The control-frame form of a stream report.
 pub fn report_to_wire(r: &StreamReport) -> WireStreamReport {
     WireStreamReport {
@@ -107,20 +84,6 @@ pub fn report_to_wire(r: &StreamReport) -> WireStreamReport {
         maintenance_probes: r.maintenance_probes,
         final_path: r.final_path.iter().map(|p| p.raw()).collect(),
         delivery_digest: r.delivery_digest,
-    }
-}
-
-/// Reconstructs a stream report from its control frame.
-pub fn report_from_wire(w: &WireStreamReport) -> StreamReport {
-    StreamReport {
-        session: w.session,
-        sent: w.sent,
-        delivered: w.delivered,
-        all_valid: w.all_valid,
-        switches: w.switches,
-        maintenance_probes: w.maintenance_probes,
-        final_path: w.final_path.iter().map(|&p| PeerId::new(p)).collect(),
-        delivery_digest: w.delivery_digest,
     }
 }
 
@@ -148,104 +111,7 @@ pub struct NetStats {
 }
 
 // ---------------------------------------------------------------------
-// Wall delay queue (model delay × time_scale before an item fires).
-// ---------------------------------------------------------------------
-
-struct DqEntry<T> {
-    due: Instant,
-    seq: u64,
-    item: T,
-}
-
-impl<T> PartialEq for DqEntry<T> {
-    fn eq(&self, other: &Self) -> bool {
-        self.due == other.due && self.seq == other.seq
-    }
-}
-impl<T> Eq for DqEntry<T> {}
-impl<T> Ord for DqEntry<T> {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        other.due.cmp(&self.due).then_with(|| other.seq.cmp(&self.seq))
-    }
-}
-impl<T> PartialOrd for DqEntry<T> {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-struct DqState<T> {
-    heap: BinaryHeap<DqEntry<T>>,
-    seq: u64,
-    shutdown: bool,
-}
-
-struct DqInner<T> {
-    state: Mutex<DqState<T>>,
-    cond: Condvar,
-}
-
-/// A wall-time delay queue with a dedicated pump thread. The handler may
-/// re-queue an item (fault-injected extra delay) by returning
-/// `Some((item, extra))`.
-struct DelayQueue<T> {
-    inner: Arc<DqInner<T>>,
-}
-
-impl<T> Clone for DelayQueue<T> {
-    fn clone(&self) -> Self {
-        DelayQueue { inner: self.inner.clone() }
-    }
-}
-
-impl<T: Send + 'static> DelayQueue<T> {
-    fn start<F>(mut handle: F) -> DelayQueue<T>
-    where
-        F: FnMut(T) -> Option<(T, Duration)> + Send + 'static,
-    {
-        let inner = Arc::new(DqInner {
-            state: Mutex::new(DqState { heap: BinaryHeap::new(), seq: 0, shutdown: false }),
-            cond: Condvar::new(),
-        });
-        let pump = inner.clone();
-        std::thread::spawn(move || loop {
-            let mut q = pump.state.lock().unwrap();
-            if q.shutdown {
-                return;
-            }
-            let now = Instant::now();
-            let wait = match q.heap.peek() {
-                Some(e) if e.due <= now => {
-                    let e = q.heap.pop().expect("peeked");
-                    drop(q);
-                    if let Some((item, extra)) = handle(e.item) {
-                        let mut q = pump.state.lock().unwrap();
-                        let seq = q.seq;
-                        q.seq += 1;
-                        q.heap.push(DqEntry { due: Instant::now() + extra, seq, item });
-                        pump.cond.notify_one();
-                    }
-                    continue;
-                }
-                Some(e) => e.due - now,
-                None => Duration::from_millis(50),
-            };
-            let _ = pump.cond.wait_timeout(q, wait).unwrap();
-        });
-        DelayQueue { inner }
-    }
-
-    fn push(&self, item: T, wall: Duration) {
-        let mut q = self.inner.state.lock().unwrap();
-        let seq = q.seq;
-        q.seq += 1;
-        q.heap.push(DqEntry { due: Instant::now() + wall, seq, item });
-        self.inner.cond.notify_one();
-    }
-}
-
-// ---------------------------------------------------------------------
-// Outbound connections: dial-on-demand, per-peer writer threads.
+// Outbound connections: dial-on-demand.
 // ---------------------------------------------------------------------
 
 /// How long a peer stays blacklisted after its dial budget is exhausted.
@@ -255,9 +121,9 @@ pub(crate) const PEER_DOWN_COOLDOWN: Duration = Duration::from_millis(500);
 
 /// Dials `to` with capped exponential backoff and performs the
 /// client-side handshake (`Hello` out, `HelloAck` back). `None` after the
-/// attempt budget — the peer is presumed dead for now. Shared by the
-/// blocking writer threads and the event transport's dial helpers; the
-/// connection returned is in blocking mode.
+/// attempt budget — the peer is presumed dead for now. Runs on the event
+/// transport's short-lived dial helpers; the connection returned is in
+/// blocking mode.
 pub(crate) fn dial_peer(
     me: PeerId,
     ports: &[u16],
@@ -327,116 +193,9 @@ pub(crate) fn dial_peer(
     None
 }
 
-struct Writers {
-    me: PeerId,
-    ports: Arc<Vec<u16>>,
-    stats: Arc<NetStats>,
-    world: Arc<World>,
-    senders: Mutex<HashMap<PeerId, Sender<Vec<u8>>>>,
-}
-
-impl Writers {
-    fn send(self: &Arc<Self>, to: PeerId, frame: Vec<u8>) {
-        let mut senders = self.senders.lock().unwrap();
-        let tx = senders.entry(to).or_insert_with(|| {
-            let (tx, rx) = channel::<Vec<u8>>();
-            let w = self.clone();
-            std::thread::spawn(move || w.writer_loop(to, rx));
-            tx
-        });
-        let _ = tx.send(frame);
-    }
-
-    /// Dials `to` with capped exponential backoff and performs the
-    /// client-side handshake. `None` after the attempt budget — the peer
-    /// is presumed dead for now.
-    fn dial(&self, to: PeerId) -> Option<TcpStream> {
-        dial_peer(self.me, &self.ports, to, &self.stats, &self.world)
-    }
-
-    fn writer_loop(&self, to: PeerId, rx: Receiver<Vec<u8>>) {
-        let mut conn: Option<TcpStream> = None;
-        let mut down_until: Option<Instant> = None;
-        for frame in rx {
-            if let Some(t) = down_until {
-                if Instant::now() < t {
-                    continue; // peer presumed dead: drop its traffic
-                }
-                down_until = None;
-            }
-            if conn.is_none() {
-                conn = self.dial(to);
-                if conn.is_none() {
-                    self.world.record(TraceEvent::ConnClosed { peer: to.raw() });
-                    down_until = Some(Instant::now() + PEER_DOWN_COOLDOWN);
-                    continue;
-                }
-            }
-            let stream = conn.as_mut().expect("just dialed");
-            if stream.write_all(&frame).is_err() {
-                // One reconnect attempt for the frame in hand, then give up
-                // on it (the protocol tolerates wire loss).
-                conn = self.dial(to);
-                let rewritten = match conn.as_mut() {
-                    Some(stream) => stream.write_all(&frame).is_ok(),
-                    None => false,
-                };
-                if !rewritten {
-                    conn = None;
-                    self.world.record(TraceEvent::ConnClosed { peer: to.raw() });
-                    down_until = Some(Instant::now() + PEER_DOWN_COOLDOWN);
-                    continue;
-                }
-            }
-            self.stats.bytes_tx.fetch_add(frame.len() as u64, Ordering::Relaxed);
-            self.stats.frames_tx.fetch_add(1, Ordering::Relaxed);
-        }
-    }
-}
-
 // ---------------------------------------------------------------------
-// The daemon: engine thread + listener + delay queues.
+// The daemon: engine thread + event transport + delay queues.
 // ---------------------------------------------------------------------
-
-/// Which connection machinery a daemon runs under its engine.
-///
-/// Both transports speak the identical wire protocol, honor the same
-/// fault-injection rules at the same layer, and produce bit-identical
-/// deployment fingerprints — the choice only affects threads vs
-/// readiness polling.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum TransportKind {
-    /// Single-poller event loop (`epoll`): multiplexed connections,
-    /// bounded per-peer outbound queues with media-frame shedding,
-    /// batched vectored writes, pooled frame buffers. The default; on
-    /// non-Linux hosts it silently falls back to [`Self::Blocking`].
-    #[default]
-    Event,
-    /// The original thread-per-connection blocking transport. Kept for
-    /// one release as an escape hatch (`--transport blocking`).
-    Blocking,
-}
-
-impl std::str::FromStr for TransportKind {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<TransportKind, String> {
-        match s {
-            "event" => Ok(TransportKind::Event),
-            "blocking" => Ok(TransportKind::Blocking),
-            other => Err(format!("unknown transport {other:?} (want event|blocking)")),
-        }
-    }
-}
-
-impl std::fmt::Display for TransportKind {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(match self {
-            TransportKind::Event => "event",
-            TransportKind::Blocking => "blocking",
-        })
-    }
-}
 
 /// Everything a `spidernet-node` process needs to join a deployment.
 pub struct NodeConfig {
@@ -447,18 +206,17 @@ pub struct NodeConfig {
     pub cluster: ClusterConfig,
     /// Loopback listen port of every peer, by index.
     pub ports: Vec<u16>,
-    /// Connection machinery (event-driven by default).
-    pub transport: TransportKind,
 }
 
-/// Where a control connection's replies go. The blocking transport wraps
-/// a writer thread's channel; the event transport wraps a command back
-/// into its poller loop. Either way the engine neither knows nor cares.
+/// Where a control connection's replies go: a command back into the
+/// event loop, bound to the connection the request came from.
 pub(crate) type ReplySink = Arc<dyn Fn(WireMsg) + Send + Sync>;
 
 pub(crate) enum EngineInput {
-    /// A protocol message, from the wire or a local timer.
-    Deliver(Msg),
+    /// A frame off a peer connection, or a message this peer sent itself.
+    Wire(WireMsg),
+    /// One of the engine's own timers.
+    Timer(Timer),
     /// A control frame plus the reply sink of its connection.
     Ctrl(WireMsg, ReplySink),
     /// Periodic soft-state refresh: re-advertise this node's component.
@@ -469,28 +227,25 @@ struct SocketOutbox {
     epoch: Instant,
     scale: f64,
     outbound: DelayQueue<OutFrame>,
-    timers: DelayQueue<Msg>,
+    timers: DelayQueue<Timer>,
     pending_setups: HashMap<u64, ReplySink>,
     pending_reports: HashMap<u64, ReplySink>,
 }
 
 struct OutFrame {
     to: PeerId,
-    msg: Msg,
-    /// Already fault-injected (re-queued with extra jitter); never rolled
-    /// twice.
-    delayed: bool,
+    msg: WireMsg,
+    /// Already held back by the fault injector; never rolled twice.
+    rolled: bool,
 }
 
 impl Outbox for SocketOutbox {
-    fn wire(&mut self, to: PeerId, msg: Msg, delay_ms: f64) {
-        let wall = Duration::from_secs_f64((delay_ms * self.scale / 1_000.0).max(0.0));
-        self.outbound.push(OutFrame { to, msg, delayed: false }, wall);
+    fn wire(&mut self, to: PeerId, msg: WireMsg, delay_ms: f64) {
+        self.outbound.push(OutFrame { to, msg, rolled: false }, delay_ms);
     }
 
-    fn timer(&mut self, msg: Msg, delay_ms: f64) {
-        let wall = Duration::from_secs_f64((delay_ms * self.scale / 1_000.0).max(0.0));
-        self.timers.push(msg, wall);
+    fn timer(&mut self, timer: Timer, delay_ms: f64) {
+        self.timers.push(timer, delay_ms);
     }
 
     fn now_ms(&self) -> f64 {
@@ -510,167 +265,25 @@ impl Outbox for SocketOutbox {
     }
 }
 
-fn spawn_ctrl_writer(stream: TcpStream, stats: Arc<NetStats>) -> Sender<WireMsg> {
-    let (tx, rx) = channel::<WireMsg>();
-    std::thread::spawn(move || {
-        let mut stream = stream;
-        for msg in rx {
-            let frame = encode_to_vec(&msg);
-            if stream.write_all(&frame).is_err() {
-                return;
-            }
-            stats.bytes_tx.fetch_add(frame.len() as u64, Ordering::Relaxed);
-            stats.frames_tx.fetch_add(1, Ordering::Relaxed);
-        }
-    });
-    tx
-}
-
-/// Pumps decoded frames off `stream` into `on_frame` until EOF, error, or
-/// `on_frame` returns `false`.
-fn read_frames(
-    stream: &mut TcpStream,
-    stats: &NetStats,
-    mut on_frame: impl FnMut(WireMsg) -> bool,
-) {
-    let mut dec = FrameDecoder::new();
-    let mut buf = [0u8; 64 * 1024];
-    loop {
-        match dec.next_frame() {
-            Ok(Some(frame)) => {
-                stats.frames_rx.fetch_add(1, Ordering::Relaxed);
-                if !on_frame(frame) {
-                    return;
-                }
-            }
-            Ok(None) => match stream.read(&mut buf) {
-                Ok(0) | Err(_) => return,
-                Ok(n) => {
-                    stats.bytes_rx.fetch_add(n as u64, Ordering::Relaxed);
-                    dec.extend(&buf[..n]);
-                }
-            },
-            Err(_) => {
-                stats.decode_errors.fetch_add(1, Ordering::Relaxed);
-                return;
-            }
-        }
-    }
-}
-
-fn serve_connection(mut stream: TcpStream, engine: Sender<EngineInput>, stats: Arc<NetStats>) {
-    let _ = stream.set_nodelay(true);
-    // First frame must be a Hello; negotiate and ack.
-    let mut hello: Option<(u64, u16)> = None;
-    {
-        let mut dec = FrameDecoder::new();
-        let mut buf = [0u8; 4096];
-        let _ = stream.set_read_timeout(Some(Duration::from_secs(5)));
-        loop {
-            match dec.next_frame() {
-                Ok(Some(WireMsg::Hello { peer, proto_min, proto_max, .. })) => {
-                    if let Some(v) =
-                        negotiate((PROTO_VERSION, PROTO_VERSION), (proto_min, proto_max))
-                    {
-                        hello = Some((peer, v));
-                    }
-                    // Hand leftover bytes after the Hello back? The frame
-                    // decoder is drained below on a fresh one; peers never
-                    // pipeline frames before the ack, so nothing is lost.
-                    break;
-                }
-                Ok(Some(_)) | Err(_) => {
-                    stats.decode_errors.fetch_add(1, Ordering::Relaxed);
-                    return;
-                }
-                Ok(None) => match stream.read(&mut buf) {
-                    Ok(0) | Err(_) => return,
-                    Ok(n) => {
-                        stats.bytes_rx.fetch_add(n as u64, Ordering::Relaxed);
-                        dec.extend(&buf[..n]);
-                    }
-                },
-            }
-        }
-        let _ = stream.set_read_timeout(None);
-    }
-    let Some((peer, proto)) = hello else { return };
-
-    if peer == CONTROL_PEER {
-        // Control client: replies multiplex over a writer thread whose
-        // sender doubles as the engine's reply sink.
-        let Ok(write_half) = stream.try_clone() else { return };
-        let tx = spawn_ctrl_writer(write_half, stats.clone());
-        let _ = tx.send(WireMsg::HelloAck { peer: u64::MAX, proto });
-        let sink: ReplySink = Arc::new(move |msg| {
-            let _ = tx.send(msg);
-        });
-        read_frames(&mut stream, &stats, |frame| {
-            engine.send(EngineInput::Ctrl(frame, sink.clone())).is_ok()
-        });
-    } else {
-        // Peer connection: ack directly (the connection is read-only
-        // afterwards), then pump protocol frames into the engine.
-        let ack = encode_to_vec(&WireMsg::HelloAck { peer: u64::MAX, proto });
-        if stream.write_all(&ack).is_err() {
-            return;
-        }
-        stats.bytes_tx.fetch_add(ack.len() as u64, Ordering::Relaxed);
-        stats.frames_tx.fetch_add(1, Ordering::Relaxed);
-        read_frames(&mut stream, &stats, |frame| match Msg::from_wire(&frame) {
-            Some(msg) => engine.send(EngineInput::Deliver(msg)).is_ok(),
-            None => true, // not peer traffic; ignore
-        });
-    }
-}
-
-/// The outbound half of whichever transport a daemon runs: encode-and-send
-/// one wire message toward a peer.
-enum FrameSender {
-    Writers(Arc<Writers>),
+/// Runs one peer daemon until a `CtrlShutdown` arrives. Blocks the
+/// calling thread (the engine loop runs here). The daemon's connections
+/// run on Linux `epoll`; elsewhere this returns
+/// [`std::io::ErrorKind::Unsupported`].
+pub fn run_node(cfg: NodeConfig) -> std::io::Result<()> {
     #[cfg(target_os = "linux")]
-    Event(crate::evnet::EventNet),
-}
-
-impl FrameSender {
-    fn send(&self, to: PeerId, wire: WireMsg) {
-        match self {
-            FrameSender::Writers(w) => w.send(to, encode_to_vec(&wire)),
-            #[cfg(target_os = "linux")]
-            FrameSender::Event(net) => net.send(to, wire),
-        }
+    return serve(cfg);
+    #[cfg(not(target_os = "linux"))]
+    {
+        let _ = cfg;
+        Err(std::io::Error::new(
+            std::io::ErrorKind::Unsupported,
+            "the spidernet-node daemon needs Linux (epoll); use the in-process Cluster elsewhere",
+        ))
     }
 }
 
 #[cfg(target_os = "linux")]
-fn start_event_transport(
-    listener: TcpListener,
-    me: PeerId,
-    ports: Arc<Vec<u16>>,
-    stats: Arc<NetStats>,
-    world: Arc<World>,
-    engine: Sender<EngineInput>,
-) -> std::io::Result<FrameSender> {
-    Ok(FrameSender::Event(crate::evnet::EventNet::start(
-        listener, me, ports, stats, world, engine,
-    )?))
-}
-
-#[cfg(not(target_os = "linux"))]
-fn start_event_transport(
-    _listener: TcpListener,
-    _me: PeerId,
-    _ports: Arc<Vec<u16>>,
-    _stats: Arc<NetStats>,
-    _world: Arc<World>,
-    _engine: Sender<EngineInput>,
-) -> std::io::Result<FrameSender> {
-    unreachable!("the event transport is Linux-only; run_node falls back to Blocking")
-}
-
-/// Runs one peer daemon until a `CtrlShutdown` arrives. Blocks the
-/// calling thread (the engine loop runs here).
-pub fn run_node(cfg: NodeConfig) -> std::io::Result<()> {
+fn serve(cfg: NodeConfig) -> std::io::Result<()> {
     let me = PeerId::from(cfg.index);
     let world = Arc::new(World::build(cfg.cluster.clone()));
     let scale = world.cfg.time_scale;
@@ -680,76 +293,46 @@ pub fn run_node(cfg: NodeConfig) -> std::io::Result<()> {
 
     let listener = TcpListener::bind(("127.0.0.1", cfg.ports[cfg.index]))?;
 
-    let (engine_tx, engine_rx) = channel::<EngineInput>();
+    let (engine_tx, engine_rx) = std::sync::mpsc::channel::<EngineInput>();
 
     // Timers: local bookkeeping, no faults, straight into the engine.
-    let timers = {
+    let (timers, _) = {
         let engine = engine_tx.clone();
-        DelayQueue::start(move |msg: Msg| {
-            let _ = engine.send(EngineInput::Deliver(msg));
+        DelayQueue::start(scale, move |timer: Timer| {
+            let _ = engine.send(EngineInput::Timer(timer));
             None
         })
     };
 
-    // The connection machinery behind the fault-injection layer: either
-    // the event poller (owns the listener and every socket) or the
-    // blocking per-peer writer threads plus a thread-per-connection
-    // acceptor. Both expose "hand me a wire message for a peer".
-    let use_event = cfg.transport == TransportKind::Event && cfg!(target_os = "linux");
-    let sender = if use_event {
-        start_event_transport(
-            listener,
-            me,
-            ports,
-            stats.clone(),
-            world.clone(),
-            engine_tx.clone(),
-        )?
-    } else {
-        let writers = Arc::new(Writers {
-            me,
-            ports,
-            stats: stats.clone(),
-            world: world.clone(),
-            senders: Mutex::new(HashMap::new()),
-        });
-        let engine = engine_tx.clone();
-        let stats = stats.clone();
-        std::thread::spawn(move || {
-            for stream in listener.incoming() {
-                let Ok(stream) = stream else { continue };
-                let engine = engine.clone();
-                let stats = stats.clone();
-                std::thread::spawn(move || serve_connection(stream, engine, stats));
-            }
-        });
-        FrameSender::Writers(writers)
-    };
+    // The event poller owns the listener and every socket.
+    let net = crate::evnet::EventNet::start(
+        listener,
+        me,
+        ports,
+        stats.clone(),
+        world.clone(),
+        engine_tx.clone(),
+    )?;
 
     // Outbound: WAN delay already waited out by the queue; apply
     // sender-side fault injection, then hand survivors to the transport
     // (or straight to our own inbox for self-sends).
-    let outbound = {
+    let (outbound, _) = {
         let engine = engine_tx.clone();
-        let world_for_faults = world.clone();
-        let faults = world.cfg.faults;
-        let mut rng: Rng = rng_for_indexed(world.cfg.seed, "net-faults", cfg.index as u64);
-        DelayQueue::start(move |f: OutFrame| {
-            if faults.is_active() && !f.delayed && f.msg.droppable() {
-                if faults.drop_prob > 0.0 && rng.gen::<f64>() < faults.drop_prob {
-                    world_for_faults.msgs_dropped.fetch_add(1, Ordering::Relaxed);
-                    return None;
-                }
-                if faults.extra_delay_ms > 0.0 {
-                    let extra = rng.gen::<f64>() * faults.extra_delay_ms;
-                    let wall = Duration::from_secs_f64(extra * scale / 1_000.0);
-                    return Some((OutFrame { delayed: true, ..f }, wall));
+        let world = world.clone();
+        let mut rng = rng_for_indexed(world.cfg.seed, "net-faults", cfg.index as u64);
+        DelayQueue::start(scale, move |f: OutFrame| {
+            if !f.rolled {
+                match roll_faults(&world, &f.msg, &mut rng) {
+                    Fault::Drop => return None,
+                    Fault::Delay(ms) => return Some((OutFrame { rolled: true, ..f }, ms)),
+                    Fault::Deliver => {}
                 }
             }
             if f.to == me {
-                let _ = engine.send(EngineInput::Deliver(f.msg));
-            } else if let Some(wire) = f.msg.to_wire() {
-                sender.send(f.to, wire);
+                let _ = engine.send(EngineInput::Wire(f.msg));
+            } else {
+                net.send(f.to, f.msg);
             }
             None
         })
@@ -780,53 +363,21 @@ pub fn run_node(cfg: NodeConfig) -> std::io::Result<()> {
     node.announce(&mut out);
     for input in engine_rx {
         match input {
-            EngineInput::Deliver(msg) => node.handle(msg, &mut out),
+            EngineInput::Wire(msg) => node.handle(msg, &mut out),
+            EngineInput::Timer(timer) => node.on_timer(timer, &mut out),
             EngineInput::Announce => node.announce(&mut out),
             EngineInput::Ctrl(frame, sink) => match frame {
-                WireMsg::CtrlCompose { request, dest, chain, budget } => {
-                    let Some(chain) = chain
-                        .iter()
-                        .map(|&c| MediaFunction::from_code(c))
-                        .collect::<Option<Vec<_>>>()
-                    else {
-                        continue;
-                    };
+                WireMsg::CtrlCompose { request, .. } => {
                     out.pending_setups.insert(request, sink);
-                    node.compose(request, PeerId::new(dest), chain, budget, &mut out);
+                    if !node.control(frame, &mut out) {
+                        out.pending_setups.remove(&request);
+                    }
                 }
-                WireMsg::CtrlStream {
-                    session,
-                    path,
-                    functions,
-                    backups,
-                    dest,
-                    frames,
-                    interval_ms,
-                    width,
-                    height,
-                } => {
-                    let Some(functions) = functions
-                        .iter()
-                        .map(|&c| MediaFunction::from_code(c))
-                        .collect::<Option<Vec<_>>>()
-                    else {
-                        continue;
-                    };
+                WireMsg::CtrlStream { session, .. } => {
                     out.pending_reports.insert(session, sink);
-                    node.start_stream(
-                        session,
-                        path.iter().map(|&p| PeerId::new(p)).collect(),
-                        functions,
-                        backups
-                            .iter()
-                            .map(|b| b.iter().map(|&p| PeerId::new(p)).collect())
-                            .collect(),
-                        PeerId::new(dest),
-                        frames,
-                        interval_ms,
-                        (width as usize, height as usize),
-                        &mut out,
-                    );
+                    if !node.control(frame, &mut out) {
+                        out.pending_reports.remove(&session);
+                    }
                 }
                 WireMsg::CtrlStatsRequest => {
                     sink(WireMsg::CtrlStatsReply(WireStats {
@@ -982,9 +533,6 @@ pub struct DeployConfig {
     pub kill_primary: bool,
     /// Overall wall-clock budget.
     pub timeout: Duration,
-    /// Connection machinery every daemon runs (forwarded as
-    /// `--transport`).
-    pub transport: TransportKind,
 }
 
 impl DeployConfig {
@@ -1012,7 +560,6 @@ impl DeployConfig {
             dims: (8, 8),
             kill_primary: false,
             timeout: Duration::from_secs(45),
-            transport: TransportKind::default(),
         }
     }
 }
@@ -1121,8 +668,8 @@ fn fingerprint(setup: &WireSetup, report: &WireStreamReport) -> u64 {
 
 /// Order-independent digest of a batch of composition outcomes (sorted by
 /// request id, then paths, backups, and f64 metric bits folded in). Pure
-/// model-time content — the same value regardless of transport, wall
-/// clock, or session concurrency, which is what lets `deploy --sessions N
+/// model-time content — the same value in-process or over sockets,
+/// regardless of wall clock or session concurrency, which is what lets `deploy --sessions N
 /// --verify-inprocess` compare a concurrent socket deployment against N
 /// sequential in-process compositions.
 pub fn setup_fingerprint(setups: &[WireSetup]) -> u64 {
@@ -1159,7 +706,6 @@ fn spawn_children(cfg: &DeployConfig, ports: &[u16]) -> std::io::Result<Vec<Chil
             .args(["--collect-deadline-slack", &c.collect_deadline_slack.to_string()])
             .args(["--drop-prob", &c.faults.drop_prob.to_string()])
             .args(["--extra-delay-ms", &c.faults.extra_delay_ms.to_string()])
-            .args(["--transport", &cfg.transport.to_string()])
             .stdin(Stdio::null())
             .stdout(Stdio::null())
             .stderr(Stdio::inherit())

@@ -3,10 +3,21 @@
 //! [`PeerNode`] holds one peer's complete protocol state — DHT shard,
 //! composition jobs, destination-side probe collection, streaming
 //! sessions with proactive failure recovery — and is driven entirely
-//! through [`PeerNode::handle`]. It never touches a channel or a socket:
-//! every outbound effect goes through the [`Outbox`] trait, implemented
-//! by the in-process channel transport ([`crate::cluster`]) and the
-//! socket daemon ([`crate::net`]). Protocol logic exists exactly once.
+//! through [`PeerNode::handle`] (peer frames), [`PeerNode::on_timer`]
+//! (its own timers), and the driver commands ([`PeerNode::compose`],
+//! [`PeerNode::start_stream`], or their control-frame form
+//! [`PeerNode::control`]). It never touches a channel or a socket: every
+//! outbound effect goes through the [`Outbox`] trait, implemented by the
+//! in-process channel transport ([`crate::cluster`]), the socket daemon
+//! ([`crate::net`]), and the model checker ([`crate::mc`]). Protocol
+//! logic exists exactly once.
+//!
+//! Peers exchange [`WireMsg`] values everywhere — the in-process cluster
+//! hands them over unencoded, the daemon encodes them onto TCP. A frame
+//! that decodes cleanly can still be malformed (a peer id outside the
+//! deployment, an index past its own list, a non-finite timestamp); the
+//! engine checks every frame once at its entry and drops malformed ones
+//! before any handler runs, so hostile input cannot panic a daemon.
 //!
 //! ## Deterministic model time
 //!
@@ -26,7 +37,6 @@
 //! how close to the wall deadline the transport delivered it.
 
 use crate::media::{Frame, MediaFunction};
-use crate::msg::{mix, Msg, Probe, ReplicaMeta};
 use crate::wan::WanModel;
 use spidernet_dht::{NodeId, PastryNetwork};
 use spidernet_sim::trace::{TraceBuffer, TraceEvent};
@@ -34,6 +44,8 @@ use spidernet_util::hash::function_key;
 use spidernet_util::id::PeerId;
 use spidernet_util::qos::QosVector;
 use spidernet_util::res::ResourceVector;
+use spidernet_util::rng::splitmix64;
+use spidernet_wire::{WireMsg, WireProbe, WireReplica, MAX_PIXEL_BYTES};
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -41,10 +53,10 @@ use std::sync::{Arc, Mutex};
 /// Message-level fault injection applied by the transport's network
 /// layer, at the sender side.
 ///
-/// Only wire traffic ([`Msg::droppable`]) is affected; driver commands
-/// and self-timers always deliver. Each droppable message is considered
-/// exactly once: survivors of the drop roll are delivered with their
-/// extra jitter and never rolled again.
+/// Only peer-protocol frames ([`WireMsg::droppable`]) are affected;
+/// control frames, driver commands, and timers always deliver. Each
+/// droppable message is considered exactly once: survivors of the drop
+/// roll are delivered with their extra jitter and never rolled again.
 #[derive(Clone, Copy, Debug, Default)]
 #[non_exhaustive]
 pub struct NetFaultConfig {
@@ -273,9 +285,10 @@ impl World {
 
     /// Startup DHT shards with every component pre-registered at its
     /// key's root — the in-process cluster's shortcut past the wire
-    /// bootstrap (socket daemons instead register via [`Msg::Register`]).
-    pub fn seeded_stores(&self) -> Vec<HashMap<u128, Vec<ReplicaMeta>>> {
-        let mut stores: Vec<HashMap<u128, Vec<ReplicaMeta>>> =
+    /// bootstrap (socket daemons instead register via
+    /// [`WireMsg::Register`]).
+    pub fn seeded_stores(&self) -> Vec<HashMap<u128, Vec<WireReplica>>> {
+        let mut stores: Vec<HashMap<u128, Vec<WireReplica>>> =
             vec![HashMap::new(); self.cfg.peers];
         for (i, &f) in self.functions.iter().enumerate() {
             let key = function_key(f.name());
@@ -283,7 +296,7 @@ impl World {
             stores[root.index()]
                 .entry(key)
                 .or_default()
-                .push(ReplicaMeta { peer: PeerId::from(i), function: f });
+                .push(WireReplica { peer: i as u64, function: f.code() });
         }
         stores
     }
@@ -300,6 +313,27 @@ impl World {
     }
 }
 
+/// A timer a peer schedules for itself through [`Outbox::timer`]; the
+/// transport hands it back to [`PeerNode::on_timer`] after its delay.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Timer {
+    /// Destination-side probe collection deadline.
+    Collect {
+        /// The request whose probes are due for selection.
+        request: u64,
+    },
+    /// Emit the next stream frame (or finish draining the stream).
+    Stream {
+        /// The session to advance.
+        session: u64,
+    },
+    /// Run one backup-maintenance round.
+    Maintenance {
+        /// The streaming session to maintain.
+        session: u64,
+    },
+}
+
 /// The engine's view of a transport: where outbound messages, timers, and
 /// driver results go. Implementations decide what "wire" means (an
 /// in-process delay queue, or a fault-injecting sender queue feeding TCP
@@ -308,10 +342,11 @@ pub trait Outbox {
     /// Ships `msg` to peer `to`; the transport must deliver it after
     /// `delay_ms` of model time (the content-keyed WAN delay, already
     /// accumulated into the message's `at_ms`).
-    fn wire(&mut self, to: PeerId, msg: Msg, delay_ms: f64);
-    /// Schedules `msg` back into this same peer after `delay_ms` of model
-    /// time. Timers are local bookkeeping: never dropped, never jittered.
-    fn timer(&mut self, msg: Msg, delay_ms: f64);
+    fn wire(&mut self, to: PeerId, msg: WireMsg, delay_ms: f64);
+    /// Schedules `timer` back into this same peer after `delay_ms` of
+    /// model time. Timers are local bookkeeping: never dropped, never
+    /// jittered.
+    fn timer(&mut self, timer: Timer, delay_ms: f64);
     /// Wall-derived model time, ms since the deployment epoch. Used only
     /// by the streaming failover detector.
     fn now_ms(&self) -> f64;
@@ -328,17 +363,18 @@ struct ComposeJob {
     chain: Vec<MediaFunction>,
     budget: u32,
     /// Per-position replica list and the model time its reply arrived.
-    replica_lists: Vec<Option<(Vec<ReplicaMeta>, f64)>>,
+    replica_lists: Vec<Option<(Vec<WireReplica>, f64)>>,
     /// Model time discovery finished (latest reply), once all are in.
     discovery_done_ms: Option<f64>,
 }
 
 #[derive(Clone)]
 struct DestJob {
-    source: PeerId,
-    chain: Vec<MediaFunction>,
+    source: u64,
+    /// Function codes of the requested chain.
+    chain: Vec<u8>,
     /// Collected complete probes, keyed by model arrival time.
-    probes: Vec<(f64, Probe)>,
+    probes: Vec<(f64, WireProbe)>,
     timer_armed: bool,
 }
 
@@ -370,7 +406,8 @@ struct StreamJob {
     /// still counts (liveness, not freshness).
     maintenance_pending: Vec<bool>,
     maintenance_messages: u64,
-    functions: Vec<MediaFunction>,
+    /// Function codes along every path.
+    functions: Vec<u8>,
     dest: PeerId,
     remaining: u64,
     interval_ms: f64,
@@ -401,7 +438,7 @@ pub struct PeerNode {
     /// The shared deployment environment.
     pub world: Arc<World>,
     /// This peer's DHT shard: key → advertised replicas.
-    pub store: HashMap<u128, Vec<ReplicaMeta>>,
+    pub store: HashMap<u128, Vec<WireReplica>>,
     compose_jobs: HashMap<u64, ComposeJob>,
     dest_jobs: HashMap<u64, DestJob>,
     done_requests: HashSet<u64>,
@@ -411,7 +448,7 @@ pub struct PeerNode {
 impl PeerNode {
     /// A peer with the given starting DHT shard (empty for socket daemons,
     /// pre-seeded for the in-process cluster).
-    pub fn new(me: PeerId, world: Arc<World>, store: HashMap<u128, Vec<ReplicaMeta>>) -> PeerNode {
+    pub fn new(me: PeerId, world: Arc<World>, store: HashMap<u128, Vec<WireReplica>>) -> PeerNode {
         PeerNode {
             me,
             world,
@@ -430,9 +467,9 @@ impl PeerNode {
 
     /// Sends `msg` to `to` with the content-keyed WAN delay, accumulating
     /// the delay into the message's model timestamp.
-    fn send(&mut self, to: PeerId, mut msg: Msg, out: &mut impl Outbox) {
-        let d = self.world.wan.delay_keyed(self.me, to, msg.delay_salt());
-        if let Some(at) = msg.at_ms_mut() {
+    fn send(&mut self, to: PeerId, mut msg: WireMsg, out: &mut impl Outbox) {
+        let d = self.world.wan.delay_keyed(self.me, to, delay_salt(&msg));
+        if let Some(at) = at_ms_mut(&mut msg) {
             *at += d;
         }
         out.wire(to, msg, d);
@@ -443,56 +480,77 @@ impl PeerNode {
     /// doesn't call this (its shards are pre-seeded).
     pub fn announce(&mut self, out: &mut impl Outbox) {
         let f = self.world.functions[self.me.index()];
-        let key = NodeId::new(function_key(f.name()));
-        let replica = ReplicaMeta { peer: self.me, function: f };
+        let key = function_key(f.name());
+        let replica = WireReplica { peer: self.me.raw(), function: f.code() };
         let qos = QosVector::delay_loss(f.processing_ms(), 0.0);
         let res = ResourceVector::new(1.0, 1.0);
         self.route_register(key, replica, qos, res, 0, out);
     }
 
-    /// Drives the engine with one delivered message. Driver commands and
-    /// `Halt` are transport concerns and must not reach this point.
-    pub fn handle(&mut self, msg: Msg, out: &mut impl Outbox) {
+    /// Drives the engine with one delivered peer frame. Malformed frames,
+    /// handshakes, and control frames are dropped without effect.
+    pub fn handle(&mut self, msg: WireMsg, out: &mut impl Outbox) {
+        if !well_formed(&msg, self.world.cfg.peers as u64) {
+            return;
+        }
         match msg {
-            Msg::DhtLookup { query, key, origin, hops, at_ms } => {
+            WireMsg::DhtLookup { query, key, origin, hops, at_ms } => {
                 self.route_dht(query, key, origin, hops, at_ms, out)
             }
-            Msg::DhtReply { query, metas, at_ms } => self.on_dht_reply(query, metas, at_ms, out),
-            Msg::Register { key, replica, qos, res, hops } => {
+            WireMsg::DhtReply { query, metas, at_ms } => self.on_dht_reply(query, metas, at_ms, out),
+            WireMsg::Register { key, replica, qos, res, hops } => {
                 self.route_register(key, replica, qos, res, hops, out)
             }
-            Msg::Probe(p) => self.on_probe(p, out),
-            Msg::TimerCollect { request } => self.on_collect(request, out),
-            Msg::SetupAck { session, path, functions, idx, source, backups, selected_ms, at_ms } => {
-                if idx == usize::MAX {
+            WireMsg::Probe(p) => self.on_probe(p, out),
+            WireMsg::SetupAck { session, path, functions, idx, source, backups, selected_ms, at_ms } => {
+                if idx == u32::MAX {
                     self.on_compose_completion(session, path, functions, backups, selected_ms, at_ms, out)
                 } else {
                     self.on_setup_ack(session, path, functions, idx, source, backups, selected_ms, at_ms, out)
                 }
             }
-            Msg::TimerStream { session } => self.on_stream_timer(session, out),
-            Msg::TimerMaintenance { session } => self.on_maintenance_timer(session, out),
-            Msg::PathProbe { session, path, idx, origin, backup_idx } => {
+            WireMsg::PathProbe { session, path, idx, origin, backup_idx } => {
                 self.on_path_probe(session, path, idx, origin, backup_idx, out)
             }
-            Msg::PathProbeAck { session, backup_idx } => {
+            WireMsg::PathProbeAck { session, backup_idx } => {
                 if let Some(job) = self.stream_jobs.get_mut(&session) {
                     // Slots are stable, so `backup_idx` always names the
                     // path the probe actually walked. Acks for a consumed
                     // slot (the probe raced a failover) or the now-active
                     // slot carry no maintenance information — crediting
                     // them would mark the wrong path alive.
-                    let slot = backup_idx + 1;
+                    let bi = backup_idx as usize;
+                    let slot = bi + 1;
                     if slot < job.paths.len() && !job.consumed[slot] && slot != job.active {
-                        job.backup_alive[backup_idx] = true;
-                        job.maintenance_pending[backup_idx] = false;
+                        job.backup_alive[bi] = true;
+                        job.maintenance_pending[bi] = false;
                     }
                 }
             }
-            Msg::StreamFrame { session, path, functions, idx, dest, source, orig_dims, frame, at_ms } => {
-                self.on_frame(session, path, functions, idx, dest, source, orig_dims, frame, at_ms, out)
-            }
-            Msg::FrameAck { session, seq, valid, digest, at_ms: _ } => {
+            WireMsg::StreamFrame {
+                session,
+                path,
+                functions,
+                idx,
+                dest,
+                source,
+                orig_w,
+                orig_h,
+                frame,
+                at_ms,
+            } => self.on_frame(
+                session,
+                path,
+                functions,
+                idx as usize,
+                dest,
+                source,
+                (orig_w as usize, orig_h as usize),
+                frame.into(),
+                at_ms,
+                out,
+            ),
+            WireMsg::FrameAck { session, seq, valid, digest, at_ms: _ } => {
                 let now = out.now_ms();
                 if let Some(job) = self.stream_jobs.get_mut(&session) {
                     // Credit each frame seq exactly once: a duplicated ack
@@ -508,10 +566,55 @@ impl PeerNode {
                     job.last_progress_ms = now;
                 }
             }
-            Msg::Compose { .. } | Msg::StartStream { .. } | Msg::Halt => {
-                debug_assert!(false, "driver commands are handled by the transport");
-            }
+            _ => {}
         }
+    }
+
+    /// Fires one of this peer's own timers.
+    pub fn on_timer(&mut self, timer: Timer, out: &mut impl Outbox) {
+        match timer {
+            Timer::Collect { request } => self.on_collect(request, out),
+            Timer::Stream { session } => self.on_stream_timer(session, out),
+            Timer::Maintenance { session } => self.on_maintenance_timer(session, out),
+        }
+    }
+
+    /// Runs a control command in its wire form: `CtrlCompose` starts a
+    /// composition, `CtrlStream` a streaming session. Returns false, having
+    /// done nothing, for any other frame or a malformed command.
+    pub fn control(&mut self, cmd: WireMsg, out: &mut impl Outbox) -> bool {
+        if !well_formed(&cmd, self.world.cfg.peers as u64) {
+            return false;
+        }
+        match cmd {
+            WireMsg::CtrlCompose { request, dest, chain, budget } => {
+                let chain = chain.into_iter().map(function).collect();
+                self.compose(request, PeerId::new(dest), chain, budget, out);
+            }
+            WireMsg::CtrlStream {
+                session,
+                path,
+                functions,
+                backups,
+                dest,
+                frames,
+                interval_ms,
+                width,
+                height,
+            } => self.start_stream(
+                session,
+                peers(&path),
+                functions.into_iter().map(function).collect(),
+                backups.iter().map(|b| peers(b)).collect(),
+                PeerId::new(dest),
+                frames,
+                interval_ms,
+                (width as usize, height as usize),
+                out,
+            ),
+            _ => return false,
+        }
+        true
     }
 
     // --- discovery --------------------------------------------------
@@ -519,22 +622,23 @@ impl PeerNode {
     fn route_dht(
         &mut self,
         query: u64,
-        key: NodeId,
-        origin: PeerId,
+        key: u128,
+        origin: u64,
         hops: u32,
         at_ms: f64,
         out: &mut impl Outbox,
     ) {
         self.world.dht_hops.fetch_add(1, Ordering::Relaxed);
-        match self.world.pastry.next_hop_from(self.me, key) {
+        match self.world.pastry.next_hop_from(self.me, NodeId::new(key)) {
             Some(Some(next)) => {
-                self.send(next, Msg::DhtLookup { query, key, origin, hops: hops + 1, at_ms }, out);
+                let msg = WireMsg::DhtLookup { query, key, origin, hops: hops + 1, at_ms };
+                self.send(next, msg, out);
             }
             _ => {
                 // This peer is the key's root.
                 self.world.record(TraceEvent::DhtLookup { hops });
-                let metas = self.store.get(&key.0).cloned().unwrap_or_default();
-                self.send(origin, Msg::DhtReply { query, metas, at_ms }, out);
+                let metas = self.store.get(&key).cloned().unwrap_or_default();
+                self.send(PeerId::new(origin), WireMsg::DhtReply { query, metas, at_ms }, out);
             }
         }
     }
@@ -543,20 +647,20 @@ impl PeerNode {
     /// stores the advertisement in its shard.
     fn route_register(
         &mut self,
-        key: NodeId,
-        replica: ReplicaMeta,
+        key: u128,
+        replica: WireReplica,
         qos: QosVector,
         res: ResourceVector,
         hops: u32,
         out: &mut impl Outbox,
     ) {
         self.world.dht_hops.fetch_add(1, Ordering::Relaxed);
-        match self.world.pastry.next_hop_from(self.me, key) {
+        match self.world.pastry.next_hop_from(self.me, NodeId::new(key)) {
             Some(Some(next)) => {
-                self.send(next, Msg::Register { key, replica, qos, res, hops: hops + 1 }, out);
+                self.send(next, WireMsg::Register { key, replica, qos, res, hops: hops + 1 }, out);
             }
             _ => {
-                let list = self.store.entry(key.0).or_default();
+                let list = self.store.entry(key).or_default();
                 if !list.contains(&replica) {
                     list.push(replica);
                     // Keep shard order deterministic regardless of the
@@ -567,7 +671,7 @@ impl PeerNode {
         }
     }
 
-    fn on_dht_reply(&mut self, query: u64, metas: Vec<ReplicaMeta>, at_ms: f64, out: &mut impl Outbox) {
+    fn on_dht_reply(&mut self, query: u64, metas: Vec<WireReplica>, at_ms: f64, out: &mut impl Outbox) {
         let request = query / 64;
         let pos = (query % 64) as usize;
         let Some(job) = self.compose_jobs.get_mut(&request) else { return };
@@ -609,8 +713,8 @@ impl PeerNode {
             return;
         }
         for (pos, f) in chain.iter().enumerate() {
-            let key = NodeId::new(function_key(f.name()));
-            self.route_dht(request * 64 + pos as u64, key, self.me, 0, 0.0, out);
+            let key = function_key(f.name());
+            self.route_dht(request * 64 + pos as u64, key, self.me.raw(), 0, 0.0, out);
         }
     }
 
@@ -624,23 +728,24 @@ impl PeerNode {
                 .map(|l| l.as_ref().expect("all present").1)
                 .fold(0.0f64, f64::max);
             job.discovery_done_ms = Some(discovery_done);
-            let lists: Vec<Vec<ReplicaMeta>> = job
+            let lists: Vec<Vec<WireReplica>> = job
                 .replica_lists
                 .iter()
                 .map(|l| l.as_ref().expect("all present").0.clone())
                 .collect();
             let failed = lists.iter().any(Vec::is_empty);
-            (job.dest, job.chain.clone(), lists, job.budget, failed, discovery_done)
+            let chain = job.chain.iter().map(|f| f.code()).collect();
+            (job.dest, chain, lists, job.budget, failed, discovery_done)
         };
         if failed {
             self.finish_failure(request, out);
             return;
         }
         self.spawn_probes(
-            Probe {
+            WireProbe {
                 request,
-                source: self.me,
-                dest,
+                source: self.me.raw(),
+                dest: dest.raw(),
                 chain,
                 replica_lists: lists,
                 pos: 0,
@@ -675,9 +780,9 @@ impl PeerNode {
     fn on_compose_completion(
         &mut self,
         session: u64,
-        path: Vec<PeerId>,
-        functions: Vec<MediaFunction>,
-        backups: Vec<Vec<PeerId>>,
+        path: Vec<u64>,
+        functions: Vec<u8>,
+        backups: Vec<Vec<u64>>,
         selected_ms: f64,
         at_ms: f64,
         out: &mut impl Outbox,
@@ -689,9 +794,9 @@ impl PeerNode {
             request: session,
             ok,
             dest: job.dest,
-            path,
-            functions,
-            backups,
+            path: peers(&path),
+            functions: functions.into_iter().map(function).collect(),
+            backups: backups.iter().map(|b| peers(b)).collect(),
             discovery_ms: discovery_end,
             probing_ms: if ok { selected_ms - discovery_end } else { 0.0 },
             init_ms: if ok { at_ms - selected_ms } else { 0.0 },
@@ -703,30 +808,25 @@ impl PeerNode {
 
     /// Fans a probe out to the next chain position's candidates, or ships
     /// a completed probe to the destination.
-    fn spawn_probes(&mut self, probe: Probe, out: &mut impl Outbox) {
-        let pos = probe.pos;
+    fn spawn_probes(&mut self, probe: WireProbe, out: &mut impl Outbox) {
+        let pos = probe.pos as usize;
         if pos == probe.chain.len() {
             self.world.count_probe(probe.request, pos as u16, probe.budget);
-            let dest = probe.dest;
-            self.send(dest, Msg::Probe(probe), out);
+            let dest = PeerId::new(probe.dest);
+            self.send(dest, WireMsg::Probe(probe), out);
             return;
         }
-        let mut candidates: Vec<ReplicaMeta> = probe.replica_lists[pos]
+        let mut candidates: Vec<WireReplica> = probe.replica_lists[pos]
             .iter()
             .copied()
             .filter(|m| !probe.path.contains(&m.peer) && m.peer != probe.dest)
             .collect();
         // Composite next-hop metric, runtime flavour: nearest first.
         let me = self.me;
+        let base_ms = |m: &WireReplica| self.world.wan.base_ms(me, PeerId::new(m.peer));
         // total_cmp: a non-finite delay (impossible today, but NaN-safe by
         // construction) sorts last instead of panicking.
-        candidates.sort_by(|a, b| {
-            self.world
-                .wan
-                .base_ms(me, a.peer)
-                .total_cmp(&self.world.wan.base_ms(me, b.peer))
-                .then_with(|| a.peer.cmp(&b.peer))
-        });
+        candidates.sort_by(|a, b| base_ms(a).total_cmp(&base_ms(b)).then_with(|| a.peer.cmp(&b.peer)));
         let k = (probe.budget.min(self.world.cfg.quota) as usize).min(candidates.len());
         if k == 0 {
             return; // probe dies; the destination window handles silence
@@ -734,17 +834,18 @@ impl PeerNode {
         let child_budget = (probe.budget / k as u32).max(1);
         for meta in candidates.into_iter().take(k) {
             let mut child = probe.clone();
-            child.pos = pos + 1;
+            child.pos = probe.pos + 1;
             child.path.push(meta.peer);
             child.budget = child_budget;
-            child.acc_qos.accumulate(&QosVector::delay_loss(meta.function.processing_ms(), 0.0));
+            let processing_ms = function(meta.function).processing_ms();
+            child.acc_qos.accumulate(&QosVector::delay_loss(processing_ms, 0.0));
             self.world.count_probe(probe.request, pos as u16, child_budget);
-            self.send(meta.peer, Msg::Probe(child), out);
+            self.send(PeerId::new(meta.peer), WireMsg::Probe(child), out);
         }
     }
 
-    fn on_probe(&mut self, probe: Probe, out: &mut impl Outbox) {
-        if probe.pos == probe.chain.len() && probe.dest == self.me {
+    fn on_probe(&mut self, probe: WireProbe, out: &mut impl Outbox) {
+        if probe.pos as usize == probe.chain.len() && probe.dest == self.me.raw() {
             if self.done_requests.contains(&probe.request) {
                 return; // stragglers after selection
             }
@@ -768,7 +869,7 @@ impl PeerNode {
                 // transport queueing pushes wall arrivals well past the
                 // scaled model timestamp, and a tight deadline would
                 // make the collected set scheduling-dependent.
-                out.timer(Msg::TimerCollect { request }, window * self.world.cfg.collect_deadline_slack);
+                out.timer(Timer::Collect { request }, window * self.world.cfg.collect_deadline_slack);
             }
             return;
         }
@@ -780,12 +881,12 @@ impl PeerNode {
         self.done_requests.insert(request);
         if job.probes.is_empty() {
             self.send(
-                job.source,
-                Msg::SetupAck {
+                PeerId::new(job.source),
+                WireMsg::SetupAck {
                     session: request,
                     path: Vec::new(),
                     functions: job.chain,
-                    idx: usize::MAX,
+                    idx: u32::MAX,
                     source: job.source,
                     backups: Vec::new(),
                     selected_ms: 0.0,
@@ -806,7 +907,7 @@ impl PeerNode {
         probes.retain(|(at, _)| *at <= min_at + window * 0.5);
         probes.sort_by(|a, b| a.0.total_cmp(&b.0).then_with(|| a.1.path.cmp(&b.1.path)));
         let best = probes[0].1.clone();
-        let mut backups: Vec<Vec<PeerId>> = Vec::new();
+        let mut backups: Vec<Vec<u64>> = Vec::new();
         for (_, p) in probes.iter().skip(1) {
             if p.path != best.path && !backups.contains(&p.path) {
                 backups.push(p.path.clone());
@@ -821,12 +922,12 @@ impl PeerNode {
             // nothing to initialize, so complete straight back to the
             // source instead of indexing path[len-1] of nothing.
             self.send(
-                best.source,
-                Msg::SetupAck {
+                PeerId::new(best.source),
+                WireMsg::SetupAck {
                     session: request,
                     path: Vec::new(),
                     functions: best.chain,
-                    idx: usize::MAX,
+                    idx: u32::MAX,
                     source: best.source,
                     backups: Vec::new(),
                     selected_ms,
@@ -837,14 +938,14 @@ impl PeerNode {
             return;
         }
         let last = best.path.len() - 1;
-        let to = best.path[last];
+        let to = PeerId::new(best.path[last]);
         self.send(
             to,
-            Msg::SetupAck {
+            WireMsg::SetupAck {
                 session: request,
                 path: best.path,
                 functions: best.chain,
-                idx: last,
+                idx: last as u32,
                 source: best.source,
                 backups,
                 selected_ms,
@@ -858,21 +959,22 @@ impl PeerNode {
     fn on_setup_ack(
         &mut self,
         session: u64,
-        path: Vec<PeerId>,
-        functions: Vec<MediaFunction>,
-        idx: usize,
-        source: PeerId,
-        backups: Vec<Vec<PeerId>>,
+        path: Vec<u64>,
+        functions: Vec<u8>,
+        idx: u32,
+        source: u64,
+        backups: Vec<Vec<u64>>,
         selected_ms: f64,
         at_ms: f64,
         out: &mut impl Outbox,
     ) {
         // Initialize the local component for this session (soft state made
         // firm), then keep walking toward the head of the path.
-        let (to, next_idx) = if idx == 0 { (source, usize::MAX) } else { (path[idx - 1], idx - 1) };
+        let (to, next_idx) =
+            if idx == 0 { (source, u32::MAX) } else { (path[idx as usize - 1], idx - 1) };
         self.send(
-            to,
-            Msg::SetupAck { session, path, functions, idx: next_idx, source, backups, selected_ms, at_ms },
+            PeerId::new(to),
+            WireMsg::SetupAck { session, path, functions, idx: next_idx, source, backups, selected_ms, at_ms },
             out,
         );
     }
@@ -905,7 +1007,7 @@ impl PeerNode {
                 backup_alive: vec![true; n_backups],
                 maintenance_pending: vec![false; n_backups],
                 maintenance_messages: 0,
-                functions,
+                functions: functions.iter().map(|f| f.code()).collect(),
                 dest,
                 remaining: frames,
                 interval_ms,
@@ -920,9 +1022,9 @@ impl PeerNode {
                 phase: StreamPhase::Sending,
             },
         );
-        out.timer(Msg::TimerStream { session }, 0.0);
+        out.timer(Timer::Stream { session }, 0.0);
         if self.world.cfg.maintenance_period_ms > 0.0 {
-            out.timer(Msg::TimerMaintenance { session }, self.world.cfg.maintenance_period_ms);
+            out.timer(Timer::Maintenance { session }, self.world.cfg.maintenance_period_ms);
         }
     }
 
@@ -975,36 +1077,29 @@ impl PeerNode {
                 if job.remaining == 0 {
                     job.phase = StreamPhase::Draining;
                     let drain = job.interval_ms * 4.0 + 800.0;
-                    out.timer(Msg::TimerStream { session }, drain);
+                    out.timer(Timer::Stream { session }, drain);
                     return;
                 }
                 job.remaining -= 1;
                 job.seq += 1;
-                let seq = job.seq;
-                let frame = Frame::synthetic(job.dims.0, job.dims.1, seq);
-                let path = job.paths[job.active].clone();
-                let functions = job.functions.clone();
-                let dest = job.dest;
-                let dims = job.dims;
-                let interval = job.interval_ms;
+                let frame = Frame::synthetic(job.dims.0, job.dims.1, job.seq);
+                let path = &job.paths[job.active];
                 let first = path[0];
-                let me = self.me;
-                self.send(
-                    first,
-                    Msg::StreamFrame {
-                        session,
-                        path,
-                        functions,
-                        idx: 0,
-                        dest,
-                        source: me,
-                        orig_dims: dims,
-                        frame,
-                        at_ms: 0.0,
-                    },
-                    out,
-                );
-                out.timer(Msg::TimerStream { session }, interval);
+                let msg = WireMsg::StreamFrame {
+                    session,
+                    path: path.iter().map(|p| p.raw()).collect(),
+                    functions: job.functions.clone(),
+                    idx: 0,
+                    dest: job.dest.raw(),
+                    source: self.me.raw(),
+                    orig_w: job.dims.0 as u32,
+                    orig_h: job.dims.1 as u32,
+                    frame: frame.into(),
+                    at_ms: 0.0,
+                };
+                let interval = job.interval_ms;
+                self.send(first, msg, out);
+                out.timer(Timer::Stream { session }, interval);
             }
         }
     }
@@ -1017,8 +1112,8 @@ impl PeerNode {
         if matches!(job.phase, StreamPhase::Draining) {
             return; // stream ending: stop maintaining
         }
-        let me = self.me;
-        let mut sends: Vec<(PeerId, Msg)> = Vec::new();
+        let origin = self.me.raw();
+        let mut sends: Vec<(PeerId, WireMsg)> = Vec::new();
         for bi in 0..job.backup_alive.len() {
             let slot = bi + 1;
             // Probe only slots still held in reserve: the active slot is
@@ -1035,16 +1130,15 @@ impl PeerNode {
             job.maintenance_messages += 1;
             let path = &job.paths[slot];
             if let Some(&first) = path.first() {
-                sends.push((
-                    first,
-                    Msg::PathProbe { session, path: path.clone(), idx: 0, origin: me, backup_idx: bi },
-                ));
+                let path = path.iter().map(|p| p.raw()).collect();
+                let backup_idx = bi as u32;
+                sends.push((first, WireMsg::PathProbe { session, path, idx: 0, origin, backup_idx }));
             }
         }
         for (to, msg) in sends {
             self.send(to, msg, out);
         }
-        out.timer(Msg::TimerMaintenance { session }, period);
+        out.timer(Timer::Maintenance { session }, period);
     }
 
     /// Forwards a maintenance probe along a backup path; the last hop
@@ -1052,18 +1146,19 @@ impl PeerNode {
     fn on_path_probe(
         &mut self,
         session: u64,
-        path: Vec<PeerId>,
-        idx: usize,
-        origin: PeerId,
-        backup_idx: usize,
+        path: Vec<u64>,
+        idx: u32,
+        origin: u64,
+        backup_idx: u32,
         out: &mut impl Outbox,
     ) {
-        let next = idx + 1;
+        let next = idx as usize + 1;
         if next >= path.len() {
-            self.send(origin, Msg::PathProbeAck { session, backup_idx }, out);
+            self.send(PeerId::new(origin), WireMsg::PathProbeAck { session, backup_idx }, out);
         } else {
-            let to = path[next];
-            self.send(to, Msg::PathProbe { session, path, idx: next, origin, backup_idx }, out);
+            let to = PeerId::new(path[next]);
+            let idx = next as u32;
+            self.send(to, WireMsg::PathProbe { session, path, idx, origin, backup_idx }, out);
         }
     }
 
@@ -1071,11 +1166,11 @@ impl PeerNode {
     fn on_frame(
         &mut self,
         session: u64,
-        path: Vec<PeerId>,
-        functions: Vec<MediaFunction>,
+        path: Vec<u64>,
+        functions: Vec<u8>,
         idx: usize,
-        dest: PeerId,
-        source: PeerId,
+        dest: u64,
+        source: u64,
         orig_dims: (usize, usize),
         frame: Frame,
         at_ms: f64,
@@ -1083,32 +1178,34 @@ impl PeerNode {
     ) {
         if idx >= path.len() {
             // Delivery: verify against the expected transform chain.
-            let expected = functions
-                .iter()
-                .fold(Frame::synthetic(orig_dims.0, orig_dims.1, frame.seq), |f, func| func.apply(&f));
+            let expected = functions.iter().fold(
+                Frame::synthetic(orig_dims.0, orig_dims.1, frame.seq),
+                |f, &code| function(code).apply(&f),
+            );
             let valid = expected == frame;
             let seq = frame.seq;
             let digest = frame.digest();
-            self.send(source, Msg::FrameAck { session, seq, valid, digest, at_ms }, out);
+            self.send(PeerId::new(source), WireMsg::FrameAck { session, seq, valid, digest, at_ms }, out);
             return;
         }
         // Apply this hop's transform and forward. `functions[idx]` is the
         // function of `path[idx]`; backup paths host the same function
         // sequence by construction.
-        let out_frame = functions[idx].apply(&frame);
+        let out_frame = function(functions[idx]).apply(&frame);
         let next_idx = idx + 1;
         let to = if next_idx >= path.len() { dest } else { path[next_idx] };
         self.send(
-            to,
-            Msg::StreamFrame {
+            PeerId::new(to),
+            WireMsg::StreamFrame {
                 session,
                 path,
                 functions,
-                idx: next_idx,
+                idx: next_idx as u32,
                 dest,
                 source,
-                orig_dims,
-                frame: out_frame,
+                orig_w: orig_dims.0 as u32,
+                orig_h: orig_dims.1 as u32,
+                frame: out_frame.into(),
                 at_ms,
             },
             out,
@@ -1192,8 +1289,8 @@ impl PeerNode {
             h = mix(h, k as u64);
             h = mix(h, (k >> 64) as u64);
             for m in &self.store[&k] {
-                h = mix(h, m.peer.raw());
-                h = mix(h, m.function.code() as u64);
+                h = mix(h, m.peer);
+                h = mix(h, m.function as u64);
             }
         }
         let mut reqs: Vec<u64> = self.compose_jobs.keys().copied().collect();
@@ -1212,7 +1309,7 @@ impl PeerNode {
                     Some((metas, at)) => {
                         h = mix(h, 1 + metas.len() as u64);
                         for m in metas {
-                            h = mix(h, m.peer.raw());
+                            h = mix(h, m.peer);
                         }
                         h = mix(h, at.to_bits());
                     }
@@ -1225,9 +1322,9 @@ impl PeerNode {
         for r in reqs {
             let job = &self.dest_jobs[&r];
             h = mix(h, r);
-            h = mix(h, job.source.raw());
-            for f in &job.chain {
-                h = mix(h, f.code() as u64);
+            h = mix(h, job.source);
+            for &f in &job.chain {
+                h = mix(h, f as u64);
             }
             h = mix(h, job.timer_armed as u64);
             for (at, p) in &job.probes {
@@ -1262,8 +1359,8 @@ impl PeerNode {
                 h = mix(h, b as u64);
             }
             h = mix(h, job.maintenance_messages);
-            for f in &job.functions {
-                h = mix(h, f.code() as u64);
+            for &f in &job.functions {
+                h = mix(h, f as u64);
             }
             h = mix(h, job.dest.raw());
             h = mix(h, job.remaining);
@@ -1287,24 +1384,185 @@ impl PeerNode {
     }
 }
 
+/// The function a wire code names. Only called on admitted frames and
+/// driver input, whose codes are known.
+fn function(code: u8) -> MediaFunction {
+    MediaFunction::from_code(code).expect("admitted frames carry known function codes")
+}
+
+fn peers(raw: &[u64]) -> Vec<PeerId> {
+    raw.iter().map(|&p| PeerId::new(p)).collect()
+}
+
+/// Longest model-time gap between a stream's frames a control command
+/// may ask for (one hour): keeps every derived timer delay a valid wall
+/// duration.
+const MAX_FRAME_INTERVAL_MS: f64 = 3_600_000.0;
+
+/// The checks at the engine's entries ([`PeerNode::handle`] and
+/// [`PeerNode::control`]): true when `msg` is a peer-protocol frame or
+/// control command that every handler can act on without panicking.
+/// Peers must lie inside the deployment (`0..peers`), function codes must
+/// be known, indices must fall inside the lists they index, per-position
+/// lists must match their chain or path in length, frames must be
+/// non-empty and consistent (`pixels.len() == width × height`) and stay
+/// within [`MAX_PIXEL_BYTES`] through every transform still ahead of
+/// them, and every carried timestamp must be finite. Handshakes and
+/// control replies are never admitted. Engine-generated traffic always
+/// passes.
+fn well_formed(msg: &WireMsg, peers: u64) -> bool {
+    let peer = |p: &u64| *p < peers;
+    let code = |c: &u8| MediaFunction::from_code(*c).is_some();
+    let replica = |m: &WireReplica| peer(&m.peer) && code(&m.function);
+    match msg {
+        WireMsg::DhtLookup { origin, hops, at_ms, .. } => {
+            peer(origin) && *hops < u32::MAX && at_ms.is_finite()
+        }
+        WireMsg::DhtReply { metas, at_ms, .. } => metas.iter().all(replica) && at_ms.is_finite(),
+        WireMsg::Register { replica: r, hops, .. } => replica(r) && *hops < u32::MAX,
+        WireMsg::Probe(p) => {
+            peer(&p.source)
+                && peer(&p.dest)
+                && p.chain.iter().all(code)
+                && p.replica_lists.len() == p.chain.len()
+                && p.replica_lists.iter().flatten().all(replica)
+                && p.pos as usize <= p.chain.len()
+                && p.path.len() == p.pos as usize
+                && p.path.iter().all(peer)
+                && p.acc_qos.dims() == 2
+                && p.at_ms.is_finite()
+        }
+        WireMsg::SetupAck { path, functions, idx, source, backups, selected_ms, at_ms, .. } => {
+            path.iter().all(peer)
+                && functions.iter().all(code)
+                && functions.len() == path.len()
+                && (*idx == u32::MAX || (*idx as usize) < path.len())
+                && peer(source)
+                && backups.iter().flatten().all(peer)
+                && selected_ms.is_finite()
+                && at_ms.is_finite()
+        }
+        WireMsg::StreamFrame { path, functions, idx, dest, source, orig_w, orig_h, frame, at_ms, .. } => {
+            path.iter().all(peer)
+                && functions.iter().all(code)
+                && functions.len() == path.len()
+                && (*idx as usize) <= path.len()
+                && peer(dest)
+                && peer(source)
+                && frame.pixels.len() as u64 == frame.width as u64 * frame.height as u64
+                && frames_fit((frame.width, frame.height), &functions[*idx as usize..])
+                && frames_fit((*orig_w, *orig_h), functions)
+                && at_ms.is_finite()
+        }
+        WireMsg::FrameAck { at_ms, .. } => at_ms.is_finite(),
+        WireMsg::PathProbe { path, idx, origin, .. } => {
+            path.iter().all(peer) && (*idx as usize) < path.len() && peer(origin)
+        }
+        WireMsg::PathProbeAck { .. } => true,
+        WireMsg::CtrlCompose { request, dest, chain, .. } => {
+            *request <= u64::MAX / 64 && peer(dest) && chain.len() < 63 && chain.iter().all(code)
+        }
+        WireMsg::CtrlStream { path, functions, backups, dest, interval_ms, width, height, .. } => {
+            !path.is_empty()
+                && path.iter().all(peer)
+                && functions.iter().all(code)
+                && functions.len() == path.len()
+                && backups.iter().all(|b| b.len() == path.len() && b.iter().all(peer))
+                && peer(dest)
+                && (0.0..=MAX_FRAME_INTERVAL_MS).contains(interval_ms)
+                && frames_fit((*width, *height), functions)
+        }
+        _ => false,
+    }
+}
+
+/// True when a `width × height` frame is non-empty and it, and each frame
+/// the known `functions` make of it in turn, fits in [`MAX_PIXEL_BYTES`].
+fn frames_fit((width, height): (u32, u32), functions: &[u8]) -> bool {
+    let fits = |(w, h): (usize, usize)| w > 0 && h > 0 && w * h <= MAX_PIXEL_BYTES as usize;
+    let mut dims = (width as usize, height as usize);
+    if !fits(dims) {
+        return false;
+    }
+    for &c in functions {
+        dims = function(c).output_dims(dims.0, dims.1);
+        if !fits(dims) {
+            return false;
+        }
+    }
+    true
+}
+
+/// Folds one value into a content hash (used for delay salts and the
+/// model checker's state digests).
+#[inline]
+pub(crate) fn mix(h: u64, v: u64) -> u64 {
+    splitmix64(h ^ v)
+}
+
+/// Content hash keying the deterministic WAN jitter of one message.
+/// Excludes `at_ms` (the timestamp depends on the sampled delay) and bulk
+/// payloads; includes enough identity that distinct messages between the
+/// same pair draw distinct jitter. Kinds the engine never sends salt as 0.
+pub(crate) fn delay_salt(msg: &WireMsg) -> u64 {
+    match msg {
+        WireMsg::DhtLookup { query, hops, .. } => mix(mix(1, *query), *hops as u64),
+        WireMsg::DhtReply { query, .. } => mix(2, *query),
+        WireMsg::Register { key, hops, .. } => mix(mix(3, *key as u64), *hops as u64),
+        WireMsg::Probe(p) => {
+            p.path.iter().fold(mix(mix(4, p.request), p.pos as u64), |h, &peer| mix(h, peer))
+        }
+        WireMsg::SetupAck { session, idx, .. } => {
+            // The final-leg sentinel salts as `u64::MAX`, which keeps the
+            // recorded setup times and deployment fingerprints.
+            let idx = if *idx == u32::MAX { u64::MAX } else { *idx as u64 };
+            mix(mix(5, *session), idx)
+        }
+        WireMsg::StreamFrame { session, idx, frame, .. } => {
+            mix(mix(mix(6, *session), frame.seq), *idx as u64)
+        }
+        WireMsg::FrameAck { session, seq, .. } => mix(mix(7, *session), *seq),
+        WireMsg::PathProbe { session, idx, backup_idx, .. } => {
+            mix(mix(mix(8, *session), *idx as u64), *backup_idx as u64)
+        }
+        WireMsg::PathProbeAck { session, backup_idx } => mix(mix(9, *session), *backup_idx as u64),
+        _ => 0,
+    }
+}
+
+/// The accumulated model-time timestamp, when this kind carries one. The
+/// sender adds its sampled WAN delay before the message goes out, so the
+/// receiver reads "model time at delivery".
+fn at_ms_mut(msg: &mut WireMsg) -> Option<&mut f64> {
+    match msg {
+        WireMsg::DhtLookup { at_ms, .. }
+        | WireMsg::DhtReply { at_ms, .. }
+        | WireMsg::SetupAck { at_ms, .. }
+        | WireMsg::StreamFrame { at_ms, .. }
+        | WireMsg::FrameAck { at_ms, .. } => Some(at_ms),
+        WireMsg::Probe(p) => Some(&mut p.at_ms),
+        _ => None,
+    }
+}
+
 /// Folds a probe's full content into a digest.
-pub(crate) fn probe_digest(mut h: u64, p: &Probe) -> u64 {
+pub(crate) fn probe_digest(mut h: u64, p: &WireProbe) -> u64 {
     h = mix(h, p.request);
-    h = mix(h, p.source.raw());
-    h = mix(h, p.dest.raw());
-    for f in &p.chain {
-        h = mix(h, f.code() as u64);
+    h = mix(h, p.source);
+    h = mix(h, p.dest);
+    for &f in &p.chain {
+        h = mix(h, f as u64);
     }
     for l in &p.replica_lists {
         h = mix(h, l.len() as u64);
         for m in l {
-            h = mix(h, m.peer.raw());
-            h = mix(h, m.function.code() as u64);
+            h = mix(h, m.peer);
+            h = mix(h, m.function as u64);
         }
     }
     h = mix(h, p.pos as u64);
-    for peer in &p.path {
-        h = mix(h, peer.raw());
+    for &peer in &p.path {
+        h = mix(h, peer);
     }
     h = mix(h, p.budget as u64);
     for &q in p.acc_qos.values() {

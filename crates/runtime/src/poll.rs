@@ -3,8 +3,8 @@
 //! The workspace is dependency-free, so instead of `mio`/`tokio` this
 //! module declares the four syscall wrappers it needs directly; the
 //! symbols live in the platform libc that `std` already links. Linux
-//! only — the event transport falls back to the blocking socket
-//! transport elsewhere (see `net::TransportKind`).
+//! only, like the daemon it serves (`net::run_node` reports
+//! `Unsupported` elsewhere).
 //!
 //! Level-triggered semantics throughout: an fd keeps reporting readable/
 //! writable until drained, so the event loop never needs to track

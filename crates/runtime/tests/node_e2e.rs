@@ -1,13 +1,9 @@
 //! End-to-end tests of the socket transport: real `spidernet-node`
 //! processes on loopback TCP, compared against the in-process cluster.
 
-use spidernet_runtime::msg::{Msg, Probe, ReplicaMeta};
-use spidernet_runtime::net::{deploy, DeployConfig, TransportKind};
+use spidernet_runtime::net::{deploy, DeployConfig};
 use spidernet_runtime::{Cluster, MediaFunction};
-use spidernet_dht::NodeId;
 use spidernet_util::id::PeerId;
-use spidernet_util::qos::QosVector;
-use spidernet_util::res::ResourceVector;
 use std::path::PathBuf;
 use std::time::Duration;
 
@@ -100,36 +96,6 @@ fn deploy_fingerprint_is_deterministic() {
     assert_eq!(a.fingerprint, b.fingerprint, "same seed, same outcome");
 }
 
-/// The event transport (default) and the legacy blocking transport
-/// produce bit-identical deployment fingerprints for the same seed —
-/// readiness polling, bounded queues, and pooled encoding change no
-/// observable outcome, including under a mid-stream primary kill.
-#[test]
-fn event_and_blocking_transports_agree() {
-    for kill in [false, true] {
-        let mut ev = DeployConfig::standard(8, 77, node_exe());
-        ev.transport = TransportKind::Event;
-        ev.kill_primary = kill;
-        let mut bl = DeployConfig::standard(8, 77, node_exe());
-        bl.transport = TransportKind::Blocking;
-        bl.kill_primary = kill;
-        let ev = deploy(ev).expect("event deployment completes");
-        let bl = deploy(bl).expect("blocking deployment completes");
-        assert_eq!(ev.setup.path, bl.setup.path, "kill={kill}: same path");
-        assert_eq!(ev.setup.backups, bl.setup.backups, "kill={kill}: same backups");
-        assert_eq!(
-            ev.setup.total_ms.to_bits(),
-            bl.setup.total_ms.to_bits(),
-            "kill={kill}: setup metrics agree bit-for-bit"
-        );
-        if !kill {
-            // A kill perturbs wall-clock delivery counts; the fault-free
-            // runs must agree on everything the fingerprint folds.
-            assert_eq!(ev.fingerprint, bl.fingerprint, "transports agree on the outcome");
-        }
-    }
-}
-
 /// `NetFaultConfig` means the same thing in both deployments: the socket
 /// transport drops droppable traffic at the sender's network layer, the
 /// protocol rides out the loss, and the drop counters move in both.
@@ -170,64 +136,4 @@ fn fault_injection_applies_in_both_transports() {
         }
     }
     assert!(cluster.messages_dropped() > 0, "in-process transport dropped traffic too");
-}
-
-/// Every wire-expressible runtime message keeps its fault-injection class
-/// through the conversion: `Msg::droppable` and `WireMsg::droppable`
-/// agree, so a fault config selects the same traffic in both transports.
-#[test]
-fn droppable_class_survives_wire_conversion() {
-    let meta = ReplicaMeta { peer: PeerId::new(3), function: MediaFunction::ALL[0] };
-    let msgs = vec![
-        Msg::DhtLookup { query: 9, key: NodeId::new(7), origin: PeerId::new(1), hops: 2, at_ms: 10.0 },
-        Msg::DhtReply { query: 9, metas: vec![meta], at_ms: 20.0 },
-        Msg::Register {
-            key: NodeId::new(7),
-            replica: meta,
-            qos: QosVector::delay_loss(5.0, 0.0),
-            res: ResourceVector::new(1.0, 1.0),
-            hops: 0,
-        },
-        Msg::Probe(Probe {
-            request: 1,
-            source: PeerId::new(0),
-            dest: PeerId::new(3),
-            chain: vec![MediaFunction::ALL[0]],
-            replica_lists: vec![vec![meta]],
-            pos: 0,
-            path: vec![],
-            budget: 4,
-            acc_qos: QosVector::zeros(2),
-            at_ms: 1.0,
-        }),
-        Msg::SetupAck {
-            session: 1,
-            path: vec![PeerId::new(2)],
-            functions: vec![MediaFunction::ALL[0]],
-            idx: 0,
-            source: PeerId::new(0),
-            backups: vec![],
-            selected_ms: 50.0,
-            at_ms: 60.0,
-        },
-        Msg::FrameAck { session: 1, seq: 3, valid: true, digest: 99, at_ms: 70.0 },
-        Msg::PathProbe {
-            session: 1,
-            path: vec![PeerId::new(4)],
-            idx: 0,
-            origin: PeerId::new(0),
-            backup_idx: 0,
-        },
-        Msg::PathProbeAck { session: 1, backup_idx: 0 },
-    ];
-    for msg in msgs {
-        let wire = msg.to_wire().expect("wire-expressible variant");
-        assert_eq!(
-            msg.droppable(),
-            wire.droppable(),
-            "droppable class must survive conversion: {wire:?}"
-        );
-        let back = Msg::from_wire(&wire).expect("round-trips");
-        assert_eq!(back.droppable(), msg.droppable());
-    }
 }

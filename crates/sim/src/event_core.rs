@@ -1,8 +1,7 @@
 //! Indexed event core for large-scale simulation.
 //!
-//! [`Scheduler`](crate::event::Scheduler) boxes arbitrary payloads; at
-//! 10^5–10^6 peers the event queue dominates allocation traffic, so the
-//! scale path uses this flat core in the style of dslab's `simcore`:
+//! At 10^5–10^6 peers the event queue dominates allocation traffic, so
+//! the simulator uses this flat core in the style of dslab's `simcore`:
 //!
 //! * events are `Copy` — a `(u32 handler, u64 payload)` pair, no per-event
 //!   allocation;
@@ -13,9 +12,8 @@
 //!   tombstone allocation.
 //!
 //! Determinism: events pop earliest-time-first with insertion-sequence
-//! tie-breaking, exactly like [`Scheduler`](crate::event::Scheduler), so a
-//! loop that drains events due at a given tick processes them in the order
-//! they were scheduled.
+//! tie-breaking, so a loop that drains events due at a given tick
+//! processes them in the order they were scheduled.
 
 use crate::time::SimTime;
 use std::cmp::Ordering;

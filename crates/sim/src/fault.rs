@@ -9,12 +9,13 @@
 //!
 //! Plans come from three places: hand-built via the builder methods
 //! ([`FaultPlan::crash`] and friends), generated from a seeded random
-//! process ([`FaultPlan::crash_storm`], [`FaultPlan::kill_each`]), or
+//! process ([`FaultPlan::churn`], [`FaultPlan::crash_storm`],
+//! [`FaultPlan::kill_each`]), or
 //! parsed from a CLI spec string ([`FaultPlan::parse`]) so the fig10
 //! binary can take `--faults storm:rate=0.05,units=30,revive=5` or an
 //! explicit `crash@3:7;revive@8:7;expire@4:16` atom list.
 
-use spidernet_util::rng::{rng_for, SliceRandom};
+use spidernet_util::rng::{rng_for, Rng, SliceRandom};
 use std::collections::{BTreeMap, BTreeSet};
 
 /// One scheduled adversarial action.
@@ -127,12 +128,9 @@ impl FaultPlan {
         self.horizon = self.horizon.max(unit + 1);
     }
 
-    /// A seeded random crash storm over peers `0..peer_count`: each unit,
-    /// `rate` of the currently-live population crashes (churn-style
-    /// floor + Bernoulli-remainder sampling, so fractional expectations
-    /// are exact in the long run). With `revive_after = Some(k)`, each
-    /// victim is scheduled to revive `k` units later; the storm models the
-    /// live set so a dead peer is never crashed twice.
+    /// A seeded random crash storm over peers `0..peer_count`: a
+    /// [`FaultPlan::churn`] plan drawing from the `"fault-storm"` stream
+    /// of `seed`.
     pub fn crash_storm(
         seed: u64,
         peer_count: u64,
@@ -140,8 +138,27 @@ impl FaultPlan {
         units: u64,
         revive_after: Option<u64>,
     ) -> Self {
+        FaultPlan::churn(seed, &mut rng_for(seed, "fault-storm"), peer_count, rate, units, revive_after)
+    }
+
+    /// Random peer churn over peers `0..peer_count`, drawn from `rng`:
+    /// each unit, `rate` of the currently-live population crashes (the
+    /// paper's "1% of peers randomly fail during each time unit"). The
+    /// count is `floor(rate × live)` plus one on a Bernoulli draw of the
+    /// fractional remainder, so fractional expectations are exact in the
+    /// long run; victims are a shuffle of the ascending live set. With
+    /// `revive_after = Some(k)`, each victim revives `k` units later
+    /// (revives come first in their unit); the plan models the live set,
+    /// so a dead peer is never crashed twice.
+    pub fn churn(
+        seed: u64,
+        rng: &mut Rng,
+        peer_count: u64,
+        rate: f64,
+        units: u64,
+        revive_after: Option<u64>,
+    ) -> Self {
         let mut plan = FaultPlan::new(seed).with_horizon(units);
-        let mut rng = rng_for(seed, "fault-storm");
         let mut live: BTreeSet<u64> = (0..peer_count).collect();
         let mut pending_revive: BTreeMap<u64, Vec<u64>> = BTreeMap::new();
         for unit in 0..units {
@@ -160,7 +177,7 @@ impl FaultPlan {
                 count += 1;
             }
             let mut pool: Vec<u64> = live.iter().copied().collect();
-            pool.shuffle(&mut rng);
+            pool.shuffle(rng);
             pool.truncate(count.min(pool.len()));
             for peer in pool {
                 live.remove(&peer);
@@ -311,6 +328,70 @@ mod tests {
             .count();
         assert!(crashes <= 10);
         assert!(crashes >= 8, "a 50% storm should kill most of 10 peers, got {crashes}");
+    }
+
+    fn crashes_at(plan: &FaultPlan, unit: u64) -> usize {
+        plan.actions_at(unit).iter().filter(|a| matches!(a, FaultAction::Crash { .. })).count()
+    }
+
+    #[test]
+    fn churn_one_percent_of_one_thousand_is_ten() {
+        let plan = FaultPlan::churn(1, &mut rng_for(1, "churn"), 1000, 0.01, 1, None);
+        assert_eq!(crashes_at(&plan, 0), 10);
+    }
+
+    #[test]
+    fn churn_fractional_rate_is_exact_in_the_long_run() {
+        // Expected 1.5 crashes per unit; every victim revives next unit,
+        // so the live population stays at 100 when each unit samples.
+        let units = 2000;
+        let plan = FaultPlan::churn(2, &mut rng_for(2, "churn"), 100, 0.015, units, Some(1));
+        let total: usize = (0..units).map(|u| crashes_at(&plan, u)).sum();
+        let rate = total as f64 / units as f64;
+        assert!((rate - 1.5).abs() < 0.1, "rate {rate}");
+    }
+
+    #[test]
+    fn churn_rate_at_or_above_one_kills_every_live_peer() {
+        for rate in [1.0, 2.0] {
+            let plan = FaultPlan::churn(5, &mut rng_for(5, "churn"), 7, rate, 1, None);
+            assert_eq!(crashes_at(&plan, 0), 7, "rate {rate}");
+        }
+    }
+
+    #[test]
+    fn churn_rate_zero_and_empty_population_kill_none() {
+        let plan = FaultPlan::churn(4, &mut rng_for(4, "churn"), 10, 0.0, 20, Some(2));
+        assert!(plan.is_empty());
+        assert_eq!(plan.horizon(), 20);
+        assert!(FaultPlan::churn(4, &mut rng_for(4, "churn"), 0, 0.5, 20, Some(2)).is_empty());
+    }
+
+    #[test]
+    fn churn_failures_are_distinct_peers() {
+        let plan = FaultPlan::churn(3, &mut rng_for(3, "churn"), 20, 0.5, 1, None);
+        let mut ids: Vec<u64> = plan
+            .actions_at(0)
+            .iter()
+            .filter_map(|a| match a {
+                FaultAction::Crash { peer } => Some(*peer),
+                _ => None,
+            })
+            .collect();
+        let sampled = ids.len();
+        assert_eq!(sampled, 10);
+        ids.sort_unstable();
+        ids.dedup();
+        assert_eq!(ids.len(), sampled);
+    }
+
+    #[test]
+    fn churn_sampling_is_deterministic_in_seed() {
+        // The paper's Fig. 9 churn: 1% of peers fail each unit.
+        let a = FaultPlan::churn(9, &mut rng_for(9, "churn"), 500, 0.01, 1, None);
+        let b = FaultPlan::churn(9, &mut rng_for(9, "churn"), 500, 0.01, 1, None);
+        assert_eq!(a, b);
+        assert_eq!(crashes_at(&a, 0), 5);
     }
 
     #[test]

@@ -1,21 +1,17 @@
 //! Deterministic discrete-event simulation engine.
 //!
 //! Reproduces the methodology of the paper's event-driven C++ overlay
-//! simulator: virtual time, a total-order event queue, message transport
-//! whose delays come from the topology layer, a churn injector for dynamic
-//! peer failures, and a metrics sink for protocol-overhead accounting.
+//! simulator: virtual time, a total-order event queue, seeded peer churn
+//! and fault schedules, and a metrics sink for protocol-overhead
+//! accounting.
 //!
 //! * [`time`] — virtual time as integer microseconds (total order, no
 //!   floating-point tie ambiguity);
-//! * [`event`] — the scheduler: a priority queue with FIFO tie-breaking;
-//! * [`event_core`] — the indexed, allocation-free event core the scale
-//!   path uses (u32 handler ids, cancel-by-generation);
-//! * [`transport`] — pluggable peer-to-peer latency models, including
-//!   overlay-routed latency;
-//! * [`churn`] — random peer-failure injection ("1% of peers fail per time
-//!   unit");
-//! * [`fault`] — seeded, replayable fault-injection plans (crash/revive
-//!   schedules, correlated failures, soft-state expiry storms);
+//! * [`event_core`] — the indexed, allocation-free event queue (u32
+//!   handler ids, cancel-by-generation, FIFO tie-breaking);
+//! * [`fault`] — seeded, replayable fault-injection plans: random churn
+//!   ("1% of peers fail per time unit"), crash/revive schedules,
+//!   correlated failures, soft-state expiry storms;
 //! * [`mc`] — the message-passing model checker core: bounded BFS and
 //!   seeded random walks over any [`mc::ModelSystem`], with state-hash
 //!   dedup and minimized counterexample schedules;
@@ -28,8 +24,6 @@
 
 #![warn(missing_docs)]
 
-pub mod churn;
-pub mod event;
 pub mod event_core;
 pub mod export;
 pub mod fault;
@@ -37,10 +31,7 @@ pub mod mc;
 pub mod metrics;
 pub mod time;
 pub mod trace;
-pub mod transport;
 
-pub use churn::ChurnModel;
-pub use event::Scheduler;
 pub use event_core::{EventCore, EventKey, HandlerId};
 pub use export::TraceReport;
 pub use fault::{FaultAction, FaultPlan};
@@ -48,4 +39,3 @@ pub use mc::{McConfig, McReport, McStats, McViolation, ModelSystem};
 pub use metrics::{Counter, Histogram, Instruments, MetricsRegistry, ProtocolCounters};
 pub use time::SimTime;
 pub use trace::{DropReason, TraceBuffer, TraceEvent};
-pub use transport::{OverlayTransport, Transport, UniformTransport};

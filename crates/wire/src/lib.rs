@@ -4,12 +4,10 @@
 //! media frames, and the control plane the deploy orchestrator speaks.
 //!
 //! The crate is transport-agnostic and dependency-free: it maps
-//! [`WireMsg`] values to byte frames and back, nothing more. The socket
-//! daemon in `spidernet-runtime` layers TCP connections on top; the
-//! in-process cluster bypasses it entirely (its channel "wire" carries
-//! the runtime `Msg` type directly). Conversions between the two message
-//! types live in the runtime, keeping this crate free of `SyncSender`
-//! handles and `Arc` frames that can never serialize.
+//! [`WireMsg`] values to byte frames and back, nothing more. [`WireMsg`]
+//! is also the message set of `spidernet-runtime`'s protocol engine: the
+//! socket daemon layers TCP connections and this codec on top, while the
+//! in-process cluster hands the values through channels unencoded.
 //!
 //! See `DESIGN.md` §12 for the frame layout and version-negotiation
 //! rules in one table.

@@ -480,9 +480,9 @@ impl WireMsg {
         );
     }
 
-    /// Whether a fault injector may drop or jitter this frame. Mirrors
-    /// the runtime's `Msg::droppable`: genuine wire traffic only —
-    /// handshakes and control-plane frames always deliver.
+    /// Whether a fault injector may drop or jitter this frame: the
+    /// peer-protocol kinds 3–11 only — handshakes and control-plane
+    /// frames always deliver.
     pub fn droppable(&self) -> bool {
         matches!(
             self,

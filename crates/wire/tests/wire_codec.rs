@@ -203,6 +203,20 @@ fn every_frame_type_round_trips_bit_exactly() {
     }
 }
 
+/// The fault-injection class (DESIGN §12): exactly the peer-protocol
+/// kinds 3–11 are droppable; handshakes and the control plane always
+/// deliver.
+#[test]
+fn droppable_is_exactly_kinds_3_through_11() {
+    let msgs = fixtures();
+    let mut kinds: Vec<u8> = msgs.iter().map(WireMsg::kind).collect();
+    kinds.dedup();
+    assert_eq!(kinds.len(), msgs.len(), "one fixture per kind");
+    for msg in msgs {
+        assert_eq!(msg.droppable(), (3..=11).contains(&msg.kind()), "kind {}", msg.kind());
+    }
+}
+
 // ---------------------------------------------------------------------
 // Property tests over seeded arbitrary messages
 // ---------------------------------------------------------------------

@@ -11,13 +11,14 @@ use spidernet::core::bcp::BcpConfig;
 use spidernet::core::recovery::FailureOutcome;
 use spidernet::core::system::{SpiderNet, SpiderNetConfig};
 use spidernet::core::workload::{random_request, PopulationConfig, RequestConfig};
-use spidernet::sim::ChurnModel;
+use spidernet::sim::{FaultAction, FaultPlan};
+use spidernet::util::id::PeerId;
 use spidernet::util::rng::rng_for;
 
 fn main() {
-    let seed = 2026;
+    let (seed, peers) = (2026, 150);
     let mut net =
-        SpiderNet::build(&SpiderNetConfig::builder().ip_nodes(800).peers(150).seed(seed).build());
+        SpiderNet::build(&SpiderNetConfig::builder().ip_nodes(800).peers(peers).seed(seed).build());
     net.populate(&PopulationConfig { functions: 25, ..PopulationConfig::default() });
 
     // Standing streaming sessions with requirements tight enough that
@@ -46,21 +47,22 @@ fn main() {
         net.sessions().mean_backup_count()
     );
 
-    // 20 time units of churn at the paper's 1%-per-unit rate.
-    let churn = ChurnModel { fail_fraction: 0.01, rejoin_after_units: Some(8) };
-    let mut churn_rng = rng_for(seed, "churn");
+    // 20 time units of churn at the paper's 1%-per-unit rate; failed
+    // peers rejoin 8 units later.
+    let plan = FaultPlan::churn(seed, &mut rng_for(seed, "churn"), peers as u64, 0.01, 20, Some(8));
     let (mut hits, mut by_backup, mut by_reactive, mut lost) = (0u64, 0u64, 0u64, 0u64);
-    let mut rejoin: Vec<(u64, spidernet::util::id::PeerId)> = Vec::new();
 
-    for unit in 0..20u64 {
-        let due: Vec<_> = rejoin.iter().filter(|(t, _)| *t <= unit).map(|&(_, p)| p).collect();
-        rejoin.retain(|(t, _)| *t > unit);
-        for p in due {
-            net.revive_peer(p);
-        }
-        let victims = churn.sample_failures(&net.state().live_peers(), &mut churn_rng);
-        for v in victims {
-            for (sid, outcome) in net.fail_peer(v) {
+    for unit in 0..plan.horizon() {
+        for action in plan.actions_at(unit) {
+            let victim = match *action {
+                FaultAction::Revive { peer } => {
+                    net.revive_peer(PeerId::new(peer));
+                    continue;
+                }
+                FaultAction::Crash { peer } => PeerId::new(peer),
+                _ => continue,
+            };
+            for (sid, outcome) in net.fail_peer(victim) {
                 hits += 1;
                 match outcome {
                     FailureOutcome::RecoveredByBackup { rank, switch_ms } => {
@@ -80,7 +82,6 @@ fn main() {
                     }
                 }
             }
-            rejoin.push((unit + 8, v));
         }
         net.maintenance_tick();
     }

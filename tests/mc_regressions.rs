@@ -10,10 +10,10 @@
 //! replay with the violated invariant's text.
 
 use spidernet::runtime::mc::{replay, CheckedWorld, McScenario, NetModel};
-use spidernet::runtime::msg::{Msg, Probe};
 use spidernet::sim::mc::ModelSystem;
 use spidernet::util::id::PeerId;
 use spidernet::util::qos::QosVector;
+use spidernet::wire::{WireMsg, WireProbe};
 
 /// Drives `w` until quiescence (or `max` steps), letting `choose` pick
 /// among the encoded enabled actions each step. Safety invariants are
@@ -212,27 +212,27 @@ fn injected_degenerate_probe_and_stray_acks_are_harmless() {
     w.inject_wire(
         source,
         dest,
-        Msg::Probe(Probe {
+        WireMsg::Probe(WireProbe {
             request: 7,
-            source,
-            dest,
+            source: source.raw(),
+            dest: dest.raw(),
             chain: Vec::new(),
             replica_lists: Vec::new(),
             pos: 0,
             path: Vec::new(),
             budget: 1,
-            acc_qos: QosVector::default(),
+            acc_qos: QosVector::zeros(2),
             at_ms: 0.0,
         }),
     );
-    w.inject_wire(dest, source, Msg::FrameAck {
+    w.inject_wire(dest, source, WireMsg::FrameAck {
         session: 999,
         seq: 0,
         valid: true,
         digest: 0,
         at_ms: 0.0,
     });
-    w.inject_wire(PeerId::new(0), source, Msg::PathProbeAck { session: 999, backup_idx: 3 });
+    w.inject_wire(PeerId::new(0), source, WireMsg::PathProbeAck { session: 999, backup_idx: 3 });
     let _ = drive(&mut w, first_clean, 400);
     // The injected garbage must not have derailed the real request.
     assert!(w.setup_results().iter().any(|s| s.request == 1 && s.ok));
