@@ -31,7 +31,6 @@ fn quick_scale() -> Fig8Config {
     Fig8Config {
         ip_nodes: 300,
         peers: 60,
-        functions: 12,
         duration_units: 10,
         workloads: vec![3, 6],
         population: PopulationConfig { functions: 12, ..PopulationConfig::default() },

@@ -216,8 +216,7 @@ fn head_to_head(cli: &Cli) -> HeadToHead {
     let hot: Vec<PeerId> = (0..8).map(|i| PeerId::from(i * (peers / 8))).collect();
     let reqs: Vec<CompositionRequest> = (0..requests)
         .map(|i| {
-            let mut req =
-                zipf_request(base.overlay(), base.registry(), &pool, &zipf, &req_cfg, &mut rng);
+            let mut req = zipf_request(base.overlay(), &pool, &zipf, &req_cfg, &mut rng);
             req.source = hot[i % hot.len()];
             req.dest = hot[(i + 1 + i / hot.len()) % hot.len()];
             if req.dest == req.source {

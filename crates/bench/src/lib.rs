@@ -1,10 +1,7 @@
 //! Shared scaffolding for the SpiderNet benchmark harness.
 //!
 //! The `fig8`/`fig9`/`fig10`/`fig11`/`overhead` binaries regenerate the
-//! paper's figures (run with `--paper` for the full-size configuration);
-//! the criterion benches in `benches/` time miniaturized versions of the
-//! same drivers plus ablations of the design choices called out in
-//! DESIGN.md.
+//! paper's figures (run with `--paper` for the full-size configuration).
 //!
 //! The report/CLI vocabulary ([`BenchReport`], [`BenchBlock`],
 //! [`peak_rss_bytes`], [`arg_value`], [`json_spec`]) lives in
@@ -13,10 +10,6 @@
 //! for existing call sites.
 
 #![warn(missing_docs)]
-
-use spidernet_core::bcp::BcpConfig;
-use spidernet_core::system::{SpiderNet, SpiderNetConfig};
-use spidernet_core::workload::{PopulationConfig, RequestConfig};
 
 pub use spidernet_util::bench::{peak_rss_bytes, peak_rss_bytes_for, BenchBlock, BenchReport};
 pub use spidernet_util::cli::{arg_value, arg_value_in, flag_present, json_spec, json_spec_in};
@@ -78,35 +71,9 @@ pub fn time_seq_par<T>(mut run_with_threads: impl FnMut(usize) -> T) -> (f64, f6
     (sequential, parallel, threads, out)
 }
 
-/// A small, fast world shared by micro-benchmarks: 60 peers over a
-/// 300-node IP network, 12 functions.
-pub fn bench_world(seed: u64) -> SpiderNet {
-    let mut net =
-        SpiderNet::build(&SpiderNetConfig::builder().ip_nodes(300).peers(60).seed(seed).build());
-    net.populate(&PopulationConfig { functions: 12, ..PopulationConfig::default() });
-    net
-}
-
-/// A permissive request template for micro-benchmarks.
-pub fn bench_request_config() -> RequestConfig {
-    RequestConfig {
-        functions: (3, 3),
-        delay_bound_ms: (5_000.0, 5_001.0),
-        loss_bound: (0.3, 0.31),
-        ..RequestConfig::default()
-    }
-}
-
-/// The default BCP config micro-benchmarks use.
-pub fn bench_bcp() -> BcpConfig {
-    BcpConfig::builder().budget(16).build()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use spidernet_core::workload::random_request;
-    use spidernet_util::rng::rng_for;
 
     #[test]
     fn report_api_is_reexported_from_util() {
@@ -119,13 +86,5 @@ mod tests {
         assert!(peak_rss_bytes().is_some());
         let args = vec!["fig8".to_string(), "--seed=7".to_string()];
         assert_eq!(arg_value_in(&args, "--seed").as_deref(), Some("7"));
-    }
-
-    #[test]
-    fn bench_world_composes() {
-        let mut net = bench_world(1);
-        let mut rng = rng_for(1, "bench-lib");
-        let req = random_request(net.overlay(), net.registry(), &bench_request_config(), &mut rng);
-        assert!(net.compose(&req, &bench_bcp()).is_ok());
     }
 }

@@ -1,32 +1,31 @@
 //! Deterministic fault-injection lab driving the proactive recovery path.
 //!
-//! A [`FaultDriver`] establishes a population of standing sessions, then
-//! replays a seeded [`FaultPlan`] unit by unit against the sim clock:
-//! crashes and revives flow through [`SpiderNet::fail_peers`] /
+//! The lab establishes a population of standing sessions, then replays a
+//! seeded [`FaultPlan`] unit by unit on a [`Scenario`]: crashes and
+//! revives flow through [`SpiderNet::fail_peers`] /
 //! [`SpiderNet::revive_peer`] (exercising
 //! `SessionManager::handle_peer_failure` and reactive BCP), soft-state
 //! expiry storms stress the `OverlayState` sweep, and every unit ends
-//! with a maintenance tick plus a clock advance. The driver is steppable
-//! so tests can assert the recovery invariants *between* units
-//! ([`FaultDriver::verify_invariants`]), and entirely sequential per
-//! plan — replaying the same plan against the same config is
-//! byte-identical whatever `SPIDERNET_THREADS` says. The
+//! with a maintenance tick plus a clock advance. [`run_with`] hands the
+//! scenario to a check after every unit, so tests can assert the recovery
+//! invariants *between* units ([`Scenario::verify_invariants`]). A replay
+//! is sequential per plan — replaying the same plan against the same
+//! config is byte-identical whatever `SPIDERNET_THREADS` says. The
 //! [`churn_sweep`] harness fans whole plans out per churn rate with the
-//! PR1 parallel contract (per-cell derived seeds, results written back
-//! by cell index).
+//! parallel harness's contract (per-cell derived seeds, results written
+//! back by cell index).
+//!
+//! [`SpiderNet::fail_peers`]: crate::system::SpiderNet::fail_peers
+//! [`SpiderNet::revive_peer`]: crate::system::SpiderNet::revive_peer
 
 use crate::bcp::BcpConfig;
-use crate::recovery::{FailureOutcome, RecoveryConfig};
-use crate::system::{SpiderNet, SpiderNetConfig};
-use crate::workload::{random_request, PopulationConfig, RequestConfig};
-use spidernet_sim::fault::{FaultAction, FaultPlan};
+use crate::recovery::RecoveryConfig;
+use crate::scenario::{Scenario, Step};
+use crate::workload::{PopulationConfig, RequestConfig};
+use spidernet_sim::fault::FaultPlan;
 use spidernet_sim::metrics::MetricsRegistry;
-use spidernet_sim::time::SimDuration;
-use spidernet_sim::trace::{TraceBuffer, TraceEvent};
-use spidernet_util::id::PeerId;
 use spidernet_util::par::par_map_with;
-use spidernet_util::res::ResourceVector;
-use spidernet_util::rng::{derive_seed, rng_for, Rng};
+use spidernet_util::rng::{derive_seed, rng_for};
 use std::fmt;
 
 /// World and workload parameters of the fault lab.
@@ -40,8 +39,6 @@ pub struct FaultLabConfig {
     pub seed: u64,
     /// Standing sessions established before the plan starts.
     pub sessions: usize,
-    /// Sim-time length of one plan unit.
-    pub unit: SimDuration,
     /// Backup bound U (Eq. 2).
     pub backup_upper_bound: f64,
     /// Component population.
@@ -62,7 +59,6 @@ impl Default for FaultLabConfig {
             peers: 120,
             seed: 10,
             sessions: 40,
-            unit: SimDuration::from_secs(1),
             backup_upper_bound: 4.0,
             population: PopulationConfig { functions: 20, ..PopulationConfig::default() },
             request: RequestConfig {
@@ -78,36 +74,11 @@ impl Default for FaultLabConfig {
     }
 }
 
-/// Per-unit accounting of one plan replay.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct UnitRow {
-    /// Plan time unit.
-    pub unit: u64,
-    /// Peers crashed this unit.
-    pub crashes: u64,
-    /// Peers revived this unit.
-    pub revives: u64,
-    /// Sessions whose primary graph lost a peer.
-    pub hits: u64,
-    /// Hits recovered by switching to a maintained backup.
-    pub switches: u64,
-    /// Hits that fell through to reactive BCP.
-    pub reactive: u64,
-    /// Reactive re-compositions that re-placed the session.
-    pub saved: u64,
-    /// Sessions lost (reactive BCP found nothing).
-    pub lost: u64,
-    /// Soft-storm reservations granted this unit.
-    pub soft_granted: u64,
-    /// Soft reservations reclaimed by this unit's expiry sweep.
-    pub soft_expired: u64,
-}
-
 /// The finished replay: per-unit rows plus end-state summary.
 #[derive(Clone, Debug)]
 pub struct FaultReport {
-    /// Per-unit accounting, one row per plan unit.
-    pub rows: Vec<UnitRow>,
+    /// Per-unit accounting: the scenario's step record for every plan unit.
+    pub rows: Vec<Step>,
     /// Sessions established before the plan started.
     pub established: usize,
     /// Sessions still active after the final unit.
@@ -119,7 +90,7 @@ pub struct FaultReport {
 }
 
 impl FaultReport {
-    fn total(&self, f: impl Fn(&UnitRow) -> u64) -> u64 {
+    fn total(&self, f: impl Fn(&Step) -> u64) -> u64 {
         self.rows.iter().map(f).sum()
     }
 
@@ -135,32 +106,27 @@ impl FaultReport {
 
     /// Total primary-graph hits.
     pub fn hits(&self) -> u64 {
-        self.total(|r| r.hits)
+        self.total(|r| r.hits.len() as u64)
     }
 
     /// Total backup switches.
     pub fn switches(&self) -> u64 {
-        self.total(|r| r.switches)
+        self.total(Step::switches)
     }
 
     /// Total reactive-BCP fallbacks.
     pub fn reactive(&self) -> u64 {
-        self.total(|r| r.reactive)
+        self.total(Step::reactive)
     }
 
     /// Total sessions re-placed by reactive BCP.
     pub fn saved(&self) -> u64 {
-        self.total(|r| r.saved)
+        self.total(Step::saved)
     }
 
     /// Total sessions lost outright.
     pub fn lost(&self) -> u64 {
-        self.total(|r| r.lost)
-    }
-
-    /// Total soft reservations reclaimed by expiry sweeps.
-    pub fn soft_expired(&self) -> u64 {
-        self.total(|r| r.soft_expired)
+        self.total(Step::lost)
     }
 
     /// Fraction of hits recovered *proactively* (by a maintained backup,
@@ -186,11 +152,11 @@ impl FaultReport {
                 r.unit,
                 r.crashes,
                 r.revives,
-                r.hits,
-                r.switches,
-                r.reactive,
-                r.saved,
-                r.lost,
+                r.hits.len(),
+                r.switches(),
+                r.reactive(),
+                r.saved(),
+                r.lost(),
                 r.soft_granted,
                 r.soft_expired
             ));
@@ -211,7 +177,14 @@ impl fmt::Display for FaultReport {
             writeln!(
                 f,
                 "{:>6} {:>8} {:>8} {:>6} {:>9} {:>9} {:>6} {:>6}",
-                r.unit, r.crashes, r.revives, r.hits, r.switches, r.reactive, r.saved, r.lost
+                r.unit,
+                r.crashes,
+                r.revives,
+                r.hits.len(),
+                r.switches(),
+                r.reactive(),
+                r.saved(),
+                r.lost()
             )?;
         }
         writeln!(f, "sessions: {} established, {} surviving", self.established, self.surviving)?;
@@ -220,251 +193,46 @@ impl fmt::Display for FaultReport {
     }
 }
 
-/// Steppable replay of one [`FaultPlan`] against a freshly built world.
-pub struct FaultDriver {
-    net: SpiderNet,
-    plan: FaultPlan,
-    cfg: FaultLabConfig,
-    unit: u64,
-    /// Driver-side randomness (soft-storm target picks), seeded from the
-    /// *plan* so the same plan replays identically under any config seed
-    /// reuse.
-    storm_rng: Rng,
-    rows: Vec<UnitRow>,
-    established: usize,
+/// Builds the lab's world, arms `plan` on it, and establishes the
+/// standing sessions. Entirely deterministic in `(cfg, plan)`.
+pub fn scenario(cfg: &FaultLabConfig, plan: FaultPlan) -> Scenario {
+    let recovery = RecoveryConfig::builder().backup_upper_bound(cfg.backup_upper_bound).build();
+    let net = super::world(cfg.ip_nodes, cfg.peers, cfg.seed, recovery, &cfg.population);
+    let mut sc = Scenario::new(net, plan, cfg.bcp.clone());
+    sc.establish_standing(cfg.sessions, &cfg.request, &mut rng_for(cfg.seed, "faultlab-requests"));
+    sc
 }
 
-impl FaultDriver {
-    /// Builds the world, establishes the standing sessions, and arms
-    /// `plan`. Entirely deterministic in `(cfg, plan)`.
-    pub fn new(cfg: &FaultLabConfig, plan: FaultPlan) -> FaultDriver {
-        let mut net = SpiderNet::build(&SpiderNetConfig {
-            ip_nodes: cfg.ip_nodes,
-            peers: cfg.peers,
-            seed: cfg.seed,
-            recovery: RecoveryConfig {
-                backup_upper_bound: cfg.backup_upper_bound,
-                ..RecoveryConfig::default()
-            },
-            ..SpiderNetConfig::default()
-        });
-        net.populate(&cfg.population);
-        let mut req_rng = rng_for(cfg.seed, "faultlab-requests");
-        let mut established = 0usize;
-        let mut guard = 0;
-        while established < cfg.sessions && guard < cfg.sessions * 20 {
-            guard += 1;
-            let req = random_request(net.overlay(), net.registry(), &cfg.request, &mut req_rng);
-            if let Ok(outcome) = net.compose(&req, &cfg.bcp) {
-                if net.establish(&req, outcome).is_ok() {
-                    established += 1;
-                }
-            }
-        }
-        let storm_rng = rng_for(plan.seed(), "faultlab-storm");
-        FaultDriver { net, plan, cfg: cfg.clone(), unit: 0, storm_rng, rows: Vec::new(), established }
+/// Replays `plan` to its horizon, calling `check` on the scenario after
+/// every unit, and returns the report.
+pub fn run_with(
+    cfg: &FaultLabConfig,
+    plan: FaultPlan,
+    mut check: impl FnMut(&Scenario),
+) -> FaultReport {
+    let horizon = plan.horizon();
+    let mut sc = scenario(cfg, plan);
+    let established = sc.net().sessions().len();
+    let mut rows = Vec::with_capacity(horizon as usize);
+    for _ in 0..horizon {
+        rows.push(sc.step(|_| {}));
+        check(&sc);
     }
-
-    /// The world under test (sessions, state, metrics).
-    pub fn net(&self) -> &SpiderNet {
-        &self.net
-    }
-
-    /// The plan being replayed.
-    pub fn plan(&self) -> &FaultPlan {
-        &self.plan
-    }
-
-    /// Units already replayed.
-    pub fn unit(&self) -> u64 {
-        self.unit
-    }
-
-    /// Replays one plan unit: revive/crash/storm actions in plan order,
-    /// then a maintenance tick, then the clock advance (which sweeps
-    /// expired soft state). Returns `false` once the plan horizon is
-    /// reached (nothing is replayed then).
-    pub fn step(&mut self) -> bool {
-        if self.unit >= self.plan.horizon() {
-            return false;
-        }
-        let mut row = UnitRow { unit: self.unit, ..UnitRow::default() };
-        let actions = self.plan.actions_at(self.unit).to_vec();
-        for action in actions {
-            match action {
-                FaultAction::Crash { peer } => self.apply_crashes(&[peer], &mut row),
-                FaultAction::CrashCorrelated { peers } => self.apply_crashes(&peers, &mut row),
-                FaultAction::Revive { peer } => {
-                    let p = PeerId::new(peer);
-                    if peer < self.cfg.peers as u64 && !self.net.state().is_alive(p) {
-                        self.net.revive_peer(p);
-                        self.record_fault(peer, false);
-                        row.revives += 1;
-                    }
-                }
-                FaultAction::SoftStorm { allocs } => self.apply_soft_storm(allocs, &mut row),
-            }
-        }
-        self.net.maintenance_tick();
-        row.soft_expired = self.net.advance(self.cfg.unit) as u64;
-        self.rows.push(row);
-        self.unit += 1;
-        true
-    }
-
-    /// Replays the remaining plan to its horizon.
-    pub fn run_to_end(&mut self) {
-        while self.step() {}
-    }
-
-    fn record_fault(&mut self, peer: u64, crash: bool) {
-        let obs = self.net.obs_mut();
-        obs.metrics.incr(obs.counters.faults_injected);
-        obs.trace.record(TraceEvent::FaultInjected { unit: self.unit, peer, crash });
-    }
-
-    fn apply_crashes(&mut self, peers: &[u64], row: &mut UnitRow) {
-        let victims: Vec<PeerId> = peers
-            .iter()
-            .copied()
-            .filter(|&p| p < self.cfg.peers as u64)
-            .map(PeerId::new)
-            .filter(|&p| self.net.state().is_alive(p))
-            .collect();
-        if victims.is_empty() {
-            return;
-        }
-        for v in &victims {
-            self.record_fault(v.raw(), true);
-        }
-        row.crashes += victims.len() as u64;
-        let outcomes = self.net.fail_peers(&victims);
-        for (sid, outcome) in outcomes {
-            row.hits += 1;
-            match outcome {
-                FailureOutcome::RecoveredByBackup { .. } => row.switches += 1,
-                FailureOutcome::NeedsReactive => {
-                    row.reactive += 1;
-                    if self.net.reactive_recover(sid, &self.cfg.bcp) {
-                        row.saved += 1;
-                    } else {
-                        row.lost += 1;
-                    }
-                }
-            }
-        }
-    }
-
-    fn apply_soft_storm(&mut self, allocs: u32, row: &mut UnitRow) {
-        // Short-TTL reservations expiring exactly at the end of this unit —
-        // the sweep's inclusive `expires <= now` boundary reclaims them in
-        // this same step's advance.
-        let expires = self.net.now() + self.cfg.unit;
-        let demand = ResourceVector::new(0.05, 4.0);
-        // soft_allocate wants a trace buffer alongside `&mut state`; record
-        // into a scratch buffer and merge once we're done borrowing.
-        let mut scratch = TraceBuffer::with_capacity(allocs as usize);
-        for _ in 0..allocs {
-            let live = self.net.state().live_peers();
-            if live.is_empty() {
-                break;
-            }
-            let peer = live[(self.storm_rng.gen::<u64>() % live.len() as u64) as usize];
-            if self.net.state_mut().soft_allocate(peer, demand, expires, &mut scratch).is_ok() {
-                row.soft_granted += 1;
-            }
-        }
-    }
-
-    /// Checks the recovery-path invariants the paper's robustness story
-    /// rests on; call between [`FaultDriver::step`]s. Returns the first
-    /// violation as an error string.
-    ///
-    /// * no dead peer inside any session's *primary* (served) graph;
-    /// * no dead peer inside any maintained *backup* graph (maintenance
-    ///   ran at the end of the step);
-    /// * per-peer committed load equals the sum of the live sessions'
-    ///   allocations — no double-release, no leak — and never exceeds
-    ///   capacity.
-    pub fn verify_invariants(&self) -> std::result::Result<(), String> {
-        let net = &self.net;
-        let reg = net.registry();
-        let state = net.state();
-        for s in net.sessions().sessions() {
-            for &c in s.primary.components() {
-                let p = reg.get(c).peer;
-                if !state.is_alive(p) {
-                    return Err(format!(
-                        "session {:?}: dead peer {p} in served primary graph",
-                        s.id
-                    ));
-                }
-            }
-            for (bi, (g, _)) in s.backups.iter().enumerate() {
-                for &c in g.components() {
-                    let p = reg.get(c).peer;
-                    if !state.is_alive(p) {
-                        return Err(format!(
-                            "session {:?}: dead peer {p} in backup #{bi}",
-                            s.id
-                        ));
-                    }
-                }
-            }
-        }
-        // Accounting: fold every live session's allocation per peer and
-        // compare against the state's committed ledger.
-        let mut expected = vec![ResourceVector::ZERO; self.cfg.peers];
-        for s in net.sessions().sessions() {
-            for &(p, res) in &s.allocation.peers {
-                expected[p.index()] = expected[p.index()].add(&res);
-            }
-        }
-        for (i, want) in expected.iter().enumerate() {
-            let p = PeerId::new(i as u64);
-            let got = state.committed_load(p);
-            if (got.cpu() - want.cpu()).abs() > 1e-6
-                || (got.memory() - want.memory()).abs() > 1e-6
-            {
-                return Err(format!(
-                    "peer {p}: committed ledger {got:?} != session sum {want:?}"
-                ));
-            }
-            let cap = state.capacity(p);
-            if got.cpu() > cap.cpu() + 1e-9 || got.memory() > cap.memory() + 1e-9 {
-                return Err(format!("peer {p}: committed {got:?} exceeds capacity {cap:?}"));
-            }
-        }
-        // Soft (probe-time) books: every peer's soft ledger must equal
-        // the sum of its live reservations — shared with the model
-        // checker's soft-ledger scenario.
-        state.verify_soft_accounting()?;
-        Ok(())
-    }
-
-    /// Finishes the replay summary (consumes nothing; callable any time).
-    pub fn report(&self) -> FaultReport {
-        let mean_switch_ms = self
-            .net
-            .metrics()
-            .summary(self.net.obs().counters.switch_ms)
-            .map(|s| s.mean())
-            .unwrap_or(0.0);
-        FaultReport {
-            rows: self.rows.clone(),
-            established: self.established,
-            surviving: self.net.sessions().len(),
-            mean_switch_ms,
-            metrics: self.net.metrics().clone(),
-        }
+    let net = sc.net();
+    let mean_switch_ms =
+        net.metrics().summary(net.obs().counters.switch_ms).map(|s| s.mean()).unwrap_or(0.0);
+    FaultReport {
+        rows,
+        established,
+        surviving: net.sessions().len(),
+        mean_switch_ms,
+        metrics: net.metrics().clone(),
     }
 }
 
 /// Replays `plan` to its horizon and returns the report.
 pub fn run(cfg: &FaultLabConfig, plan: FaultPlan) -> FaultReport {
-    let mut driver = FaultDriver::new(cfg, plan);
-    driver.run_to_end();
-    driver.report()
+    run_with(cfg, plan, |_| {})
 }
 
 /// Churn-sweep parameters: one crash-storm replay per rate.
@@ -617,16 +385,15 @@ mod tests {
     #[test]
     fn empty_plan_is_a_noop_replay() {
         let cfg = tiny();
-        let mut d = FaultDriver::new(&cfg, FaultPlan::new(1).with_horizon(3));
-        assert!(!d.net().sessions().is_empty());
-        let before = d.net().sessions().len();
-        d.run_to_end();
-        assert_eq!(d.unit(), 3);
-        let rep = d.report();
+        let before = scenario(&cfg, FaultPlan::new(1)).net().sessions().len();
+        assert!(before > 0);
+        let rep = run_with(&cfg, FaultPlan::new(1).with_horizon(3), |sc| {
+            sc.verify_invariants().unwrap();
+        });
         assert_eq!(rep.rows.len(), 3);
         assert_eq!(rep.crashes(), 0);
+        assert_eq!(rep.established, before);
         assert_eq!(rep.surviving, before);
-        d.verify_invariants().unwrap();
     }
 
     #[test]
@@ -638,16 +405,14 @@ mod tests {
             .crash(1, 7)
             .revive(4, 3)
             .with_horizon(6);
-        let mut d = FaultDriver::new(&cfg, plan);
-        while d.step() {
-            d.verify_invariants().unwrap();
-        }
-        let rep = d.report();
+        let rep = run_with(&cfg, plan, |sc| {
+            sc.verify_invariants().unwrap();
+            assert_eq!(sc.net().state().soft_count(), 0);
+        });
         assert_eq!(rep.crashes(), 2);
         assert_eq!(rep.revives(), 1);
         assert_eq!(rep.rows[0].soft_granted, rep.rows[0].soft_expired, "storm must expire in-unit");
         assert!(rep.rows[0].soft_granted > 0);
-        assert_eq!(d.net().state().soft_count(), 0);
     }
 
     #[test]

@@ -14,15 +14,15 @@
 //! decaying as workload grows.
 
 use crate::bcp::{BcpConfig, LookupMode, QuotaPolicy};
-use crate::state::SessionAllocation;
-use crate::system::{CompositionOptions, SpiderNet, SpiderNetConfig};
+use crate::recovery::{self, RecoveryConfig};
+use crate::scenario::Scenario;
+use crate::selection;
+use crate::system::{ComposeReport, CompositionOptions, SpiderNet, SpiderNetConfig};
 use crate::workload::{random_request, PopulationConfig, RequestConfig};
-use crate::{recovery, selection};
-use spidernet_sim::event_core::EventCore;
 use spidernet_sim::metrics::{counter, MetricsRegistry};
 use spidernet_sim::time::SimTime;
+use spidernet_sim::FaultPlan;
 use spidernet_topology::overlay::GeoConfig;
-use spidernet_util::arena::{SlotArena, SlotKey};
 use spidernet_util::par::par_map_with;
 use spidernet_util::rng::{rng_for, Rng};
 use std::collections::BTreeMap;
@@ -61,8 +61,6 @@ pub struct Fig8Config {
     pub ip_nodes: usize,
     /// Overlay peers.
     pub peers: usize,
-    /// Function pool size.
-    pub functions: usize,
     /// Master seed.
     pub seed: u64,
     /// Simulated time units per run.
@@ -73,7 +71,7 @@ pub struct Fig8Config {
     pub session_lifetime: (u64, u64),
     /// Request shape.
     pub request: RequestConfig,
-    /// Component population shape.
+    /// Component population shape (its `functions` sizes the catalog).
     pub population: PopulationConfig,
     /// Enumeration cap for the optimal baseline (None = exact).
     pub optimal_cap: Option<u64>,
@@ -89,7 +87,6 @@ impl Default for Fig8Config {
         Fig8Config {
             ip_nodes: 1_000,
             peers: 200,
-            functions: 40,
             seed: 8,
             duration_units: 100,
             workloads: vec![5, 10, 15, 20, 25],
@@ -118,7 +115,6 @@ impl Fig8Config {
         Fig8Config {
             ip_nodes: 10_000,
             peers: 1_000,
-            functions: 200,
             duration_units: 2_000,
             workloads: vec![50, 100, 150, 200, 250],
             population: PopulationConfig { functions: 200, ..PopulationConfig::default() },
@@ -223,6 +219,11 @@ fn fraction_budget(net: &SpiderNet, req: &crate::model::request::CompositionRequ
     ((combos * fraction).round() as u32).max(1)
 }
 
+/// The figure's world, built and populated from the master seed.
+fn world(cfg: &Fig8Config) -> SpiderNet {
+    super::world(cfg.ip_nodes, cfg.peers, cfg.seed, RecoveryConfig::default(), &cfg.population)
+}
+
 /// Per-cell outputs, reassembled by [`run`] in cell order.
 struct CellOut {
     rate: f64,
@@ -238,94 +239,73 @@ struct CellOut {
 /// construction happens once per figure instead of once per cell.
 fn run_cell(cfg: &Fig8Config, base: &SpiderNet, algo: Algorithm, workload: u64) -> CellOut {
     let cell_started = Instant::now();
-    let mut net = base.clone();
     // The request stream is seeded identically for every algorithm so they
     // face the same demand.
     let mut req_rng: Rng = rng_for(cfg.seed, "fig8-requests");
-
-    // Session expiry runs through the indexed event core: each committed
-    // session schedules one expiry event (payload = its arena slot), and
-    // each unit drains everything due. Events pop in (time, insertion)
-    // order, which is exactly the order the old linear end-time scan
-    // released allocations in, so the float fold over released resources
-    // is unchanged.
-    let mut expiry = EventCore::new();
-    let expire = expiry.register_handler("session-expire");
-    let mut live: SlotArena<SessionAllocation> = SlotArena::new();
+    // No peer fails here: the plan is empty, so the reactive-recovery BCP
+    // config is never used.
+    let mut sc = Scenario::new(base.clone(), FaultPlan::new(cfg.seed), BcpConfig::default());
     let mut successes = 0u64;
     let mut attempts = 0u64;
     let mut optimal_secs = 0.0f64;
-    // One SSSP cache for the whole trial: session-demand paths repeat the
-    // same sources across requests, so rebuilding a table per session
-    // would redo identical Dijkstra runs.
-    let mut paths = crate::paths::PathTable::new();
 
     for unit in 0..cfg.duration_units {
-        // Expire finished sessions.
-        for fired in expiry.pop_until(SimTime::from_secs(unit)) {
-            if let Some(alloc) = live.remove(SlotKey::from_raw(fired.payload)) {
-                net.state_mut().release(&alloc);
-            }
-        }
+        sc.step(|a| {
+            for _ in 0..workload {
+                let net = &mut *a.net;
+                let req = random_request(net.overlay(), net.registry(), &cfg.request, &mut req_rng);
+                let lifetime = {
+                    let (lo, hi) = cfg.session_lifetime;
+                    req_rng.gen_range(lo..=hi)
+                };
+                attempts += 1;
 
-        for _ in 0..workload {
-            let req = random_request(net.overlay(), net.registry(), &cfg.request, &mut req_rng);
-            let lifetime = {
-                let (lo, hi) = cfg.session_lifetime;
-                req_rng.gen_range(lo..=hi)
-            };
-            attempts += 1;
-
-            // Each algorithm picks a graph; success = picked graph is
-            // qualified AND its resources commit.
-            let picked = match algo {
-                Algorithm::Optimal => {
-                    // Only the best graph is consumed here, so the
-                    // pool-free policy applies: cost-bound pruning on, same
-                    // best graph and evaluation as the full-pool run.
-                    let started = Instant::now();
-                    let picked = net
-                        .compose_with(&req, &CompositionOptions::optimal_best_only(cfg.optimal_cap))
+                // Each algorithm picks a graph; success = picked graph is
+                // qualified AND its session's resources commit.
+                let picked = match algo {
+                    Algorithm::Optimal => {
+                        // Only the best graph is consumed here, so the
+                        // pool-free policy applies: cost-bound pruning on,
+                        // same best graph and evaluation as the full-pool run.
+                        let started = Instant::now();
+                        let opts = CompositionOptions::optimal_best_only(cfg.optimal_cap);
+                        let picked =
+                            net.compose_with(&req, &opts).ok().map(ComposeReport::into_outcome);
+                        optimal_secs += started.elapsed().as_secs_f64();
+                        picked
+                    }
+                    Algorithm::Probing(fraction) => {
+                        let budget = fraction_budget(net, &req, fraction);
+                        let bcp = BcpConfig {
+                            budget,
+                            quota: QuotaPolicy::ReplicaFraction(fraction.max(0.05)),
+                            merge_cap: 256,
+                            lookup: LookupMode::Prefetch,
+                            ..BcpConfig::default()
+                        };
+                        net.compose(&req, &bcp).ok()
+                    }
+                    Algorithm::Random => net
+                        .compose_with(&req, &CompositionOptions::random())
                         .ok()
-                        .map(|o| (o.best, o.eval));
-                    optimal_secs += started.elapsed().as_secs_f64();
-                    picked
-                }
-                Algorithm::Probing(fraction) => {
-                    let budget = fraction_budget(&net, &req, fraction);
-                    let bcp = BcpConfig {
-                        budget,
-                        quota: QuotaPolicy::ReplicaFraction(fraction.max(0.05)),
-                        merge_cap: 256,
-                        lookup: LookupMode::Prefetch,
-                        ..BcpConfig::default()
-                    };
-                    net.compose(&req, &bcp).ok().map(|o| (o.best, o.eval))
-                }
-                Algorithm::Random => net
-                    .compose_with(&req, &CompositionOptions::random())
-                    .ok()
-                    .filter(|o| selection::is_qualified(&o.eval, &req))
-                    .map(|o| (o.best, o.eval)),
-                Algorithm::Static => net
-                    .compose_with(&req, &CompositionOptions::static_())
-                    .ok()
-                    .filter(|o| selection::is_qualified(&o.eval, &req))
-                    .map(|o| (o.best, o.eval)),
-            };
+                        .filter(|o| selection::is_qualified(&o.eval, &req))
+                        .map(ComposeReport::into_outcome),
+                    Algorithm::Static => net
+                        .compose_with(&req, &CompositionOptions::static_())
+                        .ok()
+                        .filter(|o| selection::is_qualified(&o.eval, &req))
+                        .map(ComposeReport::into_outcome),
+                };
 
-            if let Some((graph, _)) = picked {
-                // Commit the session's resources for its lifetime.
-                let (peers, links) =
-                    recovery::session_demands(&graph, &req, net.registry(), net.overlay(), &mut paths);
-                if let Ok(alloc) = net.state_mut().commit(&peers, &links) {
-                    let key = live.insert(alloc);
-                    expiry.schedule(SimTime::from_secs(unit + lifetime), expire, key.to_raw());
-                    successes += 1;
+                if let Some(outcome) = picked {
+                    if a.admit(&req, outcome, SimTime::from_secs(unit + lifetime)).is_ok() {
+                        successes += 1;
+                    }
                 }
             }
-        }
+        });
     }
+    let net = sc.net();
     let rate = successes as f64 / attempts.max(1) as f64;
     CellOut {
         rate,
@@ -346,13 +326,7 @@ fn run_cell(cfg: &Fig8Config, base: &SpiderNet, algo: Algorithm, workload: u64) 
 /// index; the result is bit-identical for any thread count.
 pub fn run(cfg: &Fig8Config) -> Fig8Result {
     let build_started = Instant::now();
-    let mut base = SpiderNet::build(&SpiderNetConfig {
-        ip_nodes: cfg.ip_nodes,
-        peers: cfg.peers,
-        seed: cfg.seed,
-        ..SpiderNetConfig::default()
-    });
-    base.populate(&cfg.population);
+    let base = world(cfg);
     let build_secs = build_started.elapsed().as_secs_f64();
 
     let cells: Vec<(u64, Algorithm)> = cfg
@@ -427,16 +401,7 @@ pub struct OptimalPhaseBench {
 /// Runs the optimal-phase bench: `requests` compositions through the
 /// naive enumerator, then the same stream through branch-and-bound.
 pub fn optimal_phase_bench(cfg: &Fig8Config, requests: u64) -> OptimalPhaseBench {
-    let base = {
-        let mut net = SpiderNet::build(&SpiderNetConfig {
-            ip_nodes: cfg.ip_nodes,
-            peers: cfg.peers,
-            seed: cfg.seed,
-            ..SpiderNetConfig::default()
-        });
-        net.populate(&cfg.population);
-        net
-    };
+    let base = world(cfg);
     let build = || base.clone();
     let reqs: Vec<_> = {
         let net = build();
@@ -587,7 +552,6 @@ mod tests {
         Fig8Config {
             ip_nodes: 300,
             peers: 60,
-            functions: 12,
             duration_units: 20,
             workloads: vec![3, 9],
             population: PopulationConfig { functions: 12, ..PopulationConfig::default() },

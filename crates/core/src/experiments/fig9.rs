@@ -10,14 +10,13 @@
 //! average 2.74 backups per session recovers almost all failures.
 
 use crate::bcp::BcpConfig;
-use crate::recovery::{FailureOutcome, RecoveryConfig};
-use crate::system::{SpiderNet, SpiderNetConfig};
-use crate::workload::{random_request, PopulationConfig, RequestConfig};
-use spidernet_util::id::PeerId;
+use crate::recovery::RecoveryConfig;
+use crate::scenario::Scenario;
+use crate::workload::{PopulationConfig, RequestConfig};
+use spidernet_sim::metrics::{counter, MetricsRegistry};
+use spidernet_sim::FaultPlan;
 use spidernet_util::par::par_map_with;
 use spidernet_util::rng::rng_for;
-use spidernet_sim::metrics::{counter, MetricsRegistry};
-use spidernet_sim::{FaultAction, FaultPlan};
 use std::fmt;
 
 /// Experiment parameters.
@@ -120,39 +119,14 @@ impl Fig9Result {
     }
 }
 
-/// One simulation mode.
+/// One simulation mode: standing sessions under a churn plan.
 fn run_mode(cfg: &Fig9Config, proactive: bool) -> (Vec<u64>, f64, f64, u64, MetricsRegistry) {
-    let recovery = RecoveryConfig {
-        backup_upper_bound: if proactive { cfg.backup_upper_bound } else { 0.0 },
-        ..RecoveryConfig::default()
-    };
-    let mut net = SpiderNet::build(&SpiderNetConfig {
-        ip_nodes: cfg.ip_nodes,
-        peers: cfg.peers,
-        seed: cfg.seed,
-        recovery,
-        ..SpiderNetConfig::default()
-    });
-    net.populate(&cfg.population);
-
-    // Establish the standing sessions.
-    let mut req_rng = rng_for(cfg.seed, "fig9-requests");
-    let mut established = 0usize;
-    let mut guard = 0;
-    while established < cfg.sessions && guard < cfg.sessions * 20 {
-        guard += 1;
-        let req = random_request(net.overlay(), net.registry(), &cfg.request, &mut req_rng);
-        if let Ok(outcome) = net.compose(&req, &cfg.bcp) {
-            if net.establish(&req, outcome).is_ok() {
-                established += 1;
-            }
-        }
-    }
-    let mean_backups = net.sessions().mean_backup_count();
-
-    // Churn loop. The failure pattern is seeded independently of the mode
-    // so both curves see the same failure schedule. Only churn kills or
-    // revives peers here, so the plan's modeled live set is the world's.
+    let bound = if proactive { cfg.backup_upper_bound } else { 0.0 };
+    let recovery = RecoveryConfig::builder().backup_upper_bound(bound).build();
+    let net = super::world(cfg.ip_nodes, cfg.peers, cfg.seed, recovery, &cfg.population);
+    // The failure pattern is seeded independently of the mode so both
+    // curves see the same failure schedule. Only churn kills or revives
+    // peers here, so the plan's modeled live set is the world's.
     let plan = FaultPlan::churn(
         cfg.seed,
         &mut rng_for(cfg.seed, "fig9-churn"),
@@ -161,42 +135,24 @@ fn run_mode(cfg: &Fig9Config, proactive: bool) -> (Vec<u64>, f64, f64, u64, Metr
         cfg.duration_units,
         cfg.rejoin_after_units,
     );
-    let mut failures_per_unit = Vec::with_capacity(cfg.duration_units as usize);
-    let mut hits = 0u64;
-    let mut recovered = 0u64;
+    let mut sc = Scenario::new(net, plan, cfg.bcp.clone());
+    sc.establish_standing(cfg.sessions, &cfg.request, &mut rng_for(cfg.seed, "fig9-requests"));
+    let mean_backups = sc.net().sessions().mean_backup_count();
 
-    for unit in 0..cfg.duration_units {
-        let mut unit_failures = 0u64;
-        for action in plan.actions_at(unit) {
-            match *action {
-                FaultAction::Revive { peer } => net.revive_peer(PeerId::new(peer)),
-                FaultAction::Crash { peer } => {
-                    for (sid, outcome) in net.fail_peer(PeerId::new(peer)) {
-                        hits += 1;
-                        match outcome {
-                            FailureOutcome::RecoveredByBackup { .. } => {
-                                recovered += 1;
-                            }
-                            FailureOutcome::NeedsReactive => {
-                                unit_failures += 1;
-                                // Keep the population of sessions steady:
-                                // reactive BCP re-places the session (or
-                                // abandons it).
-                                let _ = net.reactive_recover(sid, &cfg.bcp);
-                            }
-                        }
-                    }
-                }
-                _ => {}
-            }
-        }
-        net.maintenance_tick();
-        failures_per_unit.push(unit_failures);
+    // A session fails when no maintained backup absorbs the hit; reactive
+    // BCP then re-places it (or abandons it), keeping the population steady.
+    let mut failures_per_unit = Vec::with_capacity(cfg.duration_units as usize);
+    let (mut hits, mut recovered) = (0u64, 0u64);
+    for _ in 0..cfg.duration_units {
+        let step = sc.step(|_| {});
+        hits += step.hits.len() as u64;
+        recovered += step.switches();
+        failures_per_unit.push(step.reactive());
     }
 
     let ratio = if hits > 0 { recovered as f64 / hits as f64 } else { 1.0 };
-    let probes = net.metrics().value(counter::PROBES);
-    (failures_per_unit, mean_backups, ratio, probes, net.metrics().clone())
+    let metrics = sc.net().metrics();
+    (failures_per_unit, mean_backups, ratio, metrics.value(counter::PROBES), metrics.clone())
 }
 
 /// Runs both modes over the same failure schedule.

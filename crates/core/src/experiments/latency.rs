@@ -17,11 +17,10 @@
 //! distribution of each.
 
 use crate::bcp::BcpConfig;
-use crate::recovery::{FailureOutcome, RecoveryConfig};
-use crate::system::{SpiderNet, SpiderNetConfig};
-use crate::workload::{random_request, PopulationConfig, RequestConfig};
-use spidernet_sim::{FaultAction, FaultPlan};
-use spidernet_util::id::PeerId;
+use crate::recovery::RecoveryConfig;
+use crate::scenario::{Recovery, Scenario};
+use crate::workload::{PopulationConfig, RequestConfig};
+use spidernet_sim::FaultPlan;
 use spidernet_util::par::par_map_with;
 use spidernet_util::rng::rng_for;
 use spidernet_util::stats::percentile;
@@ -44,8 +43,8 @@ pub struct LatencyConfig {
     pub fail_fraction: f64,
     /// Units after which a failed peer rejoins (`None` = never).
     pub rejoin_after_units: Option<u64>,
-    /// Recovery policy (detection/switch delays).
-    pub recovery: RecoveryConfig,
+    /// Backup bound U (Eq. 2) for the proactive arm.
+    pub backup_upper_bound: f64,
     /// Component population.
     pub population: PopulationConfig,
     /// Request shape.
@@ -67,7 +66,7 @@ impl Default for LatencyConfig {
             duration_units: 40,
             fail_fraction: 0.02,
             rejoin_after_units: Some(8),
-            recovery: RecoveryConfig { backup_upper_bound: 4.0, ..RecoveryConfig::default() },
+            backup_upper_bound: 4.0,
             population: PopulationConfig { functions: 25, ..PopulationConfig::default() },
             request: RequestConfig {
                 functions: (2, 4),
@@ -142,34 +141,12 @@ impl LatencyResult {
     }
 }
 
-/// One arm: proactive (backups on) or reactive (backups off).
+/// One arm: proactive (backups on) or reactive (backups off), standing
+/// sessions under a churn plan.
 fn run_arm(cfg: &LatencyConfig, proactive: bool) -> LatencyDist {
-    let recovery = RecoveryConfig {
-        backup_upper_bound: if proactive { cfg.recovery.backup_upper_bound } else { 0.0 },
-        ..cfg.recovery.clone()
-    };
-    let mut net = SpiderNet::build(&SpiderNetConfig {
-        ip_nodes: cfg.ip_nodes,
-        peers: cfg.peers,
-        seed: cfg.seed,
-        recovery: recovery.clone(),
-        ..SpiderNetConfig::default()
-    });
-    net.populate(&cfg.population);
-
-    let mut req_rng = rng_for(cfg.seed, "latency-requests");
-    let mut established = 0usize;
-    let mut guard = 0;
-    while established < cfg.sessions && guard < cfg.sessions * 20 {
-        guard += 1;
-        let req = random_request(net.overlay(), net.registry(), &cfg.request, &mut req_rng);
-        if let Ok(outcome) = net.compose(&req, &cfg.bcp) {
-            if net.establish(&req, outcome).is_ok() {
-                established += 1;
-            }
-        }
-    }
-
+    let bound = if proactive { cfg.backup_upper_bound } else { 0.0 };
+    let recovery = RecoveryConfig::builder().backup_upper_bound(bound).build();
+    let net = super::world(cfg.ip_nodes, cfg.peers, cfg.seed, recovery, &cfg.population);
     // Only churn kills or revives peers here, so the plan's modeled live
     // set is the world's.
     let plan = FaultPlan::churn(
@@ -180,38 +157,25 @@ fn run_arm(cfg: &LatencyConfig, proactive: bool) -> LatencyDist {
         cfg.duration_units,
         cfg.rejoin_after_units,
     );
-    let mut dist = LatencyDist::default();
+    let mut sc = Scenario::new(net, plan, cfg.bcp.clone());
+    sc.establish_standing(cfg.sessions, &cfg.request, &mut rng_for(cfg.seed, "latency-requests"));
 
-    for unit in 0..cfg.duration_units {
-        for action in plan.actions_at(unit) {
-            match *action {
-                FaultAction::Revive { peer } => net.revive_peer(PeerId::new(peer)),
-                FaultAction::Crash { peer } => {
-                    for (sid, outcome) in net.fail_peer(PeerId::new(peer)) {
-                        match outcome {
-                            FailureOutcome::RecoveredByBackup { switch_ms, .. } => {
-                                dist.samples.push(switch_ms);
-                            }
-                            FailureOutcome::NeedsReactive => {
-                                // Reactive latency: detection + BCP protocol
-                                // time + re-init ack (≈ a quarter of the
-                                // protocol time, one reversed traversal of
-                                // the selected graph).
-                                if let Some(stats) = net.reactive_recover_with_stats(sid, &cfg.bcp)
-                                {
-                                    let protocol = stats.discovery_ms + stats.probing_ms;
-                                    dist.samples.push(
-                                        recovery.detection_delay_ms + protocol + protocol * 0.25,
-                                    );
-                                }
-                            }
-                        }
-                    }
+    let detection_ms = RecoveryConfig::default().detection_delay_ms;
+    let mut dist = LatencyDist::default();
+    for _ in 0..cfg.duration_units {
+        for hit in sc.step(|_| {}).hits {
+            match hit.recovery {
+                Recovery::Backup { switch_ms, .. } => dist.samples.push(switch_ms),
+                // Reactive latency: detection + BCP protocol time + re-init
+                // ack (≈ a quarter of the protocol time, one reversed
+                // traversal of the selected graph).
+                Recovery::Reactive(stats) => {
+                    let protocol = stats.discovery_ms + stats.probing_ms;
+                    dist.samples.push(detection_ms + protocol + protocol * 0.25);
                 }
-                _ => {}
+                Recovery::Lost => {}
             }
         }
-        net.maintenance_tick();
     }
     dist
 }
@@ -272,7 +236,10 @@ mod tests {
         let cfg = tiny();
         let res = run(&cfg);
         for s in res.proactive.samples.iter().chain(&res.reactive.samples) {
-            assert!(*s >= cfg.recovery.detection_delay_ms, "latency {s} below detection delay");
+            assert!(
+                *s >= RecoveryConfig::default().detection_delay_ms,
+                "latency {s} below detection delay"
+            );
         }
     }
 }

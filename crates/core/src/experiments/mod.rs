@@ -8,11 +8,25 @@
 //! | [`fig9`] | Fig. 9 — failure frequency over time with/without proactive recovery |
 //! | [`fig11`] | Fig. 11 — average end-to-end delay vs probing budget |
 //! | [`overhead`] | §6.1 claim — BCP vs centralized global-state message overhead |
+//! | [`latency`] | §5 claim — recovery latency, backup switch vs reactive BCP |
+//! | [`faults`] | beyond the paper — recovery under seeded fault plans and churn sweeps |
 //! | [`congestion`] | beyond the paper — QoS violations & goodput vs offered load under shared bandwidth |
 //!
 //! Fig. 10 (wide-area session setup time) runs on the threaded runtime and
 //! lives in `spidernet-runtime::experiments`. [`ablation`] adds quality
 //! ablations of the design choices (commutation, quota policy, trust).
+//!
+//! # One simulator loop
+//!
+//! Every driver that simulates time units — [`fig8`], [`fig9`],
+//! [`latency`], [`overhead`], [`faults`], and `loadgen`'s load cell —
+//! steps a [`Scenario`]: per unit, due sessions end, the fault plan's
+//! crashes, revives and soft storms run with full recovery, the driver's
+//! arrival closure composes and admits requests, backups are maintained,
+//! and the clock advances one second. A driver differs only in its world,
+//! its plan, and its arrival closure. [`congestion`] keeps its own loop:
+//! it runs one burst of arrivals on a 10 ms cadence, with no unit clock,
+//! expiry, churn, or maintenance.
 //!
 //! # Parallel deterministic harness
 //!
@@ -28,6 +42,7 @@
 //! the caller's thread. Thread selection: the config's `threads` field,
 //! else `SPIDERNET_THREADS` / `RAYON_NUM_THREADS`, else all cores.
 //!
+//! [`Scenario`]: crate::scenario::Scenario
 //! [`rng_for_trial`]: spidernet_util::rng::rng_for_trial
 
 pub mod ablation;
@@ -38,6 +53,30 @@ pub mod fig8;
 pub mod fig9;
 pub mod faults;
 pub mod overhead;
+
+use crate::recovery::RecoveryConfig;
+use crate::system::{SpiderNet, SpiderNetConfig};
+use crate::workload::PopulationConfig;
+
+/// Builds a default-style world (generated IP network, mesh overlay) under
+/// `recovery` and populates it.
+fn world(
+    ip_nodes: usize,
+    peers: usize,
+    seed: u64,
+    recovery: RecoveryConfig,
+    population: &PopulationConfig,
+) -> SpiderNet {
+    let mut net = SpiderNet::build(&SpiderNetConfig {
+        ip_nodes,
+        peers,
+        seed,
+        recovery,
+        ..SpiderNetConfig::default()
+    });
+    net.populate(population);
+    net
+}
 
 /// Resolves a config's optional thread override against the environment
 /// (see [`spidernet_util::par::configured_threads`]).

@@ -18,9 +18,12 @@
 use crate::baselines::centralized_state_messages;
 use crate::bcp::{BcpConfig, QuotaPolicy};
 use crate::paths::PathTable;
-use crate::system::{SpiderNet, SpiderNetConfig};
+use crate::recovery::RecoveryConfig;
+use crate::scenario::Scenario;
 use crate::workload::{random_request, PopulationConfig, RequestConfig};
 use spidernet_sim::metrics::counter;
+use spidernet_sim::time::SimTime;
+use spidernet_sim::FaultPlan;
 use spidernet_util::id::PeerId;
 use spidernet_util::par::par_map_with;
 use spidernet_util::rng::rng_for;
@@ -128,13 +131,9 @@ impl OverheadResult {
 
 /// Runs the comparison.
 pub fn run(cfg: &OverheadConfig) -> OverheadResult {
-    let mut net = SpiderNet::build(&SpiderNetConfig {
-        ip_nodes: cfg.ip_nodes,
-        peers: cfg.peers,
-        seed: cfg.seed,
-        ..SpiderNetConfig::default()
-    });
-    net.populate(&PopulationConfig { functions: cfg.functions, ..PopulationConfig::default() });
+    let population = PopulationConfig { functions: cfg.functions, ..PopulationConfig::default() };
+    let mut net =
+        super::world(cfg.ip_nodes, cfg.peers, cfg.seed, RecoveryConfig::default(), &population);
     net.reset_metrics(); // registration cost excluded from both sides
     net.set_session_tracking(true); // per-session probe rows for the exporter
 
@@ -160,25 +159,20 @@ pub fn run(cfg: &OverheadConfig) -> OverheadResult {
     let mut rng = rng_for(cfg.seed, "overhead");
     let bcp = BcpConfig { budget: cfg.budget, quota: QuotaPolicy::Uniform(4), ..BcpConfig::default() };
 
-    let mut active: Vec<(u64, spidernet_util::id::SessionId)> = Vec::new();
+    let mut sc = Scenario::new(net, FaultPlan::new(cfg.seed), bcp.clone());
     for unit in 0..cfg.duration_units {
-        // Teardown expired sessions.
-        let (expired, rest): (Vec<_>, Vec<_>) = active.into_iter().partition(|(end, _)| *end <= unit);
-        active = rest;
-        for (_, id) in expired {
-            let _ = net.teardown(id);
-        }
-        for _ in 0..cfg.requests_per_unit {
-            let req = random_request(net.overlay(), net.registry(), &req_cfg, &mut rng);
-            if let Ok(outcome) = net.compose(&req, &bcp) {
-                if let Ok(id) = net.establish(&req, outcome) {
-                    active.push((unit + cfg.session_lifetime_units, id));
+        sc.step(|a| {
+            for _ in 0..cfg.requests_per_unit {
+                let req = random_request(a.net.overlay(), a.net.registry(), &req_cfg, &mut rng);
+                if let Ok(outcome) = a.net.compose(&req, &bcp) {
+                    let expires = SimTime::from_secs(unit + cfg.session_lifetime_units);
+                    let _ = a.admit(&req, outcome, expires);
                 }
             }
-        }
-        net.maintenance_tick();
+        });
     }
 
+    let net = sc.net();
     let probe_messages = net.metrics().value(counter::PROBES);
     let dht_messages = net.metrics().value(counter::DHT_MESSAGES);
     let maintenance_messages = net.metrics().value(counter::MAINTENANCE);

@@ -18,10 +18,13 @@
 //!   global-state scheme;
 //! * [`workload`] — the simulation study's workload generators (§6.1);
 //! * [`loadgen`] — the open-loop workload engine: Poisson/diurnal/flash
-//!   arrivals, Zipf-skewed function popularity, and standing-world load
-//!   cells with admission control and churn;
+//!   arrivals, Zipf-skewed function popularity, and load cells with
+//!   admission control under a fault plan;
 //! * [`system`] — the `SpiderNet` facade tying overlay, DHT discovery,
 //!   state, and protocol together;
+//! * [`scenario`] — the one simulator loop every unit-stepped driver
+//!   runs: session expiry, a fault plan's crashes, revives and soft
+//!   storms with recovery, arrivals, backup maintenance, and the clock;
 //! * [`experiments`] — drivers regenerating the paper's figures;
 //! * [`trust`] — decentralized trust management (§8 future work): beta
 //!   reputation feeding the next-hop metric;
@@ -40,6 +43,7 @@ pub mod loadgen;
 pub mod model;
 pub mod paths;
 pub mod recovery;
+pub mod scenario;
 pub mod selection;
 pub mod spec;
 pub mod state;

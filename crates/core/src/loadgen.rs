@@ -7,28 +7,26 @@
 //! their own clock (Poisson, diurnal, or flash-crowd), function demand is
 //! Zipf-skewed the way real service popularity is, and thousands of
 //! sessions are admitted, established, expired, and recovered against one
-//! standing [`SpiderNet`] world over the indexed event core.
+//! standing [`SpiderNet`] world, one [`Scenario`] step per time unit.
 //!
 //! Everything is deterministic under the derived-RNG discipline: arrival
-//! times, request contents, lifetimes, and churn all come from
-//! [`rng_for`] streams labelled off one master seed, so a load cell's
-//! model-time results are byte-identical across thread counts and
-//! processes (wall-clock throughput fields are measured, not modeled).
+//! times, request contents and lifetimes come from [`rng_for`] streams
+//! labelled off one master seed, and faults from a seeded [`FaultPlan`],
+//! so a load cell's model-time results are byte-identical across thread
+//! counts and processes (wall-clock throughput fields are measured, not
+//! modeled).
 
 use crate::bcp::BcpConfig;
-use crate::model::function_graph::FunctionGraph;
 use crate::model::request::CompositionRequest;
-use crate::model::component::Registry;
+use crate::scenario::Scenario;
 use crate::system::SpiderNet;
-use crate::workload::{provisioned_functions, RequestConfig};
-use crate::recovery::FailureOutcome;
-use spidernet_sim::event_core::EventCore;
+use crate::workload::{provisioned_functions, request_for, sample, RequestConfig};
+use spidernet_sim::fault::FaultPlan;
 use spidernet_sim::metrics::counter;
-use spidernet_sim::time::{SimDuration, SimTime};
+use spidernet_sim::time::SimTime;
 use spidernet_topology::Overlay;
 use spidernet_util::error::{Error, Result};
-use spidernet_util::id::{FunctionId, PeerId, SessionId};
-use spidernet_util::qos::{loss_to_additive, QosRequirement};
+use spidernet_util::id::FunctionId;
 use spidernet_util::rng::{rng_for, Rng};
 use spidernet_util::stats::percentile;
 use std::time::Instant;
@@ -250,21 +248,12 @@ impl ZipfSampler {
     }
 }
 
-fn sample_range(rng: &mut Rng, (lo, hi): (f64, f64)) -> f64 {
-    if lo >= hi {
-        lo
-    } else {
-        rng.gen_range(lo..hi)
-    }
-}
-
 /// Draws one composition request whose functions are sampled (without
 /// replacement) by Zipf popularity over `pool` — `pool[0]` is the most
 /// popular. Request shape (QoS bounds, bandwidth, endpoints) follows
 /// `cfg` exactly like [`crate::workload::random_request`].
 pub fn zipf_request(
     overlay: &Overlay,
-    reg: &Registry,
     pool: &[FunctionId],
     zipf: &ZipfSampler,
     cfg: &RequestConfig,
@@ -294,52 +283,10 @@ pub fn zipf_request(
         }
         rank += 1;
     }
-
-    let function_graph = if k >= 4 && rng.gen::<f64>() < cfg.dag_probability {
-        let mut deps = vec![(0usize, 1usize), (0, 2), (1, 3), (2, 3)];
-        for i in 3..(k - 1) {
-            deps.push((i, i + 1));
-        }
-        FunctionGraph::new(funcs.clone(), deps, vec![(1, 2)])
-            .expect("diamond construction is valid")
-    } else {
-        FunctionGraph::linear_of(&funcs)
-    };
-    let _ = reg; // the registry is what `pool` was derived from
-
-    let n = overlay.peer_count() as u64;
-    let source = PeerId::new(rng.gen_range(0..n));
-    let mut dest = PeerId::new(rng.gen_range(0..n));
-    while dest == source {
-        dest = PeerId::new(rng.gen_range(0..n));
-    }
-
-    CompositionRequest {
-        source,
-        dest,
-        function_graph,
-        qos_req: QosRequirement::new(vec![
-            sample_range(rng, cfg.delay_bound_ms),
-            loss_to_additive(sample_range(rng, cfg.loss_bound)),
-        ])
-        .expect("bounds are positive"),
-        bandwidth_mbps: sample_range(rng, cfg.bandwidth_mbps),
-        max_failure_prob: cfg.max_failure_prob,
-    }
+    request_for(funcs, overlay, cfg, rng)
 }
 
 // --- the open-loop load cell --------------------------------------------
-
-/// Deterministic churn riding along with the load: every `period` units
-/// one live peer is crashed and revived `revive_after` units later,
-/// exercising recovery under sustained traffic.
-#[derive(Clone, Debug)]
-pub struct ChurnConfig {
-    /// Units between kills (≥ 1).
-    pub period: u64,
-    /// Units a killed peer stays down.
-    pub revive_after: u64,
-}
 
 /// Parameters of one open-loop load cell.
 #[derive(Clone, Debug)]
@@ -361,8 +308,9 @@ pub struct LoadConfig {
     pub bcp: BcpConfig,
     /// Whether the world's epoch-invalidated compose cache is enabled.
     pub compose_caching: bool,
-    /// Optional churn plan.
-    pub churn: Option<ChurnConfig>,
+    /// Crashes, revives and soft storms riding along with the load, keyed
+    /// by unit (empty by default).
+    pub faults: FaultPlan,
 }
 
 impl Default for LoadConfig {
@@ -376,7 +324,7 @@ impl Default for LoadConfig {
             seed: 8,
             bcp: BcpConfig::default(),
             compose_caching: false,
-            churn: None,
+            faults: FaultPlan::new(0),
         }
     }
 }
@@ -399,7 +347,7 @@ pub struct LoadCellResult {
     pub failed_other: u64,
     /// Sessions that ran to their natural expiry.
     pub expired: u64,
-    /// Peers crashed by the churn plan.
+    /// Peers crashed by the fault plan.
     pub churn_kills: u64,
     /// Sessions saved by a maintained backup after a crash.
     pub recovered_backup: u64,
@@ -428,11 +376,9 @@ pub struct LoadCellResult {
     pub goodput_per_unit: f64,
     /// `1 - admitted/arrivals`.
     pub rejection_rate: f64,
-    /// Compose attempts (equals arrivals).
-    pub composes: u64,
     /// Wall-clock seconds inside the whole cell loop (measured).
     pub wall_secs: f64,
-    /// `composes / wall_secs` (measured).
+    /// Compose attempts (one per arrival) per wall second (measured).
     pub composes_per_sec: f64,
 }
 
@@ -469,12 +415,12 @@ impl LoadCellResult {
 
 /// Drives one open-loop load cell against a clone of `base`.
 ///
-/// Per time unit: due session expiries and churn events fire through the
-/// indexed event core, then every arrival in the unit is composed,
-/// established (committing resources and selecting backups), and
-/// scheduled for expiry. Rejections are counted by cause; crashes run
-/// the full recovery path (backup switch, then reactive BCP, then
-/// abandonment). All model-time outputs are deterministic for the config.
+/// Each time unit is one [`Scenario`] step: due sessions expire, the
+/// fault plan's crashes run the full recovery path (backup switch, then
+/// reactive BCP, then abandonment), and then every arrival in the unit is
+/// composed, established (committing resources and selecting backups),
+/// and scheduled for expiry. Rejections are counted by cause. All
+/// model-time outputs are deterministic for the config.
 pub fn run_cell(base: &SpiderNet, cfg: &LoadConfig) -> LoadCellResult {
     let started = Instant::now();
     let mut net = base.clone();
@@ -485,98 +431,52 @@ pub fn run_cell(base: &SpiderNet, cfg: &LoadConfig) -> LoadCellResult {
 
     let mut arrivals = ArrivalSampler::new(cfg.arrivals.clone(), cfg.seed, "loadgen-arrivals");
     let mut req_rng = rng_for(cfg.seed, "loadgen-requests");
-    let mut churn_rng = rng_for(cfg.seed, "loadgen-churn");
     let pool = provisioned_functions(net.registry());
     let zipf = ZipfSampler::new(pool.len(), cfg.zipf_exponent).expect("pool is non-empty");
-
-    let mut core = EventCore::new();
-    let expire = core.register_handler("session-expire");
-    let revive = core.register_handler("peer-revive");
+    let mut sc = Scenario::new(net, cfg.faults.clone(), cfg.bcp.clone());
 
     let mut res = LoadCellResult::default();
     let mut setups: Vec<f64> = Vec::new();
-    let mut in_flight = 0u64;
     let mut next_arrival = arrivals.next_arrival();
 
     for unit in 0..cfg.duration_units {
-        // 1. Due events: expiries and revivals, in (time, insertion) order.
-        for fired in core.pop_until(SimTime::from_secs(unit)) {
-            if fired.handler == expire {
-                if net.teardown(SessionId::new(fired.payload)).is_ok() {
-                    res.expired += 1;
-                    in_flight = in_flight.saturating_sub(1);
-                }
-            } else if fired.handler == revive {
-                net.revive_peer(PeerId::new(fired.payload));
-            }
-        }
-
-        // 2. Churn: one crash per period, recovery handled in full.
-        if let Some(churn) = &cfg.churn {
-            if churn.period > 0 && unit > 0 && unit % churn.period == 0 {
-                let live = net.state().live_peers();
-                if live.len() > 2 {
-                    let victim = live[churn_rng.gen_range(0..live.len() as u64) as usize];
-                    res.churn_kills += 1;
-                    for (sid, outcome) in net.fail_peer(victim) {
-                        match outcome {
-                            FailureOutcome::RecoveredByBackup { .. } => res.recovered_backup += 1,
-                            FailureOutcome::NeedsReactive => {
-                                if net.reactive_recover(sid, &cfg.bcp) {
-                                    res.recovered_reactive += 1;
-                                } else {
-                                    res.abandoned += 1;
-                                    in_flight = in_flight.saturating_sub(1);
-                                }
+        let step = sc.step(|a| {
+            // Arrivals due this unit, in arrival order.
+            while next_arrival < (unit + 1) as f64 {
+                res.arrivals += 1;
+                let req = zipf_request(a.net.overlay(), &pool, &zipf, &cfg.request, &mut req_rng);
+                let lifetime = sample(&mut req_rng, cfg.session_lifetime).max(1.0);
+                match a.net.compose(&req, &cfg.bcp) {
+                    Ok(outcome) => {
+                        let setup_ms = outcome.stats.discovery_ms + outcome.stats.probing_ms;
+                        let expires = SimTime::from_ms((next_arrival + lifetime) * 1_000.0);
+                        match a.admit(&req, outcome, expires) {
+                            Ok(_) => {
+                                res.admitted += 1;
+                                setups.push(setup_ms);
+                                let in_flight = a.net.sessions().len() as u64;
+                                res.peak_in_flight = res.peak_in_flight.max(in_flight);
                             }
+                            Err(Error::AdmissionRejected { .. }) => res.rejected_admission += 1,
+                            Err(Error::Network(_)) => res.rejected_admission += 1,
+                            Err(_) => res.failed_other += 1,
                         }
                     }
-                    core.schedule(
-                        SimTime::from_secs(unit + churn.revive_after.max(1)),
-                        revive,
-                        victim.raw(),
-                    );
+                    Err(Error::AdmissionRejected { .. }) => res.rejected_admission += 1,
+                    Err(Error::NoQualifiedComposition) => res.rejected_qos += 1,
+                    Err(_) => res.failed_other += 1,
                 }
+                next_arrival = arrivals.next_arrival();
             }
-        }
-
-        // 3. Arrivals due this unit, in arrival order.
-        while next_arrival < (unit + 1) as f64 {
-            res.arrivals += 1;
-            let req =
-                zipf_request(net.overlay(), net.registry(), &pool, &zipf, &cfg.request, &mut req_rng);
-            let lifetime = sample_range(&mut req_rng, cfg.session_lifetime).max(1.0);
-            match net.compose(&req, &cfg.bcp) {
-                Ok(outcome) => {
-                    let setup_ms = outcome.stats.discovery_ms + outcome.stats.probing_ms;
-                    match net.establish(&req, outcome) {
-                        Ok(sid) => {
-                            res.admitted += 1;
-                            setups.push(setup_ms);
-                            in_flight += 1;
-                            res.peak_in_flight = res.peak_in_flight.max(in_flight);
-                            core.schedule(
-                                SimTime::from_ms((next_arrival + lifetime) * 1_000.0),
-                                expire,
-                                sid.raw(),
-                            );
-                        }
-                        Err(Error::AdmissionRejected { .. }) => res.rejected_admission += 1,
-                        Err(Error::Network(_)) => res.rejected_admission += 1,
-                        Err(_) => res.failed_other += 1,
-                    }
-                }
-                Err(Error::AdmissionRejected { .. }) => res.rejected_admission += 1,
-                Err(Error::NoQualifiedComposition) => res.rejected_qos += 1,
-                Err(_) => res.failed_other += 1,
-            }
-            next_arrival = arrivals.next_arrival();
-        }
-
-        // 4. Advance model time (sweeps overdue soft reservations).
-        net.advance(SimDuration::from_secs(1));
+        });
+        res.expired += step.expired;
+        res.churn_kills += step.crashes;
+        res.recovered_backup += step.switches();
+        res.recovered_reactive += step.saved();
+        res.abandoned += step.lost();
     }
 
+    let net = sc.net();
     let (hits, misses, invalidations) = net.compose_cache_stats();
     res.cache_hits = hits;
     res.cache_misses = misses;
@@ -597,10 +497,9 @@ pub fn run_cell(base: &SpiderNet, cfg: &LoadConfig) -> LoadCellResult {
     } else {
         0.0
     };
-    res.composes = res.arrivals;
     res.wall_secs = started.elapsed().as_secs_f64();
     res.composes_per_sec =
-        if res.wall_secs > 0.0 { res.composes as f64 / res.wall_secs } else { 0.0 };
+        if res.wall_secs > 0.0 { res.arrivals as f64 / res.wall_secs } else { 0.0 };
     res
 }
 
@@ -713,14 +612,8 @@ mod tests {
         let zipf = ZipfSampler::new(pool.len(), 1.5).unwrap();
         let mut rng = rng_for(11, "req");
         for _ in 0..100 {
-            let req = zipf_request(
-                net.overlay(),
-                net.registry(),
-                &pool,
-                &zipf,
-                &RequestConfig::default(),
-                &mut rng,
-            );
+            let req =
+                zipf_request(net.overlay(), &pool, &zipf, &RequestConfig::default(), &mut rng);
             req.validate().unwrap();
             let mut fs: Vec<u64> =
                 req.function_graph.functions().iter().map(|f| f.raw()).collect();
@@ -781,12 +674,16 @@ mod tests {
             duration_units: 30,
             session_lifetime: (8.0, 15.0),
             seed: 5,
-            churn: Some(ChurnConfig { period: 5, revive_after: 3 }),
+            faults: FaultPlan::churn(5, &mut rng_for(5, "loadgen-churn"), 60, 0.02, 30, Some(3)),
             ..LoadConfig::default()
         };
         let res = run_cell(&base, &cfg);
         assert!(res.churn_kills >= 4, "churn plan barely fired: {}", res.churn_kills);
         assert!(res.admitted > 0);
+        assert!(
+            res.recovered_backup + res.recovered_reactive > 0,
+            "no crash-hit session was recovered"
+        );
         // Determinism holds under churn + recovery too.
         assert_eq!(res.deterministic_key(), run_cell(&base, &cfg).deterministic_key());
     }

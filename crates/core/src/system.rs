@@ -289,6 +289,19 @@ pub struct ComposeReport {
     pub trace: Vec<TraceEvent>,
 }
 
+impl ComposeReport {
+    /// The composition as an outcome [`SpiderNet::establish`] admits
+    /// (baselines carry default BCP stats).
+    pub fn into_outcome(self) -> CompositionOutcome {
+        CompositionOutcome {
+            best: self.best,
+            eval: self.eval,
+            qualified_pool: self.qualified_pool,
+            stats: self.stats.unwrap_or_default(),
+        }
+    }
+}
+
 /// The assembled SpiderNet middleware over one simulated overlay.
 ///
 /// `Clone` duplicates the entire world — overlay, Pastry tables, resource
@@ -1003,77 +1016,42 @@ impl SpiderNet {
         &mut self.trust
     }
 
-    /// Like [`SpiderNet::reactive_recover`] but also returns the BCP stats
-    /// of the re-composition (None when the session is gone or nothing
-    /// qualified — the session is abandoned in that case).
+    /// Reactive recovery: re-runs BCP for a session that lost all backups
+    /// and re-establishes it on success, returning the re-composition's
+    /// BCP stats. Abandons the session and returns `None` when nothing
+    /// qualified or the new graph could not be committed (also `None`
+    /// when the session is gone).
     pub fn reactive_recover_with_stats(
         &mut self,
         id: SessionId,
         cfg: &BcpConfig,
-    ) -> Option<crate::bcp::BcpStats> {
+    ) -> Option<BcpStats> {
         let req = self.sessions.session(id).map(|s| s.request.clone())?;
-        match self.compose(&req, cfg) {
-            Ok(outcome) => {
-                let stats = outcome.stats.clone();
-                let ok = self
-                    .sessions
-                    .reestablish(
-                        id,
-                        outcome.best,
-                        outcome.eval,
-                        outcome.qualified_pool,
-                        &self.reg,
-                        &self.overlay,
-                        &mut self.paths,
-                        &mut self.state,
-                    )
-                    .is_ok();
-                if ok {
-                    Some(stats)
-                } else {
-                    self.sessions.abandon(id);
-                    None
-                }
-            }
-            Err(_) => {
-                self.sessions.abandon(id);
-                None
-            }
+        let reestablished = self.compose(&req, cfg).ok().and_then(|outcome| {
+            self.sessions
+                .reestablish(
+                    id,
+                    outcome.best,
+                    outcome.eval,
+                    outcome.qualified_pool,
+                    &self.reg,
+                    &self.overlay,
+                    &mut self.paths,
+                    &mut self.state,
+                )
+                .ok()
+                .map(|_| outcome.stats)
+        });
+        if reestablished.is_none() {
+            self.sessions.abandon(id);
         }
+        reestablished
     }
 
-    /// Reactive recovery: re-runs BCP for a session that lost all backups
-    /// and re-establishes it on success; abandons it otherwise. Returns
-    /// true if the session was saved.
+    /// [`SpiderNet::reactive_recover_with_stats`] reporting only whether
+    /// the session was saved.
     pub fn reactive_recover(&mut self, id: SessionId, cfg: &BcpConfig) -> bool {
-        let Some(req) = self.sessions.session(id).map(|s| s.request.clone()) else {
-            return false;
-        };
-        match self.compose(&req, cfg) {
-            Ok(outcome) => {
-                let ok = self
-                    .sessions
-                    .reestablish(
-                        id,
-                        outcome.best,
-                        outcome.eval,
-                        outcome.qualified_pool,
-                        &self.reg,
-                        &self.overlay,
-                        &mut self.paths,
-                        &mut self.state,
-                    )
-                    .is_ok();
-                if !ok {
-                    self.sessions.abandon(id);
-                }
-                ok
-            }
-            Err(_) => {
-                self.sessions.abandon(id);
-                false
-            }
-        }
+        self.reactive_recover_with_stats(id, cfg).is_some()
     }
 }
 

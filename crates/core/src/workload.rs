@@ -52,7 +52,8 @@ impl Default for PopulationConfig {
     }
 }
 
-fn sample(rng: &mut Rng, (lo, hi): (f64, f64)) -> f64 {
+/// Draws uniformly from `[lo, hi)`; a degenerate range yields `lo`.
+pub(crate) fn sample(rng: &mut Rng, (lo, hi): (f64, f64)) -> f64 {
     if lo >= hi {
         lo
     } else {
@@ -146,7 +147,20 @@ pub fn random_request(
     let mut funcs = pool;
     funcs.shuffle(rng);
     funcs.truncate(k);
+    request_for(funcs, overlay, cfg, rng)
+}
 
+/// Completes a request over the chosen functions, in order: a diamond DAG
+/// with probability `cfg.dag_probability` when there are at least four,
+/// else a chain; then distinct random source and destination peers, and
+/// the QoS bounds and bandwidth drawn from `cfg`.
+pub(crate) fn request_for(
+    funcs: Vec<FunctionId>,
+    overlay: &Overlay,
+    cfg: &RequestConfig,
+    rng: &mut Rng,
+) -> CompositionRequest {
+    let k = funcs.len();
     let function_graph = if k >= 4 && rng.gen::<f64>() < cfg.dag_probability {
         // Diamond: f0 → {f1, f2} → f3 (+ tail chain if k > 4), with the two
         // middle functions commutable.
@@ -154,8 +168,7 @@ pub fn random_request(
         for i in 3..(k - 1) {
             deps.push((i, i + 1));
         }
-        FunctionGraph::new(funcs.clone(), deps, vec![(1, 2)])
-            .expect("diamond construction is valid")
+        FunctionGraph::new(funcs, deps, vec![(1, 2)]).expect("diamond construction is valid")
     } else {
         FunctionGraph::linear_of(&funcs)
     };

@@ -20,7 +20,6 @@ fn fig8_tiny(threads: usize) -> fig8::Fig8Config {
     fig8::Fig8Config {
         ip_nodes: 300,
         peers: 60,
-        functions: 12,
         duration_units: 15,
         workloads: vec![3, 8],
         optimal_cap: Some(200),
@@ -192,7 +191,7 @@ fn request_streams_are_seed_reproducible_and_pinned() {
         for _ in 0..64 {
             let r = random_request(net.overlay(), net.registry(), &cfg, &mut rng_u);
             h_uniform[run] = request_fingerprint(h_uniform[run], &r);
-            let z = zipf_request(net.overlay(), net.registry(), &pool, &zipf, &cfg, &mut rng_z);
+            let z = zipf_request(net.overlay(), &pool, &zipf, &cfg, &mut rng_z);
             h_zipf[run] = request_fingerprint(h_zipf[run], &z);
         }
     }

@@ -8,7 +8,7 @@
 //! demanded across worker-thread counts per the determinism contract.
 
 use spidernet::core::experiments::faults::{
-    churn_sweep, run, ChurnSweepConfig, FaultDriver, FaultLabConfig,
+    churn_sweep, run, run_with, scenario, ChurnSweepConfig, FaultLabConfig,
 };
 use spidernet::core::workload::PopulationConfig;
 use spidernet::sim::fault::{FaultAction, FaultPlan};
@@ -45,7 +45,7 @@ fn killing_every_primary_component_recovers_without_reactive_bcp() {
 
     // Probe run: discover the primary's hosting peers (deterministic in
     // cfg, so the real run below starts from the identical world).
-    let probe = FaultDriver::new(&cfg, FaultPlan::new(0));
+    let probe = scenario(&cfg, FaultPlan::new(0));
     let primary_peers: Vec<u64> = {
         let s = probe.net().sessions().sessions().next().expect("one session established");
         s.primary
@@ -58,11 +58,7 @@ fn killing_every_primary_component_recovers_without_reactive_bcp() {
     drop(probe);
 
     let plan = FaultPlan::kill_each(0, &primary_peers, 1, 3).with_horizon(12);
-    let mut driver = FaultDriver::new(&cfg, plan.clone());
-    while driver.step() {
-        driver.verify_invariants().unwrap();
-    }
-    let rep = driver.report();
+    let rep = run_with(&cfg, plan.clone(), |sc| sc.verify_invariants().unwrap());
     assert!(rep.hits() >= 1, "the first kill must hit the primary");
     assert_eq!(rep.reactive(), 0, "every hit must be absorbed by a backup:\n{}", rep.to_csv());
     assert_eq!(rep.lost(), 0);
@@ -87,11 +83,7 @@ fn killing_every_primary_component_recovers_without_reactive_bcp() {
 fn crash_storm_with_revives_holds_invariants_every_step() {
     let cfg = tiny();
     let plan = FaultPlan::crash_storm(33, cfg.peers as u64, 0.08, 12, Some(4));
-    let mut driver = FaultDriver::new(&cfg, plan);
-    while driver.step() {
-        driver.verify_invariants().unwrap();
-    }
-    let rep = driver.report();
+    let rep = run_with(&cfg, plan, |sc| sc.verify_invariants().unwrap());
     assert!(rep.crashes() > 0, "an 8% storm over 12 units must kill someone");
     assert_eq!(
         rep.metrics.value(counter::FAULTS_INJECTED),
@@ -116,11 +108,10 @@ fn correlated_failures_and_soft_storms_leave_no_residue() {
         .revive(6, 3)
         .soft_storm(7, 10)
         .with_horizon(9);
-    let mut driver = FaultDriver::new(&cfg, plan);
-    while driver.step() {
-        driver.verify_invariants().unwrap();
-    }
-    let rep = driver.report();
+    let rep = run_with(&cfg, plan, |sc| {
+        sc.verify_invariants().unwrap();
+        assert_eq!(sc.net().state().soft_count(), 0, "soft state must drain every unit");
+    });
     assert_eq!(rep.crashes(), 5);
     assert_eq!(rep.revives(), 1);
     for row in &rep.rows {
@@ -130,7 +121,6 @@ fn correlated_failures_and_soft_storms_leave_no_residue() {
             row.unit
         );
     }
-    assert_eq!(driver.net().state().soft_count(), 0, "soft state must drain completely");
     // Saved + lost partition the reactive fallbacks.
     assert_eq!(rep.reactive(), rep.saved() + rep.lost());
 }
@@ -141,7 +131,7 @@ fn correlated_failures_and_soft_storms_leave_no_residue() {
 #[test]
 fn correlated_crash_never_switches_onto_a_dead_peer() {
     let cfg = tiny();
-    let probe = FaultDriver::new(&cfg, FaultPlan::new(0));
+    let probe = scenario(&cfg, FaultPlan::new(0));
     // Pair every session's first primary peer with one of its backup
     // peers, when it has any — the nastiest correlated pattern.
     let mut pair: Option<Vec<u64>> = None;
@@ -160,10 +150,7 @@ fn correlated_crash_never_switches_onto_a_dead_peer() {
         return; // no session maintained a backup in this world: vacuous
     };
     let plan = FaultPlan::new(0).crash_correlated(1, peers).with_horizon(4);
-    let mut driver = FaultDriver::new(&cfg, plan);
-    while driver.step() {
-        driver.verify_invariants().unwrap();
-    }
+    run_with(&cfg, plan, |sc| sc.verify_invariants().unwrap());
 }
 
 /// The churn sweep produces identical CSV whatever the per-cell worker
@@ -208,7 +195,7 @@ fn identical_plans_replay_identically() {
 #[test]
 fn driver_hit_accounting_partitions_outcomes() {
     let cfg = FaultLabConfig { sessions: 3, ..tiny() };
-    let probe = FaultDriver::new(&cfg, FaultPlan::new(0));
+    let probe = scenario(&cfg, FaultPlan::new(0));
     let victim = {
         let s = probe.net().sessions().sessions().next().expect("sessions established");
         probe.net().registry().get(s.primary.components()[0]).peer

@@ -1,7 +1,8 @@
 //! Scale-refactor equivalence suite: the default fig. 8 and fig. 9 runs
 //! must render byte-identical CSV to the goldens captured from the
 //! pre-refactor (BTreeMap world state, build-per-cell) representation —
-//! and must stay identical across worker-thread counts.
+//! and must stay identical across worker-thread counts. Small latency,
+//! overhead, fault-lab and loadgen runs are pinned by value the same way.
 //!
 //! These goldens pin the figure *outputs*, so any arena/SoA or
 //! clone-per-cell change that perturbs float accumulation order, RNG
@@ -9,7 +10,11 @@
 //! only when the protocol itself changes on purpose:
 //! `cargo run --release -p spidernet-bench --bin fig8 -- --csv`.
 
-use spidernet::core::experiments::{fig8, fig9};
+use spidernet::core::experiments::{faults, fig8, fig9, latency, overhead};
+use spidernet::core::loadgen::{run_cell, ArrivalProcess, LoadConfig};
+use spidernet::core::system::{SpiderNet, SpiderNetConfig};
+use spidernet::core::workload::PopulationConfig;
+use spidernet::sim::fault::FaultPlan;
 
 const FIG8_GOLDEN: &str = include_str!("golden/fig8_default.csv");
 const FIG9_GOLDEN: &str = include_str!("golden/fig9_default.csv");
@@ -36,4 +41,84 @@ fn fig9_default_matches_pre_refactor_golden_across_thread_counts() {
             "fig9 default CSV drifted from the seed representation at {threads} thread(s)"
         );
     }
+}
+
+// --- drivers pinned by value ---------------------------------------------
+//
+// The pins below were captured once from the drivers as they stood before
+// they moved onto `core::scenario::Scenario`. A refactor that shifts these
+// numbers the same way at every thread count would pass a cross-thread
+// comparison; it cannot pass these.
+
+const LATENCY_GOLDEN: &str = include_str!("golden/latency_small.csv");
+const OVERHEAD_GOLDEN: &str = include_str!("golden/overhead_small.csv");
+const FAULT_STORM_GOLDEN: &str = include_str!("golden/fault_storm_small.csv");
+const LOAD_CELL_GOLDEN: &str = "arrivals=166 admitted=146 rej_adm=0 rej_qos=20 other=0 \
+     expired=102 kills=0 rec_b=0 rec_r=0 abandoned=0 peak=45 shed=0 hits=216 misses=370 inv=0 \
+     p50=407cff3c413a2b9a p95=40829f3d65398c2a p99=4085709acc6d025b";
+
+#[test]
+fn latency_small_matches_golden_across_thread_counts() {
+    for threads in [1usize, 4] {
+        let cfg = latency::LatencyConfig {
+            ip_nodes: 300,
+            peers: 70,
+            sessions: 20,
+            duration_units: 12,
+            population: PopulationConfig { functions: 10, ..PopulationConfig::default() },
+            threads: Some(threads),
+            ..latency::LatencyConfig::default()
+        };
+        let csv = latency::run(&cfg).to_csv();
+        assert_eq!(csv, LATENCY_GOLDEN, "latency CSV drifted at {threads} thread(s)");
+    }
+}
+
+#[test]
+fn overhead_small_matches_golden_across_thread_counts() {
+    for threads in [1usize, 4] {
+        let cfg = overhead::OverheadConfig {
+            ip_nodes: 600,
+            peers: 100,
+            functions: 20,
+            duration_units: 40,
+            requests_per_unit: 1,
+            session_lifetime_units: 10,
+            budget: 12,
+            threads: Some(threads),
+            ..overhead::OverheadConfig::default()
+        };
+        let csv = overhead::run(&cfg).to_csv();
+        assert_eq!(csv, OVERHEAD_GOLDEN, "overhead CSV drifted at {threads} thread(s)");
+    }
+}
+
+#[test]
+fn fault_lab_crash_storm_matches_golden() {
+    let cfg = faults::FaultLabConfig {
+        ip_nodes: 300,
+        peers: 60,
+        seed: 21,
+        sessions: 10,
+        population: PopulationConfig { functions: 10, ..PopulationConfig::default() },
+        ..faults::FaultLabConfig::default()
+    };
+    let plan = FaultPlan::crash_storm(33, cfg.peers as u64, 0.08, 12, Some(4));
+    assert_eq!(faults::run(&cfg, plan).to_csv(), FAULT_STORM_GOLDEN);
+}
+
+#[test]
+fn cached_poisson_load_cell_matches_golden() {
+    let mut base =
+        SpiderNet::build(&SpiderNetConfig::builder().ip_nodes(300).peers(60).seed(17).build());
+    base.populate(&PopulationConfig { functions: 12, ..PopulationConfig::default() });
+    let cfg = LoadConfig {
+        arrivals: ArrivalProcess::Poisson { rate: 9.0 },
+        duration_units: 20,
+        session_lifetime: (2.0, 8.0),
+        seed: 5,
+        compose_caching: true,
+        ..LoadConfig::default()
+    };
+    assert_eq!(run_cell(&base, &cfg).deterministic_key(), LOAD_CELL_GOLDEN);
 }
