@@ -8,7 +8,7 @@ use crate::model::request::CompositionRequest;
 use crate::model::service_graph::{CostWeights, GraphEval, ServiceGraph};
 use crate::paths::PathTable;
 use crate::selection::{
-    evaluate, evaluate_assignment, is_qualified, select_best, EvalContext, EvalScratch, LegTable,
+    evaluate, evaluate_with, is_qualified, link_cost, select_best, GraphEvalScratch, LegTable, Legs,
     PatternShape,
 };
 use crate::state::OverlayState;
@@ -194,6 +194,16 @@ pub fn optimal_naive(
 /// cost work, never correctness).
 const PRUNE_SLACK: f64 = 1e-9;
 
+/// Eq. 1's bandwidth term of the chain leg `from → to` carrying `bw`: zero
+/// when the leg stays on one peer or carries nothing, infinite when it has
+/// no route. The leaf evaluation adds the same term per service link.
+fn leg_cost(mut legs: &LegTable, weights: &CostWeights, from: PeerId, to: PeerId, bw: f64) -> f64 {
+    if from == to || bw <= 0.0 {
+        return 0.0;
+    }
+    legs.route(from, to, |_| {}).map_or(f64::INFINITY, |headroom| link_cost(weights, bw, headroom))
+}
+
 /// Per-pattern precomputation for the branch-and-bound walk.
 struct PatternPlan {
     pattern: FunctionGraph,
@@ -226,7 +236,8 @@ impl PatternPlan {
         pattern: FunctionGraph,
         reg: &Registry,
         req: &CompositionRequest,
-        legs: &LegTable,
+        state: &OverlayState,
+        mut legs: &LegTable,
         weights: &CostWeights,
     ) -> PatternPlan {
         let sets: Vec<Vec<ComponentId>> =
@@ -269,7 +280,7 @@ impl PatternPlan {
                     .map(|&c| {
                         let comp = reg.get(c);
                         comp.resources
-                            .weighted_usage_ratio(legs.available(comp.peer), &weights.resource)
+                            .weighted_usage_ratio(&state.available(comp.peer), &weights.resource)
                     })
                     .fold(f64::INFINITY, f64::min)
             })
@@ -285,16 +296,7 @@ impl PatternPlan {
         // Chain-only leg minima: the leg *into* node j (j = 0 comes from
         // the source) plus the final leg to the destination.
         let (suffix_delay, bw_leg, bw_dest) = if chain {
-            let bw_term = |from: PeerId, to: PeerId, bw: f64| -> f64 {
-                if from == to || bw <= 0.0 {
-                    return 0.0;
-                }
-                let leg = legs.leg(from, to);
-                if !leg.reachable {
-                    return f64::INFINITY;
-                }
-                weights.bandwidth * if leg.avail > 0.0 { bw / leg.avail } else { f64::INFINITY }
-            };
+            let bw_term = move |from: PeerId, to: PeerId, bw: f64| leg_cost(legs, weights, from, to, bw);
             let mut leg_min = vec![f64::INFINITY; n];
             let mut bw_min = vec![f64::INFINITY; n];
             for j in 0..n {
@@ -408,23 +410,23 @@ impl DfsState {
     /// overflowing the peer's available resources.
     fn push(&mut self, d: usize, comp: ComponentId, run: &ChunkRun<'_>) -> bool {
         let plan = run.plan;
-        let reg = run.ectx.reg;
-        let legs = run.ectx.legs;
-        let c = reg.get(comp);
+        let mut legs = run.legs;
+        let c = run.reg.get(comp);
         self.assignment[d] = comp;
         self.peers[d] = c.peer;
 
-        let mut ok = legs.is_alive(c.peer);
+        let mut ok = run.state.is_alive(c.peer);
+        let avail = run.state.available(c.peer);
         let fits = match self.demand.iter().position(|&(p, _)| p == c.peer) {
             Some(ix) => {
                 self.undo[d] = DemandUndo::Merged(ix, self.demand[ix].1);
                 self.demand[ix].1 = self.demand[ix].1.add(&c.resources);
-                self.demand[ix].1.fits_within(legs.available(c.peer))
+                self.demand[ix].1.fits_within(&avail)
             }
             None => {
                 self.undo[d] = DemandUndo::Pushed;
                 self.demand.push((c.peer, ResourceVector::ZERO.add(&c.resources)));
-                self.demand.last().expect("just pushed").1.fits_within(legs.available(c.peer))
+                self.demand.last().expect("just pushed").1.fits_within(&avail)
             }
         };
         if plan.res_nonneg && !fits {
@@ -432,32 +434,23 @@ impl DfsState {
         }
 
         self.es_saved[d] = self.es_partial;
-        self.es_partial +=
-            c.resources.weighted_usage_ratio(legs.available(c.peer), &run.ectx.weights.resource);
+        self.es_partial += c.resources.weighted_usage_ratio(&avail, &run.weights.resource);
 
         if plan.chain {
             let m = self.qos_acc.len();
             self.qos_saved[d * m..(d + 1) * m].copy_from_slice(&self.qos_acc);
             self.bw_saved[d] = self.bw_partial;
-            let prev = if d == 0 { run.ectx.req.source } else { self.peers[d - 1] };
+            let prev = if d == 0 { run.req.source } else { self.peers[d - 1] };
             self.qos_acc[dim::DELAY_MS] += legs.delay(prev, c.peer);
             for (a, b) in self.qos_acc.iter_mut().zip(c.perf_qos.values()) {
                 *a += b;
             }
             let bw = if d == 0 {
-                run.ectx.req.bandwidth_mbps
+                run.req.bandwidth_mbps
             } else {
-                reg.get(self.assignment[d - 1]).out_bandwidth_mbps
+                run.reg.get(self.assignment[d - 1]).out_bandwidth_mbps
             };
-            if prev != c.peer && bw > 0.0 {
-                let leg = legs.leg(prev, c.peer);
-                self.bw_partial += if !leg.reachable {
-                    f64::INFINITY
-                } else {
-                    run.ectx.weights.bandwidth
-                        * if leg.avail > 0.0 { bw / leg.avail } else { f64::INFINITY }
-                };
-            }
+            self.bw_partial += leg_cost(legs, run.weights, prev, c.peer, bw);
         }
         ok
     }
@@ -482,7 +475,12 @@ impl DfsState {
 /// Read-only inputs of one chunk walk.
 struct ChunkRun<'a> {
     plan: &'a PatternPlan,
-    ectx: EvalContext<'a>,
+    req: &'a CompositionRequest,
+    reg: &'a Registry,
+    state: &'a OverlayState,
+    /// The per-request leg snapshot every worker shares.
+    legs: &'a LegTable,
+    weights: &'a CostWeights,
     /// Per-dimension prune slack: `PRUNE_SLACK · (1 + |bound|)`.
     qos_slack: &'a [f64],
     lo: u64,
@@ -532,7 +530,7 @@ impl ChunkOut {
 fn bb_walk(
     run: &ChunkRun<'_>,
     st: &mut DfsState,
-    scratch: &mut EvalScratch,
+    scratch: &mut GraphEvalScratch,
     out: &mut ChunkOut,
     d: usize,
     first: u64,
@@ -555,7 +553,7 @@ fn bb_walk(
         let mut prune = !feasible;
         let k = d + 1;
         if !prune && plan.chain {
-            let bounds = run.ectx.req.qos_req.bounds();
+            let bounds = run.req.qos_req.bounds();
             for (dim_i, &bound) in bounds.iter().enumerate() {
                 let mut lb = st.qos_acc[dim_i] + plan.suffix_qos[k][dim_i];
                 if dim_i == dim::DELAY_MS {
@@ -580,8 +578,20 @@ fn bb_walk(
             out.pruned += window;
         } else if k == n {
             out.examined += 1;
-            let eval = evaluate_assignment(&run.ectx, &plan.shape, &st.assignment, scratch);
-            if is_qualified(&eval, run.ectx.req) {
+            let mut legs = run.legs;
+            let eval = evaluate_with(
+                run.req.source,
+                run.req.dest,
+                &st.assignment,
+                &plan.shape,
+                run.req,
+                run.reg,
+                run.state,
+                &mut legs,
+                run.weights,
+                scratch,
+            );
+            if is_qualified(&eval, run.req) {
                 out.record(&st.assignment, eval, run.best_only);
             }
         } else {
@@ -600,10 +610,10 @@ const CHUNKS_PER_PATTERN: u64 = 8;
 /// Incremental branch-and-bound optimal enumerator.
 ///
 /// Walks each pattern's cartesian combo space depth-first with push/undo
-/// prefix state (mirroring BCP's `probe_branch`), evaluates leaves via the
-/// bit-exact [`evaluate_assignment`] fast path against a per-request
-/// [`LegTable`] snapshot, and cuts prefixes whose admissible suffix lower
-/// bounds prove no completion can qualify (plus, under
+/// prefix state (mirroring BCP's `probe_branch`), scores leaves with the
+/// one Eq. 1 evaluator, [`evaluate_with`], over a per-request [`LegTable`]
+/// snapshot the worker threads share, and cuts prefixes whose admissible
+/// suffix lower bounds prove no completion can qualify (plus, under
 /// [`PoolPolicy::BestOnly`], none can beat the best qualified cost so
 /// far). Position semantics — which combos a `combo_cap` admits, in which
 /// order qualified candidates pool, and the resulting best graph — are
@@ -619,8 +629,9 @@ pub fn optimal_with(
     let sets = replica_sets(ctx, req)?;
 
     // Per-request leg snapshot: all (source ∪ replica-peers) × (replica-
-    // peers ∪ dest) legs plus per-peer liveness/availability, built once
-    // through the mutable path cache then shared read-only by workers.
+    // peers ∪ dest) legs, built once through the mutable path cache then
+    // shared read-only by workers. Peer liveness and availability are read
+    // from `ctx.state`, which this call holds immutably throughout.
     let mut replica_peers: Vec<PeerId> = Vec::new();
     for set in &sets {
         for &c in set {
@@ -636,13 +647,13 @@ pub fn optimal_with(
     if !tos.contains(&req.dest) {
         tos.push(req.dest);
     }
-    let legs = LegTable::build(ctx.overlay, ctx.state, ctx.paths, &froms, &tos, &replica_peers);
+    let legs = LegTable::build(ctx.overlay, ctx.state, ctx.paths, &froms, &tos);
 
     let plans: Vec<PatternPlan> = req
         .function_graph
         .patterns()
         .into_iter()
-        .map(|p| PatternPlan::build(p, ctx.reg, req, &legs, ctx.weights))
+        .map(|p| PatternPlan::build(p, ctx.reg, req, ctx.state, &legs, ctx.weights))
         .collect();
 
     let qos_slack: Vec<f64> =
@@ -681,7 +692,11 @@ pub fn optimal_with(
         let plan = &plans[chunk.pattern];
         let run = ChunkRun {
             plan,
-            ectx: EvalContext { req, reg, state, legs: &legs, weights },
+            req,
+            reg,
+            state,
+            legs: &legs,
+            weights,
             qos_slack: &qos_slack,
             lo: chunk.lo,
             hi: chunk.hi,
@@ -695,7 +710,7 @@ pub fn optimal_with(
             pruned: 0,
         };
         let mut st = DfsState::new(plan.sets.len(), m);
-        let mut scratch = EvalScratch::default();
+        let mut scratch = GraphEvalScratch::default();
         bb_walk(&run, &mut st, &mut scratch, &mut out, 0, 0);
         out
     });

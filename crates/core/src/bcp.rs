@@ -27,7 +27,7 @@ use crate::model::service_graph::{CostWeights, GraphEval, ServiceGraph};
 use crate::paths::PathTable;
 use crate::selection::{
     evaluate_with, is_qualified, merge_branches, select_best, select_best_by, GraphEvalScratch,
-    SelectionPolicy,
+    LiveLegs, PatternShape, SelectionPolicy,
 };
 use crate::state::{OverlayState, SoftToken};
 use crate::trust::{Marketplace, TrustManager};
@@ -75,6 +75,18 @@ pub enum LookupMode {
     PerHop,
 }
 
+/// Soft-reservation lifetime (cancelled earlier at selection).
+const SOFT_TTL: SimDuration = SimDuration::from_secs(10);
+/// Weight of normalized next-hop network delay in the composite next-hop
+/// selection metric.
+const W_DELAY: f64 = 0.5;
+/// Weight of the candidate's failure probability in the next-hop metric.
+const W_FAILURE: f64 = 0.25;
+/// Weight of the candidate peer's current load in the next-hop metric.
+const W_LOAD: f64 = 0.25;
+/// Fixed per-hop probe processing delay, ms.
+const HOP_PROCESSING_MS: f64 = 1.0;
+
 /// BCP tuning knobs.
 ///
 /// Construct via [`BcpConfig::builder`] (the struct is `#[non_exhaustive]`
@@ -86,21 +98,10 @@ pub struct BcpConfig {
     pub budget: u32,
     /// Per-function quota policy (α).
     pub quota: QuotaPolicy,
-    /// Soft-reservation lifetime (cancelled earlier at selection).
-    pub soft_ttl: SimDuration,
-    /// Weight of normalized next-hop network delay in the composite
-    /// next-hop selection metric.
-    pub w_delay: f64,
-    /// Weight of the candidate's failure probability.
-    pub w_failure: f64,
-    /// Weight of the candidate peer's current load.
-    pub w_load: f64,
     /// Cap on merged complete graphs per pattern (cartesian guard).
     pub merge_cap: usize,
     /// Replica-list resolution strategy.
     pub lookup: LookupMode,
-    /// Fixed per-hop probe processing delay, ms.
-    pub hop_processing_ms: f64,
     /// Weight of `(1 − trust)` in the next-hop metric. 0 disables the
     /// trust extension (paper §8 future work) entirely.
     pub w_trust: f64,
@@ -110,13 +111,6 @@ pub struct BcpConfig {
     /// Disabling is an ablation: concurrent probes may then jointly
     /// over-admit and the final commit can fail.
     pub soft_allocation: bool,
-    /// Destination wall-deadline slack for probe collection in the
-    /// deployed runtime, as a multiple of the model collect window. A
-    /// liveness knob only — it never changes which probes count — but a
-    /// value below 1.0 would cut the deadline under the window itself and
-    /// make the collected set scheduling-dependent, so
-    /// [`BcpConfigBuilder::try_build`] rejects it.
-    pub collect_deadline_slack: f64,
     /// Per-peer load-shedding threshold ψ on CPU utilization
     /// (committed + soft, as a fraction of capacity). Replicas on peers
     /// at or above the threshold are dropped from the qualified pool
@@ -136,17 +130,11 @@ impl Default for BcpConfig {
         BcpConfig {
             budget: 16,
             quota: QuotaPolicy::Uniform(4),
-            soft_ttl: SimDuration::from_secs(10),
-            w_delay: 0.5,
-            w_failure: 0.25,
-            w_load: 0.25,
             merge_cap: 64,
             lookup: LookupMode::Prefetch,
-            hop_processing_ms: 1.0,
             w_trust: 0.0,
             min_trust: 0.0,
             soft_allocation: true,
-            collect_deadline_slack: 3.0,
             shed_utilization: 1.0,
             selection_policy: SelectionPolicy::Paper,
         }
@@ -179,20 +167,6 @@ impl BcpConfigBuilder {
         self
     }
 
-    /// Soft-reservation lifetime.
-    pub fn soft_ttl(mut self, ttl: SimDuration) -> Self {
-        self.cfg.soft_ttl = ttl;
-        self
-    }
-
-    /// Next-hop metric weights (delay, failure, load).
-    pub fn hop_weights(mut self, w_delay: f64, w_failure: f64, w_load: f64) -> Self {
-        self.cfg.w_delay = w_delay;
-        self.cfg.w_failure = w_failure;
-        self.cfg.w_load = w_load;
-        self
-    }
-
     /// Cap on merged complete graphs per pattern.
     pub fn merge_cap(mut self, cap: usize) -> Self {
         self.cfg.merge_cap = cap;
@@ -202,12 +176,6 @@ impl BcpConfigBuilder {
     /// Replica-list resolution strategy.
     pub fn lookup(mut self, mode: LookupMode) -> Self {
         self.cfg.lookup = mode;
-        self
-    }
-
-    /// Fixed per-hop probe processing delay, ms.
-    pub fn hop_processing_ms(mut self, ms: f64) -> Self {
-        self.cfg.hop_processing_ms = ms;
         self
     }
 
@@ -221,13 +189,6 @@ impl BcpConfigBuilder {
     /// Whether probes perform soft resource allocation.
     pub fn soft_allocation(mut self, on: bool) -> Self {
         self.cfg.soft_allocation = on;
-        self
-    }
-
-    /// Destination probe-collection deadline slack (runtime daemon), as a
-    /// multiple of the model collect window.
-    pub fn collect_deadline_slack(mut self, slack: f64) -> Self {
-        self.cfg.collect_deadline_slack = slack;
         self
     }
 
@@ -247,14 +208,6 @@ impl BcpConfigBuilder {
     /// would silently corrupt protocol behaviour rather than merely
     /// perform badly.
     pub fn try_build(self) -> Result<BcpConfig> {
-        if !self.cfg.collect_deadline_slack.is_finite() || self.cfg.collect_deadline_slack < 1.0 {
-            return Err(Error::InvalidConfig(format!(
-                "collect_deadline_slack must be ≥ 1.0 (a wall deadline tighter than the \
-                 model collect window makes the collected probe set scheduling-dependent), \
-                 got {}",
-                self.cfg.collect_deadline_slack
-            )));
-        }
         if !self.cfg.shed_utilization.is_finite()
             || self.cfg.shed_utilization <= 0.0
             || self.cfg.shed_utilization > 1.0
@@ -330,7 +283,7 @@ struct PoolEntry {
     cid: ComponentId,
     peer: PeerId,
     /// Hop-invariant part of the next-hop metric:
-    /// `w_failure · p_fail + w_trust · (1 − trust)`.
+    /// `W_FAILURE · p_fail + w_trust · (1 − trust)`.
     static_score: f64,
 }
 
@@ -374,9 +327,9 @@ struct CachedLookup {
 pub struct ComposeCache {
     epoch: u64,
     trust_epoch: u64,
-    /// Bit patterns of (w_failure, w_trust, min_trust, shed_utilization):
-    /// the knobs that shape pool membership and static scores.
-    fingerprint: [u64; 4],
+    /// Bit patterns of (w_trust, min_trust, shed_utilization): the knobs
+    /// that shape pool membership and static scores.
+    fingerprint: [u64; 3],
     /// Qualified-replica pools, keyed by function alone — pool membership
     /// (liveness, trust admission, ψ shedding, static scores) does not
     /// depend on who is asking.
@@ -403,7 +356,7 @@ impl ComposeCache {
         ComposeCache {
             epoch: 0,
             trust_epoch: 0,
-            fingerprint: [0; 4],
+            fingerprint: [0; 3],
             pools: FxHashMap::default(),
             lookups: FxHashMap::default(),
             hits: 0,
@@ -412,13 +365,8 @@ impl ComposeCache {
         }
     }
 
-    fn config_fingerprint(cfg: &BcpConfig) -> [u64; 4] {
-        [
-            cfg.w_failure.to_bits(),
-            cfg.w_trust.to_bits(),
-            cfg.min_trust.to_bits(),
-            cfg.shed_utilization.to_bits(),
-        ]
+    fn config_fingerprint(cfg: &BcpConfig) -> [u64; 3] {
+        [cfg.w_trust.to_bits(), cfg.min_trust.to_bits(), cfg.shed_utilization.to_bits()]
     }
 
     /// Flushes the memo if the world moved under it: epoch or config
@@ -573,7 +521,7 @@ fn build_pool(
                 shed_peer.get_or_insert(comp.peer);
                 return None; // ψ-saturated hosts are shed, not probed
             }
-            let static_score = cfg.w_failure * comp.failure_prob + cfg.w_trust * (1.0 - trust);
+            let static_score = W_FAILURE * comp.failure_prob + cfg.w_trust * (1.0 - trust);
             Some(PoolEntry { cid: m.component, peer: comp.peer, static_score })
         })
         .collect();
@@ -711,8 +659,8 @@ impl BcpEngine<'_> {
         };
 
         for pattern in &patterns {
-            let branch_paths = pattern.branch_paths();
-            let per_branch_budget = (per_pattern_budget / branch_paths.len() as u32).max(1);
+            let shape = PatternShape::new(pattern);
+            let per_branch_budget = (per_pattern_budget / shape.branches.len() as u32).max(1);
             let mut per_branch: Vec<Vec<Vec<(usize, ComponentId)>>> = Vec::new();
             let mut probing_ms: f64 = 0.0;
             // Soft reservations are per *expected session*, not per probe:
@@ -720,7 +668,7 @@ impl BcpEngine<'_> {
             // same component and shares the reservation (paper §4.2 step
             // 2.1 reserves for "the expected application session").
             let mut reserved: FxHashSet<ComponentId> = FxHashSet::default();
-            for branch in &branch_paths {
+            for branch in &shape.branches {
                 let probes = self.probe_branch(
                     req,
                     cfg,
@@ -741,7 +689,7 @@ impl BcpEngine<'_> {
             stats.probing_ms = stats.probing_ms.max(probing_ms);
 
             // Destination-side merge into complete service graphs.
-            let merged = merge_branches(pattern, &branch_paths, &per_branch, cfg.merge_cap);
+            let merged = merge_branches(pattern, &shape.branches, &per_branch, cfg.merge_cap);
             stats.candidates_examined += merged.len() as u64;
 
             // Release this request's own reservations before evaluating so
@@ -752,17 +700,18 @@ impl BcpEngine<'_> {
                 self.state.release_soft(t, &mut self.obs.trace);
             }
 
-            arena.eval.set_pattern(pattern);
+            let state = &*self.state;
+            let mut legs = LiveLegs::new(self.overlay, state, self.paths);
             for assignment in merged {
                 let eval = evaluate_with(
                     req.source,
                     req.dest,
                     &assignment,
+                    &shape,
                     req,
                     self.reg,
-                    self.overlay,
-                    self.state,
-                    self.paths,
+                    state,
+                    &mut legs,
                     self.weights,
                     &mut arena.eval,
                 );
@@ -973,7 +922,7 @@ impl BcpEngine<'_> {
             let avail = self.state.available(s.3);
             let load = if cap.cpu() > 0.0 { 1.0 - avail.cpu() / cap.cpu() } else { 1.0 };
             let norm_delay = if max_delay > 0.0 { s.0 / max_delay } else { 0.0 };
-            s.1 += cfg.w_delay * norm_delay + cfg.w_load * load;
+            s.1 += W_DELAY * norm_delay + W_LOAD * load;
         }
         // Only the top I_k = min(β_k, α_k) candidates spawn probes, so a
         // full sort is wasted work when I_k ≪ Z: partition the top I_k
@@ -1024,7 +973,7 @@ impl BcpEngine<'_> {
                     match self.state.soft_allocate(
                         peer,
                         comp.resources,
-                        self.now + cfg.soft_ttl,
+                        self.now + SOFT_TTL,
                         &mut self.obs.trace,
                     ) {
                         Ok(tok) => {
@@ -1060,7 +1009,7 @@ impl BcpEngine<'_> {
                         peer,
                         pos + 1,
                         child_budget,
-                        latency_ms + lookup_latency + link_delay + cfg.hop_processing_ms,
+                        latency_ms + lookup_latency + link_delay + HOP_PROCESSING_MS,
                     );
                     st.assign.pop();
                 }
@@ -1451,7 +1400,7 @@ mod tests {
                                 if !e.state.is_alive(comp.peer) {
                                     return None;
                                 }
-                                let static_score = cfg.w_failure * comp.failure_prob;
+                                let static_score = W_FAILURE * comp.failure_prob;
                                 Some(PoolEntry { cid, peer: comp.peer, static_score })
                             })
                             .collect();
@@ -1505,19 +1454,6 @@ mod tests {
         if let Some((_, e)) = out.qualified_pool.first() {
             assert!(out.eval.cost <= e.cost);
         }
-    }
-
-    #[test]
-    fn too_tight_collect_slack_is_rejected_at_build() {
-        let err = BcpConfig::builder().collect_deadline_slack(0.5).try_build();
-        assert!(matches!(err, Err(Error::InvalidConfig(_))));
-        let err = BcpConfig::builder().collect_deadline_slack(f64::NAN).try_build();
-        assert!(matches!(err, Err(Error::InvalidConfig(_))));
-        // The floor itself and anything looser is fine.
-        assert!(BcpConfig::builder().collect_deadline_slack(1.0).try_build().is_ok());
-        let cfg = BcpConfig::builder().collect_deadline_slack(5.0).build();
-        assert_eq!(cfg.collect_deadline_slack, 5.0);
-        assert_eq!(BcpConfig::default().collect_deadline_slack, 3.0);
     }
 
     #[test]

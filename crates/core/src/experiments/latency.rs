@@ -17,7 +17,7 @@
 //! distribution of each.
 
 use crate::bcp::BcpConfig;
-use crate::recovery::RecoveryConfig;
+use crate::recovery::{RecoveryConfig, DETECTION_DELAY_MS};
 use crate::scenario::{Recovery, Scenario};
 use crate::workload::{PopulationConfig, RequestConfig};
 use spidernet_sim::FaultPlan;
@@ -160,7 +160,7 @@ fn run_arm(cfg: &LatencyConfig, proactive: bool) -> LatencyDist {
     let mut sc = Scenario::new(net, plan, cfg.bcp.clone());
     sc.establish_standing(cfg.sessions, &cfg.request, &mut rng_for(cfg.seed, "latency-requests"));
 
-    let detection_ms = RecoveryConfig::default().detection_delay_ms;
+    let detection_ms = DETECTION_DELAY_MS;
     let mut dist = LatencyDist::default();
     for _ in 0..cfg.duration_units {
         for hit in sc.step(|_| {}).hits {
@@ -237,7 +237,7 @@ mod tests {
         let res = run(&cfg);
         for s in res.proactive.samples.iter().chain(&res.reactive.samples) {
             assert!(
-                *s >= RecoveryConfig::default().detection_delay_ms,
+                *s >= DETECTION_DELAY_MS,
                 "latency {s} below detection delay"
             );
         }

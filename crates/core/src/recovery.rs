@@ -21,10 +21,9 @@ use crate::model::component::Registry;
 use crate::model::request::CompositionRequest;
 use crate::model::service_graph::{CostWeights, GraphEval, ServiceGraph};
 use crate::paths::PathTable;
-use crate::selection::evaluate;
+use crate::selection::{evaluate, Candidate};
 use crate::state::{OverlayState, SessionAllocation};
 use spidernet_sim::metrics::Instruments;
-use spidernet_sim::time::SimDuration;
 use spidernet_sim::trace::TraceEvent;
 use spidernet_topology::Overlay;
 use spidernet_util::error::{Error, Result};
@@ -32,34 +31,27 @@ use spidernet_util::id::{ComponentId, PeerId, SessionId};
 use spidernet_util::res::ResourceVector;
 use std::collections::BTreeMap;
 
+/// Time for the source to *detect* a component failure, ms (missed
+/// heartbeats / stream stall). Added to every recovery latency.
+pub const DETECTION_DELAY_MS: f64 = 200.0;
+/// Time to switch the stream onto a live backup, ms (soft-state
+/// re-initialization).
+const SWITCH_DELAY_MS: f64 = 50.0;
+/// Largest component-subset size the backup selector covers ("every two
+/// service components, every three, and so forth").
+const MAX_SUBSET_SIZE: usize = 3;
+
 /// Recovery policy knobs.
 #[derive(Clone, Debug)]
 #[non_exhaustive]
 pub struct RecoveryConfig {
     /// U in Eq. 2: the configurable upper bound scale on backup count.
     pub backup_upper_bound: f64,
-    /// Period of backup maintenance probing.
-    pub maintenance_period: SimDuration,
-    /// Largest component-subset size the backup selector covers ("every
-    /// two service components, every three, and so forth").
-    pub max_subset_size: usize,
-    /// Time to switch the stream onto a live backup, ms (soft-state
-    /// re-initialization).
-    pub switch_delay_ms: f64,
-    /// Time for the source to *detect* a component failure, ms (missed
-    /// heartbeats / stream stall). Added to every recovery latency.
-    pub detection_delay_ms: f64,
 }
 
 impl Default for RecoveryConfig {
     fn default() -> Self {
-        RecoveryConfig {
-            backup_upper_bound: 1.5,
-            maintenance_period: SimDuration::from_secs(5),
-            max_subset_size: 3,
-            switch_delay_ms: 50.0,
-            detection_delay_ms: 200.0,
-        }
+        RecoveryConfig { backup_upper_bound: 1.5 }
     }
 }
 
@@ -80,30 +72,6 @@ impl RecoveryConfigBuilder {
     /// U in Eq. 2.
     pub fn backup_upper_bound(mut self, u: f64) -> Self {
         self.cfg.backup_upper_bound = u;
-        self
-    }
-
-    /// Period of backup maintenance probing.
-    pub fn maintenance_period(mut self, p: SimDuration) -> Self {
-        self.cfg.maintenance_period = p;
-        self
-    }
-
-    /// Largest component-subset size the backup selector covers.
-    pub fn max_subset_size(mut self, k: usize) -> Self {
-        self.cfg.max_subset_size = k;
-        self
-    }
-
-    /// Stream switchover time, ms.
-    pub fn switch_delay_ms(mut self, ms: f64) -> Self {
-        self.cfg.switch_delay_ms = ms;
-        self
-    }
-
-    /// Failure detection time, ms.
-    pub fn detection_delay_ms(mut self, ms: f64) -> Self {
-        self.cfg.detection_delay_ms = ms;
         self
     }
 
@@ -204,7 +172,17 @@ pub fn select_backups(
             }
         }
     }
-    finish_fill(primary, pool, gamma, &mut selected)
+    // If subset coverage did not exhaust γ, fill with the cheapest
+    // remaining qualified graphs.
+    for pi in 0..pool.len() {
+        if selected.len() >= gamma {
+            break;
+        }
+        if !selected.contains(&pi) {
+            selected.push(pi);
+        }
+    }
+    selected
 }
 
 /// All k-subsets of `0..n` in lexicographic order. Sizes are tiny here
@@ -235,23 +213,30 @@ fn combinations(n: usize, k: usize) -> Vec<Vec<usize>> {
     }
 }
 
-/// If subset coverage did not exhaust γ, fill with the cheapest remaining
-/// qualified graphs.
-fn finish_fill(
-    _primary: &ServiceGraph,
-    pool: &[(ServiceGraph, GraphEval)],
-    gamma: usize,
-    selected: &mut Vec<usize>,
-) -> Vec<usize> {
-    for pi in 0..pool.len() {
-        if selected.len() >= gamma {
-            break;
-        }
-        if !selected.contains(&pi) {
-            selected.push(pi);
+/// The backup-promotion step shared by establishment, backup switchover
+/// and reactive re-establishment: sizes the backup set by Eq. 2 (γ, with
+/// `C = 1 + pool.len()`), picks it by §5.2, and splits `pool` into
+/// `(backups, rest)`, both in pool order.
+fn promote_backups(
+    primary: &ServiceGraph,
+    eval: &GraphEval,
+    req: &CompositionRequest,
+    u: f64,
+    pool: Vec<Candidate>,
+    reg: &Registry,
+) -> (Vec<Candidate>, Vec<Candidate>) {
+    let gamma = backup_count(eval, req, u, 1 + pool.len());
+    let chosen = select_backups(primary, &pool, gamma, reg, MAX_SUBSET_SIZE);
+    let mut backups = Vec::with_capacity(chosen.len());
+    let mut rest = Vec::new();
+    for (i, entry) in pool.into_iter().enumerate() {
+        if chosen.contains(&i) {
+            backups.push(entry);
+        } else {
+            rest.push(entry);
         }
     }
-    selected.clone()
+    (backups, rest)
 }
 
 /// Per-peer end-system demand of a session (commit shape).
@@ -357,18 +342,8 @@ impl SessionManager {
         check_eval_finite(&eval)?;
         let (peers, links) = session_demands(&primary, &request, reg, overlay, paths);
         let allocation = state.commit(&peers, &links)?;
-        let c_total = 1 + pool.len();
-        let gamma = backup_count(&eval, &request, self.cfg.backup_upper_bound, c_total);
-        let chosen = select_backups(&primary, &pool, gamma, reg, self.cfg.max_subset_size);
-        let mut backups = Vec::with_capacity(chosen.len());
-        let mut rest = Vec::new();
-        for (i, entry) in pool.into_iter().enumerate() {
-            if chosen.contains(&i) {
-                backups.push(entry);
-            } else {
-                rest.push(entry);
-            }
-        }
+        let (backups, rest) =
+            promote_backups(&primary, &eval, &request, self.cfg.backup_upper_bound, pool, reg);
         let id = SessionId::new(self.next_id);
         self.next_id += 1;
         self.sessions.insert(
@@ -506,28 +481,21 @@ impl SessionManager {
                         merged.into_iter().partition(|(g, _)| {
                             g.components().iter().all(|&c| state.is_alive(reg.get(c).peer))
                         });
-                    let gamma = backup_count(
+                    let (backups, mut rest) = promote_backups(
+                        &s.primary,
                         &s.eval,
                         &s.request,
                         self.cfg.backup_upper_bound,
-                        1 + live.len(),
+                        live,
+                        reg,
                     );
-                    let chosen =
-                        select_backups(&s.primary, &live, gamma, reg, self.cfg.max_subset_size);
-                    let mut rest = Vec::new();
-                    for (i, entry) in live.into_iter().enumerate() {
-                        if chosen.contains(&i) {
-                            s.backups.push(entry);
-                        } else {
-                            rest.push(entry);
-                        }
-                    }
                     rest.extend(dead);
+                    s.backups = backups;
                     s.pool = rest;
                     // Detection precedes the switch; trying dead backups
                     // first costs one maintenance-status check each (they
                     // are known-dead from probing, so no extra round trip).
-                    let switch_ms = self.cfg.detection_delay_ms + self.cfg.switch_delay_ms;
+                    let switch_ms = DETECTION_DELAY_MS + SWITCH_DELAY_MS;
                     let new_head = s
                         .primary
                         .assignment
@@ -579,19 +547,8 @@ impl SessionManager {
         state.release(&s.allocation);
         let (peers, links) = session_demands(&primary, &s.request, reg, overlay, paths);
         let allocation = state.commit(&peers, &links)?;
-        let c_total = 1 + pool.len();
-        let gamma =
-            backup_count(&eval, &s.request, self.cfg.backup_upper_bound, c_total);
-        let chosen = select_backups(&primary, &pool, gamma, reg, self.cfg.max_subset_size);
-        let mut backups = Vec::new();
-        let mut rest = Vec::new();
-        for (i, entry) in pool.into_iter().enumerate() {
-            if chosen.contains(&i) {
-                backups.push(entry);
-            } else {
-                rest.push(entry);
-            }
-        }
+        let (backups, rest) =
+            promote_backups(&primary, &eval, &s.request, self.cfg.backup_upper_bound, pool, reg);
         s.primary = primary;
         s.eval = eval;
         s.allocation = allocation;

@@ -6,14 +6,22 @@
 //! aggregation (Eq. 1), which expresses load balancing: a smaller ψ means
 //! the graph's peers and paths have more headroom relative to the demand
 //! placed on them.
+//!
+//! Eq. 1 has one implementation, [`evaluate_with`]. It reads the overlay
+//! legs between a candidate's peers through a [`Legs`] source: BCP's merge
+//! loop and [`evaluate`] use [`LiveLegs`] over the mutable [`PathTable`],
+//! and the optimal baseline's worker threads share a per-request
+//! [`LegTable`] snapshot. Both sources return the bits the live path cache
+//! computes, so BCP and the optimal price every candidate identically.
 
 use crate::model::component::Registry;
 use crate::model::function_graph::FunctionGraph;
-use crate::model::service_graph::pattern_service_links;
 use crate::model::request::CompositionRequest;
-use crate::model::service_graph::{CostWeights, GraphEval, LinkEnd, ServiceGraph, ServiceLink};
+use crate::model::service_graph::{
+    pattern_service_links, CostWeights, GraphEval, LinkEnd, ServiceGraph, ServiceLink,
+};
 use crate::paths::PathTable;
-use crate::state::OverlayState;
+use crate::state::{link_key, OverlayState};
 use spidernet_topology::Overlay;
 use spidernet_util::hash::FxHashMap;
 use spidernet_util::id::{ComponentId, PeerId};
@@ -22,18 +30,13 @@ use spidernet_util::res::ResourceVector;
 
 /// Reusable buffers for [`evaluate_with`].
 ///
-/// Evaluating a candidate needs the pattern's branch paths and service
-/// links plus several small per-candidate aggregation maps; in the BCP
-/// destination-side merge those were rebuilt for every candidate of every
-/// request and dominated composition time. One scratch, reused across the
-/// candidates of a pattern, removes all of that heap churn. Results are
-/// bit-identical to a fresh evaluation.
+/// Evaluating a candidate needs several small per-candidate aggregation
+/// maps; in the BCP destination-side merge those were rebuilt for every
+/// candidate of every request and dominated composition time. One
+/// scratch, reused across candidates, removes all of that heap churn.
+/// Results are bit-identical to a fresh evaluation.
 #[derive(Default)]
 pub struct GraphEvalScratch {
-    /// Branch paths of the current pattern ([`GraphEvalScratch::set_pattern`]).
-    branches: Vec<Vec<usize>>,
-    /// Service links of the current pattern.
-    links: Vec<ServiceLink>,
     /// Per-branch QoS accumulator.
     acc: QosVector,
     /// Per-peer end-system demand, aggregated in assignment order.
@@ -42,23 +45,71 @@ pub struct GraphEvalScratch {
     failure: Vec<(PeerId, f64)>,
     /// Per-overlay-link aggregate bandwidth demand.
     shared_bw: Vec<((usize, usize), f64)>,
+}
+
+/// The assignment-independent shape of one composition pattern: its
+/// branch paths and service-link list, computed once per pattern instead
+/// of once per candidate graph.
+#[derive(Clone, Debug)]
+pub struct PatternShape {
+    /// Entry→exit branch paths, as [`FunctionGraph::branch_paths`] yields
+    /// them.
+    pub branches: Vec<Vec<usize>>,
+    /// Service links in [`ServiceGraph::service_links`] order, so
+    /// evaluation visits overlay legs in the same order.
+    pub links: Vec<ServiceLink>,
+}
+
+impl PatternShape {
+    /// Precomputes the shape of `pattern`.
+    pub fn new(pattern: &FunctionGraph) -> Self {
+        PatternShape { branches: pattern.branch_paths(), links: pattern_service_links(pattern) }
+    }
+}
+
+/// Where [`evaluate_with`] reads the overlay legs between a candidate's
+/// peers.
+pub trait Legs {
+    /// Overlay-routed delay `from → to`, ms.
+    fn delay(&mut self, from: PeerId, to: PeerId) -> f64;
+
+    /// The overlay route `from → to` (`from != to`): passes each overlay
+    /// link on it to `hop` as a normalized `(lo, hi)` peer-index key and
+    /// returns its bandwidth headroom ([`OverlayState::path_available`]),
+    /// or `None` when no route exists.
+    fn route(&mut self, from: PeerId, to: PeerId, hop: impl FnMut((usize, usize))) -> Option<f64>;
+}
+
+/// [`Legs`] answered by the live path cache: every leg is one
+/// [`PathTable`] call, counted by its pair-memo hit/miss counters.
+pub struct LiveLegs<'a> {
+    overlay: &'a Overlay,
+    state: &'a OverlayState,
+    paths: &'a mut PathTable,
     /// Overlay path buffer for [`PathTable::peer_path_into`].
     path: Vec<PeerId>,
 }
 
-impl GraphEvalScratch {
-    /// Fresh scratch; call [`GraphEvalScratch::set_pattern`] before evaluating.
-    pub fn new() -> Self {
-        Self::default()
+impl<'a> LiveLegs<'a> {
+    /// Legs over `overlay` with headroom read from `state`.
+    pub fn new(overlay: &'a Overlay, state: &'a OverlayState, paths: &'a mut PathTable) -> Self {
+        LiveLegs { overlay, state, paths, path: Vec::new() }
+    }
+}
+
+impl Legs for LiveLegs<'_> {
+    fn delay(&mut self, from: PeerId, to: PeerId) -> f64 {
+        self.paths.delay(self.overlay, from, to)
     }
 
-    /// Caches `pattern`'s branch paths and service links. Call whenever
-    /// the pattern changes between [`evaluate_with`] calls — candidates
-    /// over one pattern share the shape, so the per-candidate loop pays
-    /// for it once.
-    pub fn set_pattern(&mut self, pattern: &FunctionGraph) {
-        self.branches = pattern.branch_paths();
-        self.links = pattern_service_links(pattern);
+    fn route(&mut self, from: PeerId, to: PeerId, mut hop: impl FnMut((usize, usize))) -> Option<f64> {
+        if !self.paths.peer_path_into(self.overlay, from, to, &mut self.path) {
+            return None;
+        }
+        for w in self.path.windows(2) {
+            hop(link_key(w[0], w[1]));
+        }
+        Some(self.state.path_available(&self.path))
     }
 }
 
@@ -77,44 +128,44 @@ pub fn evaluate(
     paths: &mut PathTable,
     weights: &CostWeights,
 ) -> GraphEval {
-    let mut scratch = GraphEvalScratch::new();
-    scratch.set_pattern(&graph.pattern);
     evaluate_with(
         graph.source,
         graph.dest,
         graph.components(),
+        &PatternShape::new(&graph.pattern),
         req,
         reg,
-        overlay,
         state,
-        paths,
+        &mut LiveLegs::new(overlay, state, paths),
         weights,
-        &mut scratch,
+        &mut GraphEvalScratch::default(),
     )
 }
 
-/// [`evaluate`] against caller-owned scratch whose pattern shape was set
-/// via [`GraphEvalScratch::set_pattern`], taking the assignment directly so
-/// the hot merge loop prices every merged candidate *before* paying for a
-/// [`ServiceGraph`] (pattern clone + assignment move) — only qualified
-/// candidates get one. Bit-identical results; no per-call allocation
-/// beyond the returned QoS vector.
+/// [`evaluate`] of the assignment `assignment` over a pattern of shape
+/// `shape`, reading overlay legs from `legs` and reusing caller-owned
+/// scratch. Taking the assignment directly lets hot loops price every
+/// candidate *before* paying for a [`ServiceGraph`] (pattern clone +
+/// assignment move) — only qualified candidates get one. No per-call
+/// allocation beyond the returned QoS vector.
 ///
-/// Every float aggregation that was map-ordered in the original
-/// formulation keeps its order here: per-peer sums accumulate in
-/// assignment order and fold in ascending-peer order (the former
-/// `BTreeMap` walk), and per-link bandwidth sums follow service-link
-/// order.
+/// Every float aggregation keeps one fixed order: per-peer sums
+/// accumulate in assignment order and fold in ascending-peer order (the
+/// order of [`ServiceGraph::failure_probability`]'s `BTreeMap` walk), and
+/// per-link bandwidth sums follow service-link order. The legs are read in
+/// one fixed order too — branch delays first, then one route per service
+/// link — so a [`LiveLegs`] caller makes the same [`PathTable`] calls on
+/// every run.
 #[allow(clippy::too_many_arguments)]
 pub fn evaluate_with(
     source: PeerId,
     dest: PeerId,
     assignment: &[ComponentId],
+    shape: &PatternShape,
     req: &CompositionRequest,
     reg: &Registry,
-    overlay: &Overlay,
     state: &OverlayState,
-    paths: &mut PathTable,
+    legs: &mut impl Legs,
     weights: &CostWeights,
     scratch: &mut GraphEvalScratch,
 ) -> GraphEval {
@@ -125,16 +176,16 @@ pub fn evaluate_with(
     if scratch.acc.values().len() != m {
         scratch.acc = QosVector::zeros(m);
     }
-    for branch in &scratch.branches {
+    for branch in &shape.branches {
         scratch.acc.values_mut().fill(0.0);
         let mut prev_peer = source;
         for &node in branch {
             let comp = reg.get(assignment[node]);
-            scratch.acc.values_mut()[dim::DELAY_MS] += paths.delay(overlay, prev_peer, comp.peer);
+            scratch.acc.values_mut()[dim::DELAY_MS] += legs.delay(prev_peer, comp.peer);
             scratch.acc.accumulate(&comp.perf_qos);
             prev_peer = comp.peer;
         }
-        scratch.acc.values_mut()[dim::DELAY_MS] += paths.delay(overlay, prev_peer, dest);
+        scratch.acc.values_mut()[dim::DELAY_MS] += legs.delay(prev_peer, dest);
         // Element-wise max across branches.
         for (q, a) in qos.values_mut().iter_mut().zip(scratch.acc.values()) {
             *q = q.max(*a);
@@ -168,7 +219,7 @@ pub fn evaluate_with(
     // link's overlay path, with feasibility on *aggregate* per-overlay-link
     // demand (branches can share overlay links).
     scratch.shared_bw.clear();
-    for link in scratch.links.iter() {
+    for link in &shape.links {
         let peer_of = |end: LinkEnd| match end {
             LinkEnd::Source => source,
             LinkEnd::Dest => dest,
@@ -184,22 +235,18 @@ pub fn evaluate_with(
         if from == to || bw <= 0.0 {
             continue;
         }
-        if !paths.peer_path_into(overlay, from, to, &mut scratch.path) {
-            fits = false;
-            cost = f64::INFINITY;
-        } else {
-            let avail = state.path_available(&scratch.path);
-            cost += weights.bandwidth * if avail > 0.0 { bw / avail } else { f64::INFINITY };
-            for w in scratch.path.windows(2) {
-                let key = if w[0].index() <= w[1].index() {
-                    (w[0].index(), w[1].index())
-                } else {
-                    (w[1].index(), w[0].index())
-                };
-                match scratch.shared_bw.iter_mut().find(|(k, _)| *k == key) {
-                    Some((_, b)) => *b += bw,
-                    None => scratch.shared_bw.push((key, bw)),
-                }
+        let shared_bw = &mut scratch.shared_bw;
+        let route = legs.route(from, to, |key| {
+            match shared_bw.iter_mut().find(|(k, _)| *k == key) {
+                Some((_, b)) => *b += bw,
+                None => shared_bw.push((key, bw)),
+            }
+        });
+        match route {
+            Some(headroom) => cost += link_cost(weights, bw, headroom),
+            None => {
+                fits = false;
+                cost = f64::INFINITY;
             }
         }
     }
@@ -233,6 +280,13 @@ pub fn evaluate_with(
     let failure_prob = 1.0 - scratch.failure.iter().map(|&(_, p)| 1.0 - p).product::<f64>();
 
     GraphEval { qos, cost, failure_prob, fits_resources: fits }
+}
+
+/// Eq. 1's bandwidth term of one service link, `w_{n+1} · b_ℓ / ba_℘`:
+/// `bw` Mbit/s over a route with `headroom` Mbit/s free, infinite when
+/// the route has none.
+pub(crate) fn link_cost(weights: &CostWeights, bw: f64, headroom: f64) -> f64 {
+    weights.bandwidth * if headroom > 0.0 { bw / headroom } else { f64::INFINITY }
 }
 
 /// True if the evaluation satisfies the request's QoS bounds and fits the
@@ -294,301 +348,74 @@ pub fn merge_branches(
         .collect()
 }
 
-/// The assignment-independent shape of one composition pattern: its
-/// branch paths and service-link list, computed once per pattern instead
-/// of once per candidate graph.
-///
-/// The link list replicates [`ServiceGraph::service_links`] exactly
-/// (Source→entries, deps in declaration order, exits→Dest) so evaluation
-/// against it visits overlay legs in the same order.
-#[derive(Clone, Debug)]
-pub struct PatternShape {
-    /// Entry→exit branch paths, as [`FunctionGraph::branch_paths`] yields
-    /// them.
-    pub branches: Vec<Vec<usize>>,
-    /// Service links in [`ServiceGraph::service_links`] order.
-    pub links: Vec<ServiceLink>,
-}
-
-impl PatternShape {
-    /// Precomputes the shape of `pattern`.
-    pub fn new(pattern: &FunctionGraph) -> Self {
-        let mut links = Vec::with_capacity(pattern.deps().len() + 2);
-        for e in pattern.entry_nodes() {
-            links.push(ServiceLink { from: LinkEnd::Source, to: LinkEnd::Node(e) });
-        }
-        for &(a, b) in pattern.deps() {
-            links.push(ServiceLink { from: LinkEnd::Node(a), to: LinkEnd::Node(b) });
-        }
-        for x in pattern.exit_nodes() {
-            links.push(ServiceLink { from: LinkEnd::Node(x), to: LinkEnd::Dest });
-        }
-        PatternShape { branches: pattern.branch_paths(), links }
-    }
-}
-
-/// One memoized overlay leg: reachability, path bandwidth headroom, and
-/// the normalized overlay-link keys the path crosses.
-#[derive(Clone, Debug)]
-pub struct LegPath {
-    /// False when the overlay route does not exist.
-    pub reachable: bool,
-    /// `OverlayState::path_available` of the route at snapshot time.
-    pub avail: f64,
-    /// Normalized `(lo, hi)` overlay-link keys along the route.
-    pub hops: Vec<(usize, usize)>,
-}
-
-/// Immutable per-request snapshot of every overlay leg and peer datum a
-/// candidate evaluation touches.
+/// Immutable per-request snapshot of every overlay leg a candidate
+/// evaluation touches, read through [`Legs`].
 ///
 /// Built once per enumeration from the mutable [`PathTable`] (warming its
 /// SSSP trees and pair-delay memo), then shared read-only across worker
-/// threads: evaluating a candidate becomes pure hash lookups with no
-/// `&mut` anywhere. Values are the exact bits the live query path
-/// returns, so evaluations against the table match [`evaluate`]
+/// threads: no `&mut` anywhere. Values are the exact bits the live query
+/// path returns, so [`evaluate_with`] over the table matches [`evaluate`]
 /// bit-for-bit as long as the overlay state is not mutated in between.
+///
+/// Reading a pair outside the `froms × tos` universe it was built for
+/// panics.
 #[derive(Clone, Debug, Default)]
 pub struct LegTable {
-    delays: FxHashMap<(PeerId, PeerId), f64>,
-    legs: FxHashMap<(PeerId, PeerId), LegPath>,
-    avail: FxHashMap<PeerId, ResourceVector>,
-    alive: FxHashMap<PeerId, bool>,
+    legs: FxHashMap<(PeerId, PeerId), Leg>,
+}
+
+/// One memoized `from → to` leg of a [`LegTable`].
+#[derive(Clone, Debug)]
+struct Leg {
+    delay: f64,
+    /// The route's headroom and normalized overlay-link keys; `None` when
+    /// it does not exist (or `from == to`, which no caller routes).
+    route: Option<(f64, Vec<(usize, usize)>)>,
 }
 
 impl LegTable {
-    /// Snapshots all pairs `froms × tos` plus per-peer liveness and
-    /// available resources for `peers`.
+    /// Snapshots all pairs `froms × tos`.
     pub fn build(
         overlay: &Overlay,
         state: &OverlayState,
         paths: &mut PathTable,
         froms: &[PeerId],
         tos: &[PeerId],
-        peers: &[PeerId],
     ) -> Self {
         let mut table = LegTable::default();
         for &a in froms {
             for &b in tos {
-                if table.delays.contains_key(&(a, b)) {
+                if table.legs.contains_key(&(a, b)) {
                     continue;
                 }
-                table.delays.insert((a, b), paths.delay(overlay, a, b));
-                if a == b {
-                    continue;
-                }
-                let leg = match paths.peer_path(overlay, a, b) {
-                    None => LegPath { reachable: false, avail: 0.0, hops: Vec::new() },
-                    Some(p) => LegPath {
-                        reachable: true,
-                        avail: state.path_available(&p),
-                        hops: p
-                            .windows(2)
-                            .map(|w| {
-                                if w[0].index() <= w[1].index() {
-                                    (w[0].index(), w[1].index())
-                                } else {
-                                    (w[1].index(), w[0].index())
-                                }
-                            })
-                            .collect(),
-                    },
+                let delay = paths.delay(overlay, a, b);
+                let route = if a == b {
+                    None
+                } else {
+                    paths.peer_path(overlay, a, b).map(|p| {
+                        (state.path_available(&p), p.windows(2).map(|w| link_key(w[0], w[1])).collect())
+                    })
                 };
-                table.legs.insert((a, b), leg);
+                table.legs.insert((a, b), Leg { delay, route });
             }
-        }
-        for &p in peers {
-            table.avail.insert(p, state.available(p));
-            table.alive.insert(p, state.is_alive(p));
         }
         table
     }
 
-    /// Memoized overlay delay `from → to`, ms.
-    ///
-    /// # Panics
-    /// If the pair was outside the `froms × tos` universe at build time.
-    pub fn delay(&self, from: PeerId, to: PeerId) -> f64 {
-        *self.delays.get(&(from, to)).expect("leg outside the precomputed pair universe")
-    }
-
-    /// Memoized leg data for `from → to` (`from != to`).
-    ///
-    /// # Panics
-    /// If the pair was outside the `froms × tos` universe at build time.
-    pub fn leg(&self, from: PeerId, to: PeerId) -> &LegPath {
+    fn leg(&self, from: PeerId, to: PeerId) -> &Leg {
         self.legs.get(&(from, to)).expect("leg outside the precomputed pair universe")
     }
-
-    /// Snapshot of `OverlayState::available` for `peer`.
-    ///
-    /// # Panics
-    /// If `peer` was not in the build-time peer set.
-    pub fn available(&self, peer: PeerId) -> &ResourceVector {
-        self.avail.get(&peer).expect("peer outside the precomputed peer set")
-    }
-
-    /// Snapshot of `OverlayState::is_alive` for `peer`.
-    ///
-    /// # Panics
-    /// If `peer` was not in the build-time peer set.
-    pub fn is_alive(&self, peer: PeerId) -> bool {
-        *self.alive.get(&peer).expect("peer outside the precomputed peer set")
-    }
 }
 
-/// Shared read-only inputs of [`evaluate_assignment`].
-#[derive(Clone, Copy)]
-pub struct EvalContext<'a> {
-    /// The composition request being served.
-    pub req: &'a CompositionRequest,
-    /// Component registry.
-    pub reg: &'a Registry,
-    /// Live overlay state (read-only; used for aggregate link feasibility).
-    pub state: &'a OverlayState,
-    /// Per-request leg snapshot.
-    pub legs: &'a LegTable,
-    /// ψ aggregation weights.
-    pub weights: &'a CostWeights,
-}
-
-/// Reusable allocation scratch for [`evaluate_assignment`].
-#[derive(Clone, Debug, Default)]
-pub struct EvalScratch {
-    qos: Vec<f64>,
-    acc: Vec<f64>,
-    demand: Vec<(PeerId, ResourceVector)>,
-    fail: Vec<(PeerId, f64)>,
-    links: FxHashMap<(usize, usize), f64>,
-}
-
-/// Evaluates one assignment of a pattern without constructing a
-/// [`ServiceGraph`] and without touching the mutable path cache.
-///
-/// Bit-for-bit equivalent to [`evaluate`] on the equivalent graph: every
-/// float reduction (branch QoS accumulation, per-peer demand aggregation,
-/// ψ terms, failure product) replays the same operations in the same
-/// order, with BTreeMap passes replaced by peer-sorted scratch vectors.
-/// This is the enumeration hot path: no per-candidate allocation beyond
-/// the returned [`GraphEval`].
-pub fn evaluate_assignment(
-    ctx: &EvalContext<'_>,
-    shape: &PatternShape,
-    assignment: &[ComponentId],
-    scratch: &mut EvalScratch,
-) -> GraphEval {
-    let m = ctx.req.qos_req.dims();
-
-    // --- QoS: worst branch of per-branch accumulation ---
-    scratch.qos.clear();
-    scratch.qos.resize(m, 0.0);
-    scratch.acc.resize(m, 0.0);
-    for branch in &shape.branches {
-        scratch.acc.fill(0.0);
-        let mut prev_peer = ctx.req.source;
-        for &node in branch {
-            let comp = ctx.reg.get(assignment[node]);
-            scratch.acc[dim::DELAY_MS] += ctx.legs.delay(prev_peer, comp.peer);
-            for (a, b) in scratch.acc.iter_mut().zip(comp.perf_qos.values()) {
-                *a += b;
-            }
-            prev_peer = comp.peer;
-        }
-        scratch.acc[dim::DELAY_MS] += ctx.legs.delay(prev_peer, ctx.req.dest);
-        for (q, a) in scratch.qos.iter_mut().zip(&scratch.acc) {
-            *q = q.max(*a);
-        }
+impl Legs for &LegTable {
+    fn delay(&mut self, from: PeerId, to: PeerId) -> f64 {
+        self.leg(from, to).delay
     }
 
-    // --- resource feasibility + ψ cost ---
-    let mut fits = true;
-    let mut cost = 0.0;
-
-    // End-system term, aggregated per peer then visited in ascending peer
-    // order (the BTreeMap order `evaluate` relies on).
-    scratch.demand.clear();
-    for &c in assignment {
-        let comp = ctx.reg.get(c);
-        match scratch.demand.iter_mut().find(|(p, _)| *p == comp.peer) {
-            Some((_, need)) => *need = need.add(&comp.resources),
-            None => scratch.demand.push((comp.peer, ResourceVector::ZERO.add(&comp.resources))),
-        }
-    }
-    scratch.demand.sort_by_key(|&(p, _)| p);
-    for (peer, need) in &scratch.demand {
-        let avail = ctx.legs.available(*peer);
-        if !need.fits_within(avail) {
-            fits = false;
-        }
-        cost += need.weighted_usage_ratio(avail, &ctx.weights.resource);
-    }
-
-    // Bandwidth term over each service link's overlay path, aggregate
-    // feasibility per overlay link.
-    scratch.links.clear();
-    for link in &shape.links {
-        let from = match link.from {
-            LinkEnd::Source => ctx.req.source,
-            LinkEnd::Dest => ctx.req.dest,
-            LinkEnd::Node(i) => ctx.reg.get(assignment[i]).peer,
-        };
-        let to = match link.to {
-            LinkEnd::Source => ctx.req.source,
-            LinkEnd::Dest => ctx.req.dest,
-            LinkEnd::Node(i) => ctx.reg.get(assignment[i]).peer,
-        };
-        let bw = match link.from {
-            LinkEnd::Source => ctx.req.bandwidth_mbps,
-            LinkEnd::Node(i) => ctx.reg.get(assignment[i]).out_bandwidth_mbps,
-            LinkEnd::Dest => 0.0,
-        };
-        if from == to || bw <= 0.0 {
-            continue;
-        }
-        let leg = ctx.legs.leg(from, to);
-        if !leg.reachable {
-            fits = false;
-            cost = f64::INFINITY;
-        } else {
-            cost += ctx.weights.bandwidth * if leg.avail > 0.0 { bw / leg.avail } else { f64::INFINITY };
-            for &key in &leg.hops {
-                *scratch.links.entry(key).or_insert(0.0) += bw;
-            }
-        }
-    }
-    for (&(a, b), &need) in &scratch.links {
-        let avail = ctx.state.link_available(a.into(), b.into());
-        if avail + 1e-12 < need {
-            fits = false;
-        }
-    }
-
-    // Dead peers disqualify outright.
-    for &c in assignment {
-        if !ctx.legs.is_alive(ctx.reg.get(c).peer) {
-            fits = false;
-            cost = f64::INFINITY;
-        }
-    }
-
-    // Failure probability: worst component per peer, product in ascending
-    // peer order (mirrors `ServiceGraph::failure_probability`).
-    scratch.fail.clear();
-    for &c in assignment {
-        let comp = ctx.reg.get(c);
-        match scratch.fail.iter_mut().find(|(p, _)| *p == comp.peer) {
-            Some((_, fp)) => *fp = fp.max(comp.failure_prob),
-            None => scratch.fail.push((comp.peer, 0.0f64.max(comp.failure_prob))),
-        }
-    }
-    scratch.fail.sort_by_key(|&(p, _)| p);
-    let failure_prob = 1.0 - scratch.fail.iter().map(|&(_, p)| 1.0 - p).product::<f64>();
-
-    GraphEval {
-        qos: QosVector::from_values(scratch.qos.clone()),
-        cost,
-        failure_prob,
-        fits_resources: fits,
+    fn route(&mut self, from: PeerId, to: PeerId, hop: impl FnMut((usize, usize))) -> Option<f64> {
+        let (headroom, hops) = self.leg(from, to).route.as_ref()?;
+        hops.iter().copied().for_each(hop);
+        Some(*headroom)
     }
 }
 
@@ -619,19 +446,8 @@ pub enum SelectionPolicy {
 
 /// Ranks qualified graphs by ψ and returns `(best, best's eval, others)` —
 /// the others, still cost-ordered, feed backup selection (paper §5).
-pub fn select_best(
-    mut qualified: Vec<Candidate>,
-) -> Option<(ServiceGraph, GraphEval, Vec<Candidate>)> {
-    if qualified.is_empty() {
-        return None;
-    }
-    // `total_cmp` sorts a NaN-cost graph last: it can never displace a
-    // finite best, and the sort cannot panic on a poisoned evaluation.
-    qualified.sort_by(|a, b| {
-        a.1.cost.total_cmp(&b.1.cost).then_with(|| a.0.assignment.cmp(&b.0.assignment))
-    });
-    let (best, eval) = qualified.remove(0);
-    Some((best, eval, qualified))
+pub fn select_best(qualified: Vec<Candidate>) -> Option<(ServiceGraph, GraphEval, Vec<Candidate>)> {
+    select_best_by(qualified, |_, e| e.cost)
 }
 
 /// Like [`select_best`] but ranks by an arbitrary score (lower is
@@ -882,44 +698,66 @@ mod tests {
         froms.extend(&replicas);
         let mut tos = replicas.clone();
         tos.push(req.dest);
-        LegTable::build(&w.overlay, &w.state, &mut w.paths, &froms, &tos, &replicas)
+        LegTable::build(&w.overlay, &w.state, &mut w.paths, &froms, &tos)
+    }
+
+    /// Evaluates `assignment` twice through `evaluate_with`, once over the
+    /// live path cache and once over a `LegTable` snapshot, and checks the
+    /// two agree bit for bit.
+    fn assert_leg_sources_agree(
+        w: &mut World,
+        req: &CompositionRequest,
+        legs: &LegTable,
+        assignment: &[ComponentId],
+    ) -> GraphEval {
+        let shape = PatternShape::new(&req.function_graph);
+        let weights = CostWeights::uniform();
+        let mut scratch = GraphEvalScratch::default();
+        let live = evaluate_with(
+            req.source,
+            req.dest,
+            assignment,
+            &shape,
+            req,
+            &w.reg,
+            &w.state,
+            &mut LiveLegs::new(&w.overlay, &w.state, &mut w.paths),
+            &weights,
+            &mut scratch,
+        );
+        let mut table = legs;
+        let snapshot = evaluate_with(
+            req.source,
+            req.dest,
+            assignment,
+            &shape,
+            req,
+            &w.reg,
+            &w.state,
+            &mut table,
+            &weights,
+            &mut scratch,
+        );
+        assert_bit_equal(&snapshot, &live);
+        live
     }
 
     #[test]
-    fn evaluate_assignment_matches_evaluate_bitwise() {
+    fn leg_table_evaluation_matches_live_bitwise() {
         let mut w = world();
         let req = request();
         let legs = leg_table_for(&mut w, &req);
-        let shape = PatternShape::new(&req.function_graph);
-        let mut scratch = EvalScratch::default();
-        let weights = CostWeights::uniform();
-        // Both replicas of function 0 (components 0 and 3), so the fast
-        // path is exercised on more than one assignment.
+        // Both replicas of function 0 (components 0 and 3), so the
+        // snapshot is read on more than one assignment.
         for first in [0u64, 3] {
             let mut assignment = chain_assignment();
             assignment[0] = ComponentId::new(first);
-            let g = ServiceGraph::new(
-                req.source,
-                req.dest,
-                req.function_graph.clone(),
-                assignment.clone(),
-            );
-            let slow =
-                evaluate(&g, &req, &w.reg, &w.overlay, &w.state, &mut w.paths, &weights);
-            let ctx = EvalContext {
-                req: &req,
-                reg: &w.reg,
-                state: &w.state,
-                legs: &legs,
-                weights: &weights,
-            };
-            let fast = evaluate_assignment(&ctx, &shape, &assignment, &mut scratch);
-            assert_bit_equal(&fast, &slow);
+            assert_leg_sources_agree(&mut w, &req, &legs, &assignment);
         }
     }
 
     #[test]
-    fn evaluate_assignment_matches_on_dag_and_dead_peer() {
+    fn leg_table_evaluation_matches_on_dag_and_dead_peer() {
         let mut w = world();
         let req = CompositionRequest {
             function_graph: FunctionGraph::new(
@@ -932,22 +770,9 @@ mod tests {
         };
         w.state.fail_peer(PeerId::new(2));
         let legs = leg_table_for(&mut w, &req);
-        let shape = PatternShape::new(&req.function_graph);
-        let weights = CostWeights::uniform();
-        let assignment = chain_assignment();
-        let g = ServiceGraph::new(
-            req.source,
-            req.dest,
-            req.function_graph.clone(),
-            assignment.clone(),
-        );
-        let slow = evaluate(&g, &req, &w.reg, &w.overlay, &w.state, &mut w.paths, &weights);
-        let ctx =
-            EvalContext { req: &req, reg: &w.reg, state: &w.state, legs: &legs, weights: &weights };
-        let fast = evaluate_assignment(&ctx, &shape, &assignment, &mut EvalScratch::default());
-        assert_bit_equal(&fast, &slow);
-        assert!(!fast.fits_resources, "dead peer must disqualify");
-        assert!(fast.cost.is_infinite());
+        let eval = assert_leg_sources_agree(&mut w, &req, &legs, &chain_assignment());
+        assert!(!eval.fits_resources, "dead peer must disqualify");
+        assert!(eval.cost.is_infinite());
     }
 
     #[test]

@@ -105,7 +105,9 @@ pub struct OverlayState {
     watermark_crossings: u64,
 }
 
-fn link_key(a: PeerId, b: PeerId) -> (usize, usize) {
+/// The normalized `(lo, hi)` peer-index key of the undirected overlay
+/// link `{a, b}`.
+pub(crate) fn link_key(a: PeerId, b: PeerId) -> (usize, usize) {
     let (x, y) = (a.index(), b.index());
     if x <= y {
         (x, y)

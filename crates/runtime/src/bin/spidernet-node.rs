@@ -30,7 +30,7 @@ fn usage() -> ! {
          spidernet-node serve --index I --peers N --ports P0,P1,... [--seed S] \
          [--jitter J] [--time-scale T] [--collect-window-ms W] [--quota Q] \
          [--failover-timeout-ms F] [--maintenance-period-ms M] \
-         [--drop-prob D] [--extra-delay-ms E]\n  \
+         [--collect-deadline-slack K] [--drop-prob D] [--extra-delay-ms E]\n  \
          spidernet-node deploy [--peers N] [--seed S] [--frames F] \
          [--interval-ms I] [--budget B] [--time-scale T] [--timeout-secs T] \
          [--drop-prob D] [--extra-delay-ms E] [--kill-primary]\n  \
@@ -129,6 +129,10 @@ fn serve(args: &[String]) {
         usage()
     }
     let cfg = NodeConfig { index, cluster: cluster_config(&values, peers), ports };
+    if let Err(e) = cfg.cluster.check() {
+        eprintln!("{e}");
+        usage()
+    }
     if let Err(e) = run_node(cfg) {
         eprintln!("spidernet-node[{index}]: {e}");
         std::process::exit(1);
@@ -148,9 +152,17 @@ fn run_deploy(args: &[String]) {
         .build();
     cfg.interval_ms = get(&values, "interval-ms", cfg.interval_ms);
     cfg.budget = get(&values, "budget", cfg.budget);
+    if let Err(e) = cfg.check() {
+        eprintln!("{e}");
+        usage()
+    }
 
     if values.contains_key("sessions") {
         let sessions: u64 = require(&values, "sessions");
+        if sessions == 0 {
+            eprintln!("--sessions must be at least 1");
+            usage()
+        }
         // Many short sessions: a lighter per-session stream at a pace
         // whose aggregate demand the loopback path can actually carry
         // (1k sessions at the single-session 25 ms cadence just measures

@@ -266,10 +266,12 @@ impl Outbox for SocketOutbox {
 }
 
 /// Runs one peer daemon until a `CtrlShutdown` arrives. Blocks the
-/// calling thread (the engine loop runs here). The daemon's connections
-/// run on Linux `epoll`; elsewhere this returns
-/// [`std::io::ErrorKind::Unsupported`].
+/// calling thread (the engine loop runs here). Settings that fail
+/// [`ClusterConfig::check`] return [`std::io::ErrorKind::InvalidInput`]
+/// before anything binds. The daemon's connections run on Linux `epoll`;
+/// elsewhere this returns [`std::io::ErrorKind::Unsupported`].
 pub fn run_node(cfg: NodeConfig) -> std::io::Result<()> {
+    cfg.cluster.check()?;
     #[cfg(target_os = "linux")]
     return serve(cfg);
     #[cfg(not(target_os = "linux"))]
@@ -564,6 +566,23 @@ impl DeployConfig {
     }
 }
 
+impl DeployConfig {
+    /// Checks the deployment before any daemon starts: the shared cluster
+    /// settings ([`ClusterConfig::check`]) and at least the 8 peers the
+    /// standard scenario places its chain, source and destination on.
+    /// Errors are [`std::io::ErrorKind::InvalidInput`].
+    pub fn check(&self) -> std::io::Result<()> {
+        self.cluster.check()?;
+        if self.cluster.peers < 8 {
+            return Err(invalid_input(format!(
+                "a deployment needs at least 8 peers, got {}",
+                self.cluster.peers
+            )));
+        }
+        Ok(())
+    }
+}
+
 /// What a deployment produced.
 pub struct DeployOutcome {
     /// The composition result.
@@ -615,6 +634,10 @@ impl DeployOutcome {
 
 fn err(msg: impl Into<String>) -> std::io::Error {
     std::io::Error::other(msg.into())
+}
+
+fn invalid_input(msg: impl Into<String>) -> std::io::Error {
+    std::io::Error::new(std::io::ErrorKind::InvalidInput, msg.into())
 }
 
 /// Grabs `n` currently-free loopback ports by binding ephemeral
@@ -762,9 +785,11 @@ fn connect_and_bootstrap(
 
 /// Spawns an N-process loopback deployment, drives one composition and
 /// one streaming session end-to-end (optionally killing the primary
-/// path's head mid-stream), gathers stats, and tears everything down.
+/// path's head mid-stream), gathers stats, and tears everything down. A
+/// config failing [`DeployConfig::check`] is refused before any process
+/// starts.
 pub fn deploy(cfg: DeployConfig) -> std::io::Result<DeployOutcome> {
-    assert!(cfg.cluster.peers >= 8, "a deployment needs a handful of peers");
+    cfg.check()?;
     let ports = free_ports(cfg.cluster.peers)?;
     let mut children = spawn_children(&cfg, &ports)?;
 
@@ -918,12 +943,18 @@ impl MultiDeployOutcome {
 /// Spawns a loopback deployment and drives `sessions` concurrent
 /// composition + streaming sessions through it (request ids `1..=N`, all
 /// from `cfg.source` to `cfg.dest`), measuring per-session setup latency
-/// and aggregate streaming throughput. `cfg.kill_primary` is not
-/// supported here — fault runs belong to [`deploy`].
+/// and aggregate streaming throughput. A set `cfg.kill_primary` (fault
+/// runs belong to [`deploy`]), zero sessions, and a config failing
+/// [`DeployConfig::check`] are refused with
+/// [`std::io::ErrorKind::InvalidInput`] before any process starts.
 pub fn deploy_many(cfg: DeployConfig, sessions: u64) -> std::io::Result<MultiDeployOutcome> {
-    assert!(cfg.cluster.peers >= 8, "a deployment needs a handful of peers");
-    assert!(!cfg.kill_primary, "kill-primary applies to single-session deploys");
-    assert!(sessions >= 1, "at least one session");
+    cfg.check()?;
+    if cfg.kill_primary {
+        return Err(invalid_input("kill-primary applies to single-session deploys"));
+    }
+    if sessions == 0 {
+        return Err(invalid_input("a deployment needs at least one session"));
+    }
     let ports = free_ports(cfg.cluster.peers)?;
     let mut children = spawn_children(&cfg, &ports)?;
     let result = drive_many(&cfg, sessions, &ports, &children);

@@ -134,8 +134,8 @@ pub struct ClusterConfig {
     /// multiple of `collect_window_ms`. Purely a liveness knob — the
     /// model-time filter decides which probes count; this only bounds how
     /// long the destination waits for them to physically land. Must be
-    /// ≥ 1.0 (validated by [`spidernet_core::bcp::BcpConfigBuilder`] on
-    /// the protocol side; the cluster trusts its caller).
+    /// ≥ 1.0: a deadline under the window itself would make the collected
+    /// set scheduling-dependent ([`ClusterConfig::check`] rejects it).
     pub collect_deadline_slack: f64,
     /// Message-level loss and delay injection (off by default).
     pub faults: NetFaultConfig,
@@ -155,6 +155,57 @@ impl Default for ClusterConfig {
             collect_deadline_slack: 3.0,
             faults: NetFaultConfig::default(),
         }
+    }
+}
+
+impl ClusterConfig {
+    /// Checks every setting a daemon turns into timers, delays, or fan-out
+    /// before any of it runs. Rejects non-finite and negative values, and
+    /// bounds the rest so every derived wall delay stays a valid
+    /// [`std::time::Duration`]: model-ms settings at most
+    /// [`MAX_FRAME_INTERVAL_MS`] (one hour), `time_scale` at most 100 wall
+    /// seconds per model second, `jitter` at most 10, and
+    /// `collect_deadline_slack` in [1, 100]. The time scale, collect window
+    /// and failover timeout must be positive, `quota` at least 1, and the
+    /// drop probability in [0, 1]. The error (kind
+    /// [`std::io::ErrorKind::InvalidInput`]) names the first offending
+    /// setting.
+    pub fn check(&self) -> std::io::Result<()> {
+        let invalid = |msg: String| std::io::Error::new(std::io::ErrorKind::InvalidInput, msg);
+        let ranges = [
+            ("time_scale", self.time_scale, 0.0..=100.0),
+            ("jitter", self.jitter, 0.0..=10.0),
+            ("collect_window_ms", self.collect_window_ms, 0.0..=MAX_FRAME_INTERVAL_MS),
+            ("collect_deadline_slack", self.collect_deadline_slack, 1.0..=100.0),
+            ("failover_timeout_ms", self.failover_timeout_ms, 0.0..=MAX_FRAME_INTERVAL_MS),
+            ("maintenance_period_ms", self.maintenance_period_ms, 0.0..=MAX_FRAME_INTERVAL_MS),
+            ("drop_prob", self.faults.drop_prob, 0.0..=1.0),
+            ("extra_delay_ms", self.faults.extra_delay_ms, 0.0..=MAX_FRAME_INTERVAL_MS),
+        ];
+        for (name, v, range) in ranges {
+            if !range.contains(&v) {
+                return Err(invalid(format!(
+                    "{name} must be in [{}, {}], got {v}",
+                    range.start(),
+                    range.end()
+                )));
+            }
+        }
+        // Zero would stop the clock, collect no probe, or fail over on
+        // every frame.
+        for (name, v) in [
+            ("time_scale", self.time_scale),
+            ("collect_window_ms", self.collect_window_ms),
+            ("failover_timeout_ms", self.failover_timeout_ms),
+        ] {
+            if v == 0.0 {
+                return Err(invalid(format!("{name} must be positive")));
+            }
+        }
+        if self.quota == 0 {
+            return Err(invalid("quota must be at least 1".into()));
+        }
+        Ok(())
     }
 }
 
@@ -1394,9 +1445,9 @@ fn peers(raw: &[u64]) -> Vec<PeerId> {
     raw.iter().map(|&p| PeerId::new(p)).collect()
 }
 
-/// Longest model-time gap between a stream's frames a control command
-/// may ask for (one hour): keeps every derived timer delay a valid wall
-/// duration.
+/// Longest model-time span a cluster setting or a control command's frame
+/// interval may ask for (one hour): keeps every derived timer delay a
+/// valid wall duration.
 const MAX_FRAME_INTERVAL_MS: f64 = 3_600_000.0;
 
 /// The checks at the engine's entries ([`PeerNode::handle`] and
@@ -1569,4 +1620,46 @@ pub(crate) fn probe_digest(mut h: u64, p: &WireProbe) -> u64 {
         h = mix(h, q.to_bits());
     }
     mix(h, p.at_ms.to_bits())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn cluster_check_refuses_hostile_settings_without_panicking() {
+        assert!(ClusterConfig::default().check().is_ok());
+        type Spoil = fn(&mut ClusterConfig);
+        let hostile: [(&str, Spoil); 12] = [
+            ("time_scale", |c| c.time_scale = f64::INFINITY),
+            ("time_scale", |c| c.time_scale = f64::NAN),
+            ("time_scale", |c| c.time_scale = 0.0),
+            ("jitter", |c| c.jitter = -0.1),
+            ("collect_window_ms", |c| c.collect_window_ms = 1e300),
+            // Under one window, the collected set depends on scheduling.
+            ("collect_deadline_slack", |c| c.collect_deadline_slack = 0.5),
+            ("collect_deadline_slack", |c| c.collect_deadline_slack = f64::NAN),
+            ("failover_timeout_ms", |c| c.failover_timeout_ms = -1.0),
+            ("maintenance_period_ms", |c| c.maintenance_period_ms = f64::INFINITY),
+            ("quota", |c| c.quota = 0),
+            ("drop_prob", |c| c.faults.drop_prob = f64::NAN),
+            ("extra_delay_ms", |c| c.faults.extra_delay_ms = 1e300),
+        ];
+        for (name, spoil) in hostile {
+            let mut cfg = ClusterConfig::default();
+            spoil(&mut cfg);
+            let err = cfg.check().expect_err(name);
+            assert_eq!(err.kind(), std::io::ErrorKind::InvalidInput);
+            assert!(err.to_string().starts_with(name), "{name}: {err}");
+        }
+        // The floors themselves pass; a zero maintenance period disables it.
+        let edge = ClusterConfig {
+            collect_deadline_slack: 1.0,
+            maintenance_period_ms: 0.0,
+            jitter: 0.0,
+            quota: 1,
+            ..ClusterConfig::default()
+        };
+        assert!(edge.check().is_ok());
+    }
 }

@@ -1,11 +1,13 @@
 //! End-to-end tests of the socket transport: real `spidernet-node`
 //! processes on loopback TCP, compared against the in-process cluster.
 
-use spidernet_runtime::net::{deploy, DeployConfig};
+use spidernet_runtime::net::{deploy, deploy_many, DeployConfig};
 use spidernet_runtime::{Cluster, MediaFunction};
 use spidernet_util::id::PeerId;
+use std::io::ErrorKind;
 use std::path::PathBuf;
-use std::time::Duration;
+use std::process::{Command, Stdio};
+use std::time::{Duration, Instant};
 
 fn node_exe() -> PathBuf {
     PathBuf::from(env!("CARGO_BIN_EXE_spidernet-node"))
@@ -136,4 +138,47 @@ fn fault_injection_applies_in_both_transports() {
         }
     }
     assert!(cluster.messages_dropped() > 0, "in-process transport dropped traffic too");
+}
+
+/// Out-of-range settings are refused before a daemon binds or the
+/// orchestrator spawns anything: the CLI exits with usage status 2, the
+/// library entry points return `InvalidInput`. Without the check,
+/// `--time-scale inf` reached the delay queue and the daemon panicked at
+/// its first delayed send (its startup registration: peer 0 of 8 has its
+/// function key rooted at another peer), and `deploy` asserted on too few
+/// peers or zero sessions.
+#[test]
+fn hostile_settings_are_refused_before_anything_starts() {
+    // The settings check runs before the daemon binds any of these ports.
+    let ports = "7001,7002,7003,7004,7005,7006,7007,7008";
+    for args in [
+        &["serve", "--index", "0", "--peers", "8", "--ports", ports, "--time-scale", "inf"][..],
+        &["deploy", "--peers", "4"],
+        &["deploy", "--sessions", "0"],
+    ] {
+        let mut child = Command::new(node_exe())
+            .args(args)
+            .stdin(Stdio::null())
+            .stdout(Stdio::null())
+            .stderr(Stdio::null())
+            .spawn()
+            .expect("spawn spidernet-node");
+        let deadline = Instant::now() + TIMEOUT;
+        let status = loop {
+            if let Some(status) = child.try_wait().expect("wait on spidernet-node") {
+                break status;
+            }
+            if Instant::now() >= deadline {
+                let _ = child.kill();
+                let _ = child.wait();
+                panic!("{args:?} still running after {TIMEOUT:?}");
+            }
+            std::thread::sleep(Duration::from_millis(10));
+        };
+        assert_eq!(status.code(), Some(2), "{args:?} must be a usage error, got {status}");
+    }
+    let kind = |e: Option<std::io::Error>| e.map(|e| e.kind());
+    let invalid = Some(ErrorKind::InvalidInput);
+    assert_eq!(kind(deploy(DeployConfig::standard(4, 0, node_exe())).err()), invalid);
+    assert_eq!(kind(deploy_many(DeployConfig::standard(8, 0, node_exe()), 0).err()), invalid);
 }

@@ -66,7 +66,7 @@ impl SimDuration {
     }
 
     /// From whole seconds.
-    pub fn from_secs(s: u64) -> Self {
+    pub const fn from_secs(s: u64) -> Self {
         SimDuration(s * 1_000_000)
     }
 

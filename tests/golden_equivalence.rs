@@ -10,7 +10,7 @@
 //! only when the protocol itself changes on purpose:
 //! `cargo run --release -p spidernet-bench --bin fig8 -- --csv`.
 
-use spidernet::core::experiments::{faults, fig8, fig9, latency, overhead};
+use spidernet::core::experiments::{ablation, congestion, faults, fig11, fig8, fig9, latency, overhead};
 use spidernet::core::loadgen::{run_cell, ArrivalProcess, LoadConfig};
 use spidernet::core::system::{SpiderNet, SpiderNetConfig};
 use spidernet::core::workload::PopulationConfig;
@@ -121,4 +121,78 @@ fn cached_poisson_load_cell_matches_golden() {
         ..LoadConfig::default()
     };
     assert_eq!(run_cell(&base, &cfg).deterministic_key(), LOAD_CELL_GOLDEN);
+}
+
+// --- Eq. 1 consumers pinned by value --------------------------------------
+//
+// fig11 runs the optimal baseline with the full qualified pool, congestion
+// runs BCP under all four selection policies on a flow-mode geo overlay,
+// and the ablation runs commutation patterns, both quota policies and
+// trust weighting. The pins were captured while BCP and the optimal still
+// priced candidates through two separate Eq. 1 evaluators. The ablation's
+// `Display` rounds to 0.1 ms, so its pin is the bits of every result field.
+
+const FIG11_GOLDEN: &str = include_str!("golden/fig11_small.csv");
+const CONGESTION_GOLDEN: &str = include_str!("golden/congestion_small.csv");
+const ABLATION_GOLDEN: &str = "406f55d3e3877b41 406f449dddea15e9 15 406c8817afa89fb7 \
+     406d63904767acb4 3fe3333333333333 0000000000000000";
+
+#[test]
+fn fig11_small_matches_golden_across_thread_counts() {
+    for threads in [1usize, 4] {
+        let res = fig11::run(&fig11::Fig11Config {
+            ip_nodes: 300,
+            peers: 40,
+            functions: 4,
+            request_functions: 3,
+            budgets: vec![1, 8, 64],
+            requests: 10,
+            seed: 11,
+            threads: Some(threads),
+        });
+        assert_eq!(res.to_csv(), FIG11_GOLDEN, "fig11 CSV drifted at {threads} thread(s)");
+        assert_eq!(res.optimal_probes, 864.0, "optimal probe count drifted");
+    }
+}
+
+#[test]
+fn congestion_small_matches_golden_across_thread_counts() {
+    for threads in [1usize, 4] {
+        let res = congestion::run(&congestion::CongestionConfig {
+            ip_nodes: 300,
+            peers: 60,
+            loads: vec![10, 40],
+            population: PopulationConfig { functions: 8, ..PopulationConfig::default() },
+            threads: Some(threads),
+            ..congestion::CongestionConfig::default()
+        });
+        assert_eq!(res.to_csv(), CONGESTION_GOLDEN, "congestion CSV drifted at {threads} thread(s)");
+    }
+}
+
+#[test]
+fn ablation_small_matches_golden_bits_across_thread_counts() {
+    for threads in [1usize, 4] {
+        let r = ablation::run(&ablation::AblationConfig {
+            ip_nodes: 300,
+            peers: 60,
+            functions: 10,
+            requests: 15,
+            threads: Some(threads),
+            ..ablation::AblationConfig::default()
+        });
+        let ((with_c, without_c, compared), (uniform, fraction), (blind, aware)) =
+            (r.commutation_delay_ms, r.quota_delay_ms, r.trust_adversarial_rate);
+        let b = |v: f64| format!("{:016x}", v.to_bits());
+        let key = format!(
+            "{} {} {compared} {} {} {} {}",
+            b(with_c),
+            b(without_c),
+            b(uniform),
+            b(fraction),
+            b(blind),
+            b(aware)
+        );
+        assert_eq!(key, ABLATION_GOLDEN, "ablation drifted at {threads} thread(s)");
+    }
 }
