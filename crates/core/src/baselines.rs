@@ -5,7 +5,9 @@
 use crate::model::component::Registry;
 use crate::model::function_graph::FunctionGraph;
 use crate::model::request::CompositionRequest;
-use crate::model::service_graph::{CostWeights, GraphEval, ServiceGraph};
+use crate::model::service_graph::{
+    pattern_service_links, CostWeights, GraphEval, LinkEnd, ServiceGraph,
+};
 use crate::paths::PathTable;
 use crate::selection::{
     evaluate, evaluate_with, is_qualified, link_cost, select_best, GraphEvalScratch, LegTable, Legs,
@@ -37,7 +39,10 @@ pub struct BaselineOutcome {
     /// §6.2) — clipped by `combo_cap`; the value is the actual counter,
     /// not a formula, so it is exact when enumeration exhausts early.
     pub probes: u64,
-    /// Candidate combos fully evaluated (`probes - combos_pruned`).
+    /// Candidate combos fully evaluated (`probes - combos_pruned`). The
+    /// leaves [`PoolPolicy::BestOnly`]'s incumbent descent evaluates (at
+    /// most `GREEDY_LEAVES` per pattern) are not considered positions and
+    /// are not counted.
     pub combos_examined: u64,
     /// Candidate combos skipped by branch-and-bound pruning.
     pub combos_pruned: u64,
@@ -73,6 +78,36 @@ fn replica_sets(ctx: &BaselineContext<'_>, req: &CompositionRequest) -> Result<V
         .collect()
 }
 
+/// Appends every peer pair a service link of `pattern` can join when each
+/// node may run any replica of its function: `source` → an entry node's
+/// replica peers, the replica peer pairs along each dependency edge, and
+/// an exit node's replica peers → `dest`. [`evaluate_with`] reads no other
+/// leg of a candidate of `pattern`: its branch paths walk dependency edges
+/// from an entry to an exit node, so their delays fall in the same set.
+pub(crate) fn service_link_pairs(
+    source: PeerId,
+    dest: PeerId,
+    pattern: &FunctionGraph,
+    reg: &Registry,
+    out: &mut Vec<(PeerId, PeerId)>,
+) {
+    let peers = |end: LinkEnd| -> Vec<PeerId> {
+        match end {
+            LinkEnd::Source => vec![source],
+            LinkEnd::Dest => vec![dest],
+            LinkEnd::Node(i) => {
+                reg.replicas(pattern.functions()[i]).iter().map(|&c| reg.get(c).peer).collect()
+            }
+        }
+    };
+    for link in pattern_service_links(pattern) {
+        let tos = peers(link.to);
+        for a in peers(link.from) {
+            out.extend(tos.iter().map(|&b| (a, b)));
+        }
+    }
+}
+
 /// What the optimal enumerator must retain beyond the single best graph.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum PoolPolicy {
@@ -83,7 +118,8 @@ pub enum PoolPolicy {
     Full,
     /// Keep only the best qualified graph. Additionally prunes prefixes
     /// whose cost lower bound already exceeds the best qualified cost so
-    /// far (`qualified_pool` comes back empty).
+    /// far, starting from a greedy incumbent found before the fan-out
+    /// (`qualified_pool` comes back empty).
     BestOnly,
 }
 
@@ -472,7 +508,8 @@ impl DfsState {
     }
 }
 
-/// Read-only inputs of one chunk walk.
+/// Read-only inputs of one walk over the position window `[lo, hi)` of a
+/// pattern.
 struct ChunkRun<'a> {
     plan: &'a PatternPlan,
     req: &'a CompositionRequest,
@@ -492,8 +529,10 @@ struct ChunkRun<'a> {
 struct ChunkOut {
     pattern: usize,
     qualified: Vec<(Vec<ComponentId>, GraphEval)>,
-    /// Best qualified cost in this chunk (cost-prune bound; chunks never
-    /// share bounds so results are chunk-deterministic).
+    /// Cost-prune bound: the least of the shared greedy incumbent and the
+    /// best qualified cost found in this chunk. Chunks share only the
+    /// incumbent, computed once before the fan-out, so results stay
+    /// chunk-deterministic. Always `None` under [`PoolPolicy::Full`].
     best_cost: Option<f64>,
     examined: u64,
     pruned: u64,
@@ -517,11 +556,53 @@ impl ChunkOut {
             }
         };
         if better {
-            self.best_cost = Some(eval.cost);
+            // The chunk's first qualified cost may exceed the incumbent:
+            // the bound only ever tightens.
+            self.best_cost = Some(self.best_cost.map_or(eval.cost, |b| b.min(eval.cost)));
             self.qualified.clear();
             self.qualified.push((assignment.to_vec(), eval));
         }
     }
+}
+
+/// True when the prefix just pushed (`k` digits long) provably holds no
+/// leaf worth evaluating: under a chain plan, an admissible QoS suffix
+/// bound exceeds the request's bound; or, given an incumbent cost `best`,
+/// the ψ lower bound exceeds it. Both cuts are strict with slack, so a
+/// completion that qualifies at (or ties) the incumbent is never cut.
+fn cut(run: &ChunkRun<'_>, st: &DfsState, k: usize, best: Option<f64>) -> bool {
+    let plan = run.plan;
+    if plan.chain {
+        for (dim_i, &bound) in run.req.qos_req.bounds().iter().enumerate() {
+            let mut lb = st.qos_acc[dim_i] + plan.suffix_qos[k][dim_i];
+            if dim_i == dim::DELAY_MS {
+                lb += plan.suffix_delay[k];
+            }
+            if lb > bound + run.qos_slack[dim_i] {
+                return true;
+            }
+        }
+    }
+    best.is_some_and(|bc| {
+        st.es_partial + st.bw_partial + plan.suffix_cost[k] > bc + PRUNE_SLACK * (1.0 + bc.abs())
+    })
+}
+
+/// Evaluates the complete assignment in `st` with the one Eq. 1 evaluator.
+fn evaluate_leaf(run: &ChunkRun<'_>, st: &DfsState, scratch: &mut GraphEvalScratch) -> GraphEval {
+    let mut legs = run.legs;
+    evaluate_with(
+        run.req.source,
+        run.req.dest,
+        &st.assignment,
+        &run.plan.shape,
+        run.req,
+        run.reg,
+        run.state,
+        &mut legs,
+        run.weights,
+        scratch,
+    )
 }
 
 /// The recursive branch-and-bound walk over one chunk's position window
@@ -549,48 +630,13 @@ fn bb_walk(
         }
         let window = child_end.min(run.hi) - child_first.max(run.lo);
 
-        let feasible = st.push(d, comp, run);
-        let mut prune = !feasible;
         let k = d + 1;
-        if !prune && plan.chain {
-            let bounds = run.req.qos_req.bounds();
-            for (dim_i, &bound) in bounds.iter().enumerate() {
-                let mut lb = st.qos_acc[dim_i] + plan.suffix_qos[k][dim_i];
-                if dim_i == dim::DELAY_MS {
-                    lb += plan.suffix_delay[k];
-                }
-                if lb > bound + run.qos_slack[dim_i] {
-                    prune = true;
-                    break;
-                }
-            }
-        }
-        if !prune && run.best_only {
-            if let Some(bc) = out.best_cost {
-                let lb = st.es_partial + st.bw_partial + plan.suffix_cost[k];
-                if lb > bc + PRUNE_SLACK * (1.0 + bc.abs()) {
-                    prune = true;
-                }
-            }
-        }
-
-        if prune {
+        let feasible = st.push(d, comp, run);
+        if !feasible || cut(run, st, k, out.best_cost) {
             out.pruned += window;
         } else if k == n {
             out.examined += 1;
-            let mut legs = run.legs;
-            let eval = evaluate_with(
-                run.req.source,
-                run.req.dest,
-                &st.assignment,
-                &plan.shape,
-                run.req,
-                run.reg,
-                run.state,
-                &mut legs,
-                run.weights,
-                scratch,
-            );
+            let eval = evaluate_leaf(run, st, scratch);
             if is_qualified(&eval, run.req) {
                 out.record(&st.assignment, eval, run.best_only);
             }
@@ -599,6 +645,58 @@ fn bb_walk(
         }
         st.undo(d, plan);
     }
+}
+
+/// Leaves the [`PoolPolicy::BestOnly`] incumbent descent evaluates per
+/// pattern before giving up on it.
+const GREEDY_LEAVES: u32 = 16;
+
+/// Greedy depth-first descent for a [`PoolPolicy::BestOnly`] incumbent
+/// over the window `[0, run.hi)`: visits children in increasing
+/// incremental ψ (`es_partial + bw_partial` after the push; ties in
+/// replica order), skips the children the walk itself would cut as
+/// infeasible or QoS-violating, and returns the cost of the first
+/// qualified leaf. Gives up once `leaves` reaches [`GREEDY_LEAVES`].
+fn greedy_leaf(
+    run: &ChunkRun<'_>,
+    st: &mut DfsState,
+    scratch: &mut GraphEvalScratch,
+    leaves: &mut u32,
+    d: usize,
+    first: u64,
+) -> Option<f64> {
+    let plan = run.plan;
+    let width = plan.subtree[d + 1];
+    let k = d + 1;
+    let mut order: Vec<(f64, usize)> = Vec::new();
+    for (i, &comp) in plan.sets[d].iter().enumerate() {
+        if first + i as u64 * width >= run.hi {
+            break;
+        }
+        if st.push(d, comp, run) && !cut(run, st, k, None) {
+            order.push((st.es_partial + st.bw_partial, i));
+        }
+        st.undo(d, plan);
+    }
+    order.sort_by(|a, b| a.0.total_cmp(&b.0));
+    for (_, i) in order {
+        if *leaves >= GREEDY_LEAVES {
+            return None;
+        }
+        st.push(d, plan.sets[d][i], run);
+        let found = if k == plan.sets.len() {
+            *leaves += 1;
+            let eval = evaluate_leaf(run, st, scratch);
+            is_qualified(&eval, run.req).then_some(eval.cost)
+        } else {
+            greedy_leaf(run, st, scratch, leaves, k, first + i as u64 * width)
+        };
+        st.undo(d, plan);
+        if found.is_some() {
+            return found;
+        }
+    }
+    None
 }
 
 /// Split threshold: a pattern window at least this large is fanned across
@@ -612,11 +710,12 @@ const CHUNKS_PER_PATTERN: u64 = 8;
 /// Walks each pattern's cartesian combo space depth-first with push/undo
 /// prefix state (mirroring BCP's `probe_branch`), scores leaves with the
 /// one Eq. 1 evaluator, [`evaluate_with`], over a per-request [`LegTable`]
-/// snapshot the worker threads share, and cuts prefixes whose admissible
-/// suffix lower bounds prove no completion can qualify (plus, under
-/// [`PoolPolicy::BestOnly`], none can beat the best qualified cost so
-/// far). Position semantics — which combos a `combo_cap` admits, in which
-/// order qualified candidates pool, and the resulting best graph — are
+/// snapshot of the service-link legs the worker threads share, and cuts
+/// prefixes whose admissible suffix lower bounds prove no completion can
+/// qualify (plus, under [`PoolPolicy::BestOnly`], none can beat the best
+/// qualified cost so far, starting from a greedy incumbent). Position
+/// semantics — which combos a `combo_cap` admits, in which order
+/// qualified candidates pool, and the resulting best graph — are
 /// identical to [`optimal_naive`]'s; pruned subtrees advance the
 /// considered-position counter by their clipped window so `probes` stays
 /// the exact considered count.
@@ -626,92 +725,104 @@ pub fn optimal_with(
     opts: &OptimalOptions,
 ) -> Result<BaselineOutcome> {
     req.validate()?;
-    let sets = replica_sets(ctx, req)?;
+    replica_sets(ctx, req)?;
+    let patterns = req.function_graph.patterns();
 
-    // Per-request leg snapshot: all (source ∪ replica-peers) × (replica-
-    // peers ∪ dest) legs, built once through the mutable path cache then
-    // shared read-only by workers. Peer liveness and availability are read
-    // from `ctx.state`, which this call holds immutably throughout.
-    let mut replica_peers: Vec<PeerId> = Vec::new();
-    for set in &sets {
-        for &c in set {
-            let p = ctx.reg.get(c).peer;
-            if !replica_peers.contains(&p) {
-                replica_peers.push(p);
-            }
-        }
+    // Per-request leg snapshot of the pairs some pattern's service links
+    // can join — the only legs the leaf evaluation and the plans' chain
+    // bounds read — built once through the mutable path cache then shared
+    // read-only by workers. Peer liveness and availability are read from
+    // `ctx.state`, which this call holds immutably throughout.
+    let mut pairs = Vec::new();
+    for pattern in &patterns {
+        service_link_pairs(req.source, req.dest, pattern, ctx.reg, &mut pairs);
     }
-    let mut froms = vec![req.source];
-    froms.extend(replica_peers.iter().copied().filter(|&p| p != req.source));
-    let mut tos = replica_peers.clone();
-    if !tos.contains(&req.dest) {
-        tos.push(req.dest);
-    }
-    let legs = LegTable::build(ctx.overlay, ctx.state, ctx.paths, &froms, &tos);
+    let legs = LegTable::build(ctx.overlay, ctx.state, ctx.paths, &pairs);
 
-    let plans: Vec<PatternPlan> = req
-        .function_graph
-        .patterns()
+    let plans: Vec<PatternPlan> = patterns
         .into_iter()
         .map(|p| PatternPlan::build(p, ctx.reg, req, ctx.state, &legs, ctx.weights))
         .collect();
 
     let qos_slack: Vec<f64> =
         req.qos_req.bounds().iter().map(|b| PRUNE_SLACK * (1.0 + b.abs())).collect();
+    let m = req.qos_req.dims();
+    let best_only = opts.pool == PoolPolicy::BestOnly;
+    let (reg, state, weights) = (ctx.reg, ctx.state, ctx.weights);
+    let run_over = |plan, lo, hi| ChunkRun {
+        plan,
+        req,
+        reg,
+        state,
+        legs: &legs,
+        weights,
+        qos_slack: &qos_slack,
+        lo,
+        hi,
+        best_only,
+    };
 
-    // Chunk the capped position space. The cap admits the first
-    // `combo_cap` positions across patterns in order, exactly as the
-    // naive odometer does.
+    // The cap admits the first `combo_cap` positions across patterns in
+    // order, exactly as the naive odometer does: each pattern's window.
+    let cap = opts.combo_cap.unwrap_or(u64::MAX);
+    let mut start: u64 = 0;
+    let windows: Vec<u64> = plans
+        .iter()
+        .map(|plan| {
+            let window = if start >= cap { 0 } else { plan.combos.min(cap - start) };
+            start = start.saturating_add(plan.combos);
+            window
+        })
+        .collect();
+
+    // One deterministic incumbent for every chunk: the cheapest greedy
+    // leaf over all windows. It lies inside the cap window and qualifies,
+    // so the optimum costs no more and is never cut.
+    let incumbent = if best_only {
+        let mut scratch = GraphEvalScratch::default();
+        plans
+            .iter()
+            .zip(&windows)
+            .filter(|&(_, &window)| window > 0)
+            .filter_map(|(plan, &window)| {
+                let mut st = DfsState::new(plan.sets.len(), m);
+                greedy_leaf(&run_over(plan, 0, window), &mut st, &mut scratch, &mut 0, 0, 0)
+            })
+            .min_by(f64::total_cmp)
+    } else {
+        None
+    };
+
+    // Chunk each window into fixed ranges.
     struct Chunk {
         pattern: usize,
         lo: u64,
         hi: u64,
     }
-    let cap = opts.combo_cap.unwrap_or(u64::MAX);
     let mut chunks: Vec<Chunk> = Vec::new();
-    let mut start: u64 = 0;
-    for (pi, plan) in plans.iter().enumerate() {
-        let window = if start >= cap { 0 } else { plan.combos.min(cap - start) };
-        if window > 0 {
-            let parts = if window >= CHUNK_SPLIT_MIN { CHUNKS_PER_PATTERN.min(window) } else { 1 };
-            let (base, rem) = (window / parts, window % parts);
-            let mut lo = 0u64;
-            for p in 0..parts {
-                let len = base + u64::from(p < rem);
-                chunks.push(Chunk { pattern: pi, lo, hi: lo + len });
-                lo += len;
-            }
+    for (pi, &window) in windows.iter().enumerate().filter(|&(_, &w)| w > 0) {
+        let parts = if window >= CHUNK_SPLIT_MIN { CHUNKS_PER_PATTERN.min(window) } else { 1 };
+        let (base, rem) = (window / parts, window % parts);
+        let mut lo = 0u64;
+        for p in 0..parts {
+            let len = base + u64::from(p < rem);
+            chunks.push(Chunk { pattern: pi, lo, hi: lo + len });
+            lo += len;
         }
-        start = start.saturating_add(plan.combos);
     }
 
-    let m = req.qos_req.dims();
-    let best_only = opts.pool == PoolPolicy::BestOnly;
-    let (reg, state, weights) = (ctx.reg, ctx.state, ctx.weights);
     let outs: Vec<ChunkOut> = par_map_with(opts.threads.max(1), chunks, |_, chunk| {
         let plan = &plans[chunk.pattern];
-        let run = ChunkRun {
-            plan,
-            req,
-            reg,
-            state,
-            legs: &legs,
-            weights,
-            qos_slack: &qos_slack,
-            lo: chunk.lo,
-            hi: chunk.hi,
-            best_only,
-        };
         let mut out = ChunkOut {
             pattern: chunk.pattern,
             qualified: Vec::new(),
-            best_cost: None,
+            best_cost: incumbent,
             examined: 0,
             pruned: 0,
         };
         let mut st = DfsState::new(plan.sets.len(), m);
         let mut scratch = GraphEvalScratch::default();
-        bb_walk(&run, &mut st, &mut scratch, &mut out, 0, 0);
+        bb_walk(&run_over(plan, chunk.lo, chunk.hi), &mut st, &mut scratch, &mut out, 0, 0);
         out
     });
 
@@ -1029,6 +1140,36 @@ mod tests {
             assert_eq!(bb.eval.cost.to_bits(), full.eval.cost.to_bits());
             assert!(bb.qualified_pool.is_empty());
             assert_eq!(bb.probes, full.probes);
+        }
+    }
+
+    #[test]
+    fn best_only_incumbent_stays_inside_the_cap_window() {
+        let mut w = world(3, 4);
+        // Load the peers of replicas 0–2 of every function so replica 3 is
+        // the cheapest everywhere: the uncapped greedy leaf is (r3, r3, r3)
+        // at position 63, past a cap of 10.
+        for f in 0..3 {
+            for &c in &w.reg.replicas(FunctionId::new(f))[..3] {
+                let peer = w.reg.get(c).peer;
+                w.state.commit(&[(peer, ResourceVector::new(0.6, 128.0))], &[]).unwrap();
+            }
+        }
+        let req = request(3);
+        let cap = Some(10);
+        let uncapped = optimal_naive(&mut ctx(&mut w), &req, None).unwrap();
+        let naive = optimal_naive(&mut ctx(&mut w), &req, cap).unwrap();
+        let cheapest: Vec<ComponentId> =
+            (0..3).map(|f| w.reg.replicas(FunctionId::new(f))[3]).collect();
+        assert_eq!(uncapped.best.assignment, cheapest);
+        assert!(uncapped.eval.cost < naive.eval.cost);
+        for threads in [1, 2] {
+            let opts = OptimalOptions { combo_cap: cap, pool: PoolPolicy::BestOnly, threads };
+            let bb = optimal_with(&mut ctx(&mut w), &req, &opts).unwrap();
+            assert_eq!(bb.best.assignment, naive.best.assignment);
+            assert_eq!(bb.eval.cost.to_bits(), naive.eval.cost.to_bits());
+            assert_eq!(bb.probes, naive.probes);
+            assert_eq!(bb.combos_examined + bb.combos_pruned, bb.probes);
         }
     }
 

@@ -27,6 +27,7 @@ use spidernet_util::hash::FxHashMap;
 use spidernet_util::id::{ComponentId, PeerId};
 use spidernet_util::qos::{dim, QosVector};
 use spidernet_util::res::ResourceVector;
+use std::collections::hash_map::Entry;
 
 /// Reusable buffers for [`evaluate_with`].
 ///
@@ -348,56 +349,56 @@ pub fn merge_branches(
         .collect()
 }
 
-/// Immutable per-request snapshot of every overlay leg a candidate
+/// Immutable per-request snapshot of the overlay legs a candidate
 /// evaluation touches, read through [`Legs`].
 ///
 /// Built once per enumeration from the mutable [`PathTable`] (warming its
-/// SSSP trees and pair-delay memo), then shared read-only across worker
-/// threads: no `&mut` anywhere. Values are the exact bits the live query
-/// path returns, so [`evaluate_with`] over the table matches [`evaluate`]
-/// bit-for-bit as long as the overlay state is not mutated in between.
+/// SSSP trees and pair-delay memo) over the pairs it is given — the
+/// optimal baseline passes those its patterns' service links can join —
+/// then shared read-only across worker threads: no `&mut` anywhere.
+/// Every route's overlay-link keys sit back to back in one arena, so a
+/// leg is a delay, a headroom and a range. Values are the exact bits the
+/// live query path returns, so [`evaluate_with`] over the table matches
+/// [`evaluate`] bit-for-bit as long as the overlay state is not mutated
+/// in between.
 ///
-/// Reading a pair outside the `froms × tos` universe it was built for
-/// panics.
+/// Reading a pair outside the universe it was built for panics.
 #[derive(Clone, Debug, Default)]
 pub struct LegTable {
     legs: FxHashMap<(PeerId, PeerId), Leg>,
+    /// Normalized overlay-link keys of every route, back to back.
+    hops: Vec<(usize, usize)>,
 }
 
 /// One memoized `from → to` leg of a [`LegTable`].
 #[derive(Clone, Debug)]
 struct Leg {
     delay: f64,
-    /// The route's headroom and normalized overlay-link keys; `None` when
-    /// it does not exist (or `from == to`, which no caller routes).
-    route: Option<(f64, Vec<(usize, usize)>)>,
+    /// The route's headroom and its `hops[lo..hi]` link-key range; `None`
+    /// when it does not exist (or `from == to`, which no caller routes).
+    route: Option<(f64, usize, usize)>,
 }
 
 impl LegTable {
-    /// Snapshots all pairs `froms × tos`.
+    /// Snapshots every `(from, to)` pair in `pairs`, each once.
     pub fn build(
         overlay: &Overlay,
         state: &OverlayState,
         paths: &mut PathTable,
-        froms: &[PeerId],
-        tos: &[PeerId],
+        pairs: &[(PeerId, PeerId)],
     ) -> Self {
         let mut table = LegTable::default();
-        for &a in froms {
-            for &b in tos {
-                if table.legs.contains_key(&(a, b)) {
-                    continue;
-                }
-                let delay = paths.delay(overlay, a, b);
-                let route = if a == b {
-                    None
-                } else {
-                    paths.peer_path(overlay, a, b).map(|p| {
-                        (state.path_available(&p), p.windows(2).map(|w| link_key(w[0], w[1])).collect())
-                    })
-                };
-                table.legs.insert((a, b), Leg { delay, route });
-            }
+        table.legs.reserve(pairs.len());
+        let mut path = Vec::new();
+        for &(a, b) in pairs {
+            let Entry::Vacant(slot) = table.legs.entry((a, b)) else { continue };
+            let delay = paths.delay(overlay, a, b);
+            let route = (a != b && paths.peer_path_into(overlay, a, b, &mut path)).then(|| {
+                let lo = table.hops.len();
+                table.hops.extend(path.windows(2).map(|w| link_key(w[0], w[1])));
+                (state.path_available(&path), lo, table.hops.len())
+            });
+            slot.insert(Leg { delay, route });
         }
         table
     }
@@ -413,9 +414,9 @@ impl Legs for &LegTable {
     }
 
     fn route(&mut self, from: PeerId, to: PeerId, hop: impl FnMut((usize, usize))) -> Option<f64> {
-        let (headroom, hops) = self.leg(from, to).route.as_ref()?;
-        hops.iter().copied().for_each(hop);
-        Some(*headroom)
+        let (headroom, lo, hi) = self.leg(from, to).route?;
+        self.hops[lo..hi].iter().copied().for_each(hop);
+        Some(headroom)
     }
 }
 
@@ -692,13 +693,18 @@ mod tests {
         assert_eq!(a.fits_resources, b.fits_resources);
     }
 
+    /// A snapshot of only the service-link pairs of `req`'s graph: a leg
+    /// the evaluator reads outside them panics.
     fn leg_table_for(w: &mut World, req: &CompositionRequest) -> LegTable {
-        let replicas: Vec<PeerId> = (1..=4).map(PeerId::new).collect();
-        let mut froms = vec![req.source];
-        froms.extend(&replicas);
-        let mut tos = replicas.clone();
-        tos.push(req.dest);
-        LegTable::build(&w.overlay, &w.state, &mut w.paths, &froms, &tos)
+        let mut pairs = Vec::new();
+        crate::baselines::service_link_pairs(
+            req.source,
+            req.dest,
+            &req.function_graph,
+            &w.reg,
+            &mut pairs,
+        );
+        LegTable::build(&w.overlay, &w.state, &mut w.paths, &pairs)
     }
 
     /// Evaluates `assignment` twice through `evaluate_with`, once over the
@@ -773,6 +779,17 @@ mod tests {
         let eval = assert_leg_sources_agree(&mut w, &req, &legs, &chain_assignment());
         assert!(!eval.fits_resources, "dead peer must disqualify");
         assert!(eval.cost.is_infinite());
+    }
+
+    #[test]
+    #[should_panic(expected = "leg outside the precomputed pair universe")]
+    fn leg_table_read_outside_its_pairs_panics() {
+        let mut w = world();
+        let req = request();
+        let mut legs = &leg_table_for(&mut w, &req);
+        // No service link of the chain joins function 2's peer back to
+        // function 0's.
+        legs.delay(PeerId::new(3), PeerId::new(1));
     }
 
     #[test]

@@ -65,14 +65,18 @@ impl RoutingTable {
         }
     }
 
-    /// Removes a departed node wherever it appears.
+    /// Removes a departed node. [`RoutingTable::insert`] only ever places
+    /// `id` in row `shared_prefix_len(owner, id)`, column `id.digit(row)`,
+    /// so that one cell is cleared, and only while it holds `id`: a node
+    /// that lost the cell's proximity contest leaves the holder in place.
     pub fn remove(&mut self, id: NodeId) {
-        for row in &mut self.rows {
-            for cell in row.iter_mut() {
-                if cell.is_some_and(|c| c.id == id) {
-                    *cell = None;
-                }
-            }
+        let row = self.owner.shared_prefix_len(&id);
+        if row >= self.rows.len() {
+            return;
+        }
+        let cell = &mut self.rows[row][id.digit(row)];
+        if cell.is_some_and(|c| c.id == id) {
+            *cell = None;
         }
     }
 
@@ -161,6 +165,21 @@ mod tests {
         rt.remove(c);
         assert!(rt.is_empty());
         assert!(rt.lookup(nid(&[0xB])).is_none());
+
+        // `loser` lost cell (0, B) to the closer `holder`; removing it
+        // leaves the holder in place, and removing the holder clears it.
+        let holder = nid(&[0xB, 0x1]);
+        let loser = nid(&[0xB, 0x2]);
+        rt.insert(holder, PeerId::new(2), 1.0);
+        rt.insert(loser, PeerId::new(3), 5.0);
+        rt.remove(loser);
+        assert_eq!(rt.lookup(nid(&[0xB])).unwrap().id, holder);
+        assert_eq!(rt.len(), 1);
+        rt.remove(owner);
+        rt.remove(nid(&[0xA, 0x7])); // a row never allocated
+        assert_eq!(rt.len(), 1);
+        rt.remove(holder);
+        assert!(rt.is_empty());
     }
 
     #[test]

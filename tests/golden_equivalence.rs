@@ -19,14 +19,28 @@ use spidernet::sim::fault::FaultPlan;
 const FIG8_GOLDEN: &str = include_str!("golden/fig8_default.csv");
 const FIG9_GOLDEN: &str = include_str!("golden/fig9_default.csv");
 
+/// Default fig8's work counters: BCP probes sent, and the optimal
+/// baseline's leaves evaluated and positions cut. A weaker prune bound
+/// leaves the CSV unchanged and only costs time, so these counters are
+/// what catches it.
+const FIG8_PROBES: u64 = 265_542;
+const FIG8_COMBOS_EXAMINED: u64 = 34_753;
+const FIG8_COMBOS_PRUNED: u64 = 21_885_927;
+
 #[test]
 fn fig8_default_matches_pre_refactor_golden_across_thread_counts() {
     for threads in [1usize, 4, 8] {
         let cfg = fig8::Fig8Config { threads: Some(threads), ..fig8::Fig8Config::default() };
-        let csv = fig8::run(&cfg).to_csv();
+        let res = fig8::run(&cfg);
         assert_eq!(
-            csv, FIG8_GOLDEN,
+            res.to_csv(),
+            FIG8_GOLDEN,
             "fig8 default CSV drifted from the seed representation at {threads} thread(s)"
+        );
+        assert_eq!(
+            (res.total_probes, res.combos_examined, res.combos_pruned),
+            (FIG8_PROBES, FIG8_COMBOS_EXAMINED, FIG8_COMBOS_PRUNED),
+            "fig8 optimal work counters drifted at {threads} thread(s)"
         );
     }
 }

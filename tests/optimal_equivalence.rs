@@ -155,32 +155,54 @@ fn tight_chain_bounds_prune_without_changing_the_answer() {
     assert!(pruned_total > 0, "tightened chain bounds never pruned");
 }
 
+/// `PoolPolicy::BestOnly` against the naive full-pool oracle at every
+/// enumeration cap and harness thread count: its greedy incumbent must
+/// stay inside the cap window and be thread-count-invariant, and its
+/// narrowed leg snapshot must cover every leg the DAG cases (commutation
+/// patterns) read.
 #[test]
 fn best_only_policy_matches_full_pool_best_with_empty_pool() {
     let mut rng: Rng = rng_for(SEED, "optimal-best-only");
     let mut agreements = 0usize;
     for case in 0..12usize {
-        let mut net = build_world(SEED.rotate_left(7) ^ case as u64);
-        let req = random_request(net.overlay(), net.registry(), &request_config(case), &mut rng);
-        let full = {
-            let mut net = build_world(SEED.rotate_left(7) ^ case as u64);
-            net.compose_with(&req, &CompositionOptions::optimal(None))
+        let world_seed = SEED.rotate_left(7) ^ case as u64;
+        let req = {
+            let net = build_world(world_seed);
+            random_request(net.overlay(), net.registry(), &request_config(case), &mut rng)
         };
-        let best_only = net.compose_with(&req, &CompositionOptions::optimal_best_only(None));
-        match (&full, &best_only) {
-            (Ok(f), Ok(b)) => {
-                assert_eq!(
-                    fingerprint(&f.best, &f.eval),
-                    fingerprint(&b.best, &b.eval),
-                    "best-only best diverged from full-pool best (case {case})"
-                );
-                assert!(b.qualified_pool.is_empty(), "best-only must not retain a pool");
-                assert_eq!(f.probes, b.probes, "considered count diverged (case {case})");
-                agreements += 1;
+        for cap in [None, Some(1), Some(37), Some(100_000)] {
+            let full = build_world(world_seed).compose_optimal_naive(&req, cap);
+            for threads in [1usize, 2, 4] {
+                let opts = CompositionOptions::optimal_best_only(cap).with_optimal_threads(threads);
+                let best_only = build_world(world_seed).compose_with(&req, &opts);
+                match (&full, &best_only) {
+                    (Ok(f), Ok(b)) => {
+                        assert_eq!(
+                            fingerprint(&f.best, &f.eval),
+                            fingerprint(&b.best, &b.eval),
+                            "best-only best diverged from full-pool best \
+                             (case {case}, cap {cap:?}, threads {threads})"
+                        );
+                        assert!(b.qualified_pool.is_empty(), "best-only must not retain a pool");
+                        assert_eq!(
+                            f.probes, b.probes,
+                            "considered count diverged (case {case}, cap {cap:?}, threads {threads})"
+                        );
+                        assert_eq!(
+                            b.combos_examined + b.combos_pruned,
+                            b.probes,
+                            "examined + pruned is not the considered count (case {case})"
+                        );
+                        agreements += 1;
+                    }
+                    (Err(fe), Err(be)) => assert_eq!(fe.to_string(), be.to_string()),
+                    _ => panic!(
+                        "composability diverged between pool policies \
+                         (case {case}, cap {cap:?}, threads {threads})"
+                    ),
+                }
             }
-            (Err(fe), Err(be)) => assert_eq!(fe.to_string(), be.to_string()),
-            _ => panic!("composability diverged between pool policies (case {case})"),
         }
     }
-    assert!(agreements >= 5, "only {agreements} composable cases");
+    assert!(agreements >= 60, "only {agreements} composable (case, cap, threads) points");
 }
