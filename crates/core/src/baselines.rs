@@ -6,7 +6,7 @@ use crate::model::component::Registry;
 use crate::model::function_graph::FunctionGraph;
 use crate::model::request::CompositionRequest;
 use crate::model::service_graph::{
-    pattern_service_links, CostWeights, GraphEval, LinkEnd, ServiceGraph,
+    pattern_service_links, GraphEval, LinkEnd, ServiceGraph, RESOURCE_WEIGHTS,
 };
 use crate::paths::PathTable;
 use crate::selection::{
@@ -59,8 +59,6 @@ pub struct BaselineContext<'a> {
     pub state: &'a OverlayState,
     /// Shortest-path cache.
     pub paths: &'a mut PathTable,
-    /// ψ weights.
-    pub weights: &'a CostWeights,
 }
 
 fn replica_sets(ctx: &BaselineContext<'_>, req: &CompositionRequest) -> Result<Vec<Vec<ComponentId>>> {
@@ -189,7 +187,7 @@ pub fn optimal_naive(
             examined += 1;
             let assignment: Vec<ComponentId> = (0..n).map(|i| sets[i][idx[i]]).collect();
             let graph = ServiceGraph::new(req.source, req.dest, pattern.clone(), assignment);
-            let eval = evaluate(&graph, req, ctx.reg, ctx.overlay, ctx.state, ctx.paths, ctx.weights);
+            let eval = evaluate(&graph, req, ctx.reg, ctx.overlay, ctx.state, ctx.paths);
             if is_qualified(&eval, req) {
                 qualified.push((graph, eval));
             }
@@ -233,11 +231,11 @@ const PRUNE_SLACK: f64 = 1e-9;
 /// Eq. 1's bandwidth term of the chain leg `from → to` carrying `bw`: zero
 /// when the leg stays on one peer or carries nothing, infinite when it has
 /// no route. The leaf evaluation adds the same term per service link.
-fn leg_cost(mut legs: &LegTable, weights: &CostWeights, from: PeerId, to: PeerId, bw: f64) -> f64 {
+fn leg_cost(mut legs: &LegTable, from: PeerId, to: PeerId, bw: f64) -> f64 {
     if from == to || bw <= 0.0 {
         return 0.0;
     }
-    legs.route(from, to, |_| {}).map_or(f64::INFINITY, |headroom| link_cost(weights, bw, headroom))
+    legs.route(from, to, |_| {}).map_or(f64::INFINITY, |headroom| link_cost(bw, headroom))
 }
 
 /// Per-pattern precomputation for the branch-and-bound walk.
@@ -274,7 +272,6 @@ impl PatternPlan {
         req: &CompositionRequest,
         state: &OverlayState,
         mut legs: &LegTable,
-        weights: &CostWeights,
     ) -> PatternPlan {
         let sets: Vec<Vec<ComponentId>> =
             pattern.functions().iter().map(|&f| reg.replicas(f).to_vec()).collect();
@@ -316,7 +313,7 @@ impl PatternPlan {
                     .map(|&c| {
                         let comp = reg.get(c);
                         comp.resources
-                            .weighted_usage_ratio(&state.available(comp.peer), &weights.resource)
+                            .weighted_usage_ratio(&state.available(comp.peer), &RESOURCE_WEIGHTS)
                     })
                     .fold(f64::INFINITY, f64::min)
             })
@@ -332,7 +329,7 @@ impl PatternPlan {
         // Chain-only leg minima: the leg *into* node j (j = 0 comes from
         // the source) plus the final leg to the destination.
         let (suffix_delay, bw_leg, bw_dest) = if chain {
-            let bw_term = move |from: PeerId, to: PeerId, bw: f64| leg_cost(legs, weights, from, to, bw);
+            let bw_term = move |from: PeerId, to: PeerId, bw: f64| leg_cost(legs, from, to, bw);
             let mut leg_min = vec![f64::INFINITY; n];
             let mut bw_min = vec![f64::INFINITY; n];
             for j in 0..n {
@@ -470,7 +467,7 @@ impl DfsState {
         }
 
         self.es_saved[d] = self.es_partial;
-        self.es_partial += c.resources.weighted_usage_ratio(&avail, &run.weights.resource);
+        self.es_partial += c.resources.weighted_usage_ratio(&avail, &RESOURCE_WEIGHTS);
 
         if plan.chain {
             let m = self.qos_acc.len();
@@ -486,7 +483,7 @@ impl DfsState {
             } else {
                 run.reg.get(self.assignment[d - 1]).out_bandwidth_mbps
             };
-            self.bw_partial += leg_cost(legs, run.weights, prev, c.peer, bw);
+            self.bw_partial += leg_cost(legs, prev, c.peer, bw);
         }
         ok
     }
@@ -517,7 +514,6 @@ struct ChunkRun<'a> {
     state: &'a OverlayState,
     /// The per-request leg snapshot every worker shares.
     legs: &'a LegTable,
-    weights: &'a CostWeights,
     /// Per-dimension prune slack: `PRUNE_SLACK · (1 + |bound|)`.
     qos_slack: &'a [f64],
     lo: u64,
@@ -600,7 +596,6 @@ fn evaluate_leaf(run: &ChunkRun<'_>, st: &DfsState, scratch: &mut GraphEvalScrat
         run.reg,
         run.state,
         &mut legs,
-        run.weights,
         scratch,
     )
 }
@@ -741,21 +736,20 @@ pub fn optimal_with(
 
     let plans: Vec<PatternPlan> = patterns
         .into_iter()
-        .map(|p| PatternPlan::build(p, ctx.reg, req, ctx.state, &legs, ctx.weights))
+        .map(|p| PatternPlan::build(p, ctx.reg, req, ctx.state, &legs))
         .collect();
 
     let qos_slack: Vec<f64> =
         req.qos_req.bounds().iter().map(|b| PRUNE_SLACK * (1.0 + b.abs())).collect();
     let m = req.qos_req.dims();
     let best_only = opts.pool == PoolPolicy::BestOnly;
-    let (reg, state, weights) = (ctx.reg, ctx.state, ctx.weights);
+    let (reg, state) = (ctx.reg, ctx.state);
     let run_over = |plan, lo, hi| ChunkRun {
         plan,
         req,
         reg,
         state,
         legs: &legs,
-        weights,
         qos_slack: &qos_slack,
         lo,
         hi,
@@ -871,7 +865,7 @@ pub fn random(
     // explore commutations).
     let pattern = req.function_graph.patterns().into_iter().next().expect("≥1 pattern");
     let graph = ServiceGraph::new(req.source, req.dest, pattern, assignment);
-    let eval = evaluate(&graph, req, ctx.reg, ctx.overlay, ctx.state, ctx.paths, ctx.weights);
+    let eval = evaluate(&graph, req, ctx.reg, ctx.overlay, ctx.state, ctx.paths);
     Ok(BaselineOutcome {
         best: graph,
         eval,
@@ -890,7 +884,7 @@ pub fn static_(ctx: &mut BaselineContext<'_>, req: &CompositionRequest) -> Resul
     let assignment: Vec<ComponentId> = sets.iter().map(|s| s[0]).collect();
     let pattern = req.function_graph.patterns().into_iter().next().expect("≥1 pattern");
     let graph = ServiceGraph::new(req.source, req.dest, pattern, assignment);
-    let eval = evaluate(&graph, req, ctx.reg, ctx.overlay, ctx.state, ctx.paths, ctx.weights);
+    let eval = evaluate(&graph, req, ctx.reg, ctx.overlay, ctx.state, ctx.paths);
     Ok(BaselineOutcome {
         best: graph,
         eval,
@@ -927,7 +921,6 @@ mod tests {
         reg: Registry,
         state: OverlayState,
         paths: PathTable,
-        weights: CostWeights,
     }
 
     fn world(funcs: u64, reps: u64) -> World {
@@ -956,17 +949,11 @@ mod tests {
             }
         }
         let state = OverlayState::new(&overlay, ResourceVector::new(1.0, 256.0));
-        World { overlay, reg, state, paths: PathTable::new(), weights: CostWeights::uniform() }
+        World { overlay, reg, state, paths: PathTable::new() }
     }
 
     fn ctx<'a>(w: &'a mut World) -> BaselineContext<'a> {
-        BaselineContext {
-            overlay: &w.overlay,
-            reg: &w.reg,
-            state: &w.state,
-            paths: &mut w.paths,
-            weights: &w.weights,
-        }
+        BaselineContext { overlay: &w.overlay, reg: &w.reg, state: &w.state, paths: &mut w.paths }
     }
 
     fn request(k: usize) -> CompositionRequest {
@@ -1001,7 +988,6 @@ mod tests {
             reg: &w.reg,
             state: &w.state,
             paths: &mut w.paths,
-            weights: &w.weights,
         };
         for &a in &r0 {
             for &b in &r1 {
@@ -1011,7 +997,7 @@ mod tests {
                     FunctionGraph::linear(2),
                     vec![a, b],
                 );
-                let e = evaluate(&g, &req, c2.reg, c2.overlay, c2.state, c2.paths, c2.weights);
+                let e = evaluate(&g, &req, c2.reg, c2.overlay, c2.state, c2.paths);
                 if is_qualified(&e, &req) {
                     best_cost = best_cost.min(e.cost);
                 }

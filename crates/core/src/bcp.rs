@@ -23,7 +23,7 @@
 
 use crate::model::component::Registry;
 use crate::model::request::CompositionRequest;
-use crate::model::service_graph::{CostWeights, GraphEval, ServiceGraph};
+use crate::model::service_graph::{GraphEval, ServiceGraph};
 use crate::paths::PathTable;
 use crate::selection::{
     evaluate_with, is_qualified, merge_branches, select_best, select_best_by, GraphEvalScratch,
@@ -105,12 +105,6 @@ pub struct BcpConfig {
     /// Weight of `(1 − trust)` in the next-hop metric. 0 disables the
     /// trust extension (paper §8 future work) entirely.
     pub w_trust: f64,
-    /// Candidates with aggregate trust below this are excluded outright.
-    pub min_trust: f64,
-    /// Whether probes perform soft resource allocation (§4.2 step 2.1).
-    /// Disabling is an ablation: concurrent probes may then jointly
-    /// over-admit and the final commit can fail.
-    pub soft_allocation: bool,
     /// Per-peer load-shedding threshold ψ on CPU utilization
     /// (committed + soft, as a fraction of capacity). Replicas on peers
     /// at or above the threshold are dropped from the qualified pool
@@ -133,8 +127,6 @@ impl Default for BcpConfig {
             merge_cap: 64,
             lookup: LookupMode::Prefetch,
             w_trust: 0.0,
-            min_trust: 0.0,
-            soft_allocation: true,
             shed_utilization: 1.0,
             selection_policy: SelectionPolicy::Paper,
         }
@@ -176,19 +168,6 @@ impl BcpConfigBuilder {
     /// Replica-list resolution strategy.
     pub fn lookup(mut self, mode: LookupMode) -> Self {
         self.cfg.lookup = mode;
-        self
-    }
-
-    /// Trust extension: metric weight and admission floor.
-    pub fn trust(mut self, w_trust: f64, min_trust: f64) -> Self {
-        self.cfg.w_trust = w_trust;
-        self.cfg.min_trust = min_trust;
-        self
-    }
-
-    /// Whether probes perform soft resource allocation.
-    pub fn soft_allocation(mut self, on: bool) -> Self {
-        self.cfg.soft_allocation = on;
         self
     }
 
@@ -275,7 +254,7 @@ struct BranchProbe {
     latency_ms: f64,
 }
 
-/// One live, trust-admitted replica of a function, prefiltered once per
+/// One live, unshed replica of a function, prefiltered once per
 /// [`BcpEngine::compose`] so per-hop ranking recomputes only what actually
 /// varies with the probe's position: distance and load.
 #[derive(Clone)]
@@ -319,7 +298,7 @@ struct CachedLookup {
 ///
 /// Validity is keyed on a *world epoch* (churn, component registration,
 /// ψ-watermark crossings of the resource state), a *trust epoch*
-/// (consulted only when the active config admits by trust — the default
+/// (consulted only when the active config weights trust — the default
 /// config does not, so routine trust feedback never flushes the memo),
 /// and the config knobs baked into pool entries. Any mismatch flushes
 /// the whole memo and counts one invalidation.
@@ -327,12 +306,12 @@ struct CachedLookup {
 pub struct ComposeCache {
     epoch: u64,
     trust_epoch: u64,
-    /// Bit patterns of (w_trust, min_trust, shed_utilization): the knobs
-    /// that shape pool membership and static scores.
-    fingerprint: [u64; 3],
+    /// Bit patterns of (w_trust, shed_utilization): the knobs that shape
+    /// pool membership and static scores.
+    fingerprint: [u64; 2],
     /// Qualified-replica pools, keyed by function alone — pool membership
-    /// (liveness, trust admission, ψ shedding, static scores) does not
-    /// depend on who is asking.
+    /// (liveness, ψ shedding, static scores) does not depend on who is
+    /// asking.
     pools: FxHashMap<FunctionId, Arc<FunctionPool>>,
     /// Recorded DHT lookup costs, keyed by (requesting peer, function) —
     /// the route and therefore the hop count and round trip DO depend on
@@ -356,7 +335,7 @@ impl ComposeCache {
         ComposeCache {
             epoch: 0,
             trust_epoch: 0,
-            fingerprint: [0; 3],
+            fingerprint: [0; 2],
             pools: FxHashMap::default(),
             lookups: FxHashMap::default(),
             hits: 0,
@@ -365,15 +344,15 @@ impl ComposeCache {
         }
     }
 
-    fn config_fingerprint(cfg: &BcpConfig) -> [u64; 3] {
-        [cfg.w_trust.to_bits(), cfg.min_trust.to_bits(), cfg.shed_utilization.to_bits()]
+    fn config_fingerprint(cfg: &BcpConfig) -> [u64; 2] {
+        [cfg.w_trust.to_bits(), cfg.shed_utilization.to_bits()]
     }
 
     /// Flushes the memo if the world moved under it: epoch or config
-    /// mismatch, or — when `cfg` admits by trust — a trust-table change.
+    /// mismatch, or — when `cfg` weights trust — a trust-table change.
     /// Call once per compose, before the engine runs.
     pub fn ensure_current(&mut self, epoch: u64, trust_epoch: u64, cfg: &BcpConfig) {
-        let uses_trust = cfg.w_trust > 0.0 || cfg.min_trust > 0.0;
+        let uses_trust = cfg.w_trust > 0.0;
         let fingerprint = Self::config_fingerprint(cfg);
         let stale = epoch != self.epoch
             || fingerprint != self.fingerprint
@@ -471,8 +450,6 @@ pub struct BcpEngine<'a> {
     pub state: &'a mut OverlayState,
     /// Shortest-path cache.
     pub paths: &'a mut PathTable,
-    /// ψ weights.
-    pub weights: &'a CostWeights,
     /// Observability bundle: metrics registry, resolved handles, trace ring.
     pub obs: &'a mut Instruments,
     /// Session id trace/session-scoped events are attributed to.
@@ -490,7 +467,7 @@ pub struct BcpEngine<'a> {
 }
 
 /// Prefilters one function's directory list into its qualified pool:
-/// liveness, trust admission, and — when ψ shedding is active — load.
+/// liveness and — when ψ shedding is active — load.
 /// Quota α_k still follows the raw (advertised) replication degree Z_k,
 /// so the pool remembers the list length it was built from. (A free
 /// function rather than a method so the engine can build pools while its
@@ -511,16 +488,13 @@ fn build_pool(
             if !state.is_alive(comp.peer) {
                 return None;
             }
-            let trust = trust.map(|t| t.aggregate_trust(comp.peer)).unwrap_or(0.5);
-            if trust < cfg.min_trust {
-                return None; // distrusted hosts are not even probed
-            }
             if cfg.shed_utilization < 1.0 && state.cpu_utilization(comp.peer) >= cfg.shed_utilization
             {
                 shed += 1;
                 shed_peer.get_or_insert(comp.peer);
                 return None; // ψ-saturated hosts are shed, not probed
             }
+            let trust = trust.map(|t| t.aggregate_trust(comp.peer)).unwrap_or(0.5);
             let static_score = W_FAILURE * comp.failure_prob + cfg.w_trust * (1.0 - trust);
             Some(PoolEntry { cid: m.component, peer: comp.peer, static_score })
         })
@@ -546,8 +520,8 @@ impl BcpEngine<'_> {
 
         // --- Discovery phase: resolve replica lists into pools ---------
         // Each distinct function costs one DHT lookup plus one pool
-        // prefilter pass (liveness, trust admission, ψ shedding — none of
-        // which change mid-compose, so the per-hop ranking loop recomputes
+        // prefilter pass (liveness and ψ shedding, neither of which
+        // changes mid-compose, so the per-hop ranking loop recomputes
         // only distance and load). With a cache attached, both are
         // memoized across composes; hits replay the recorded DHT cost so
         // the per-request stats cannot tell the modes apart.
@@ -712,7 +686,6 @@ impl BcpEngine<'_> {
                     self.reg,
                     state,
                     &mut legs,
-                    self.weights,
                     &mut arena.eval,
                 );
                 if is_qualified(&eval, req) {
@@ -969,7 +942,7 @@ impl BcpEngine<'_> {
                         reason: DropReason::Qos,
                     });
                     false
-                } else if cfg.soft_allocation && !reserved.contains(&cid) {
+                } else if !reserved.contains(&cid) {
                     match self.state.soft_allocate(
                         peer,
                         comp.resources,
@@ -1043,7 +1016,6 @@ mod tests {
         directory: ServiceDirectory,
         state: OverlayState,
         paths: PathTable,
-        weights: CostWeights,
         obs: Instruments,
     }
 
@@ -1091,16 +1063,7 @@ mod tests {
             }
         }
         let state = OverlayState::new(&overlay, ResourceVector::new(1.0, 256.0));
-        World {
-            overlay,
-            reg,
-            pastry,
-            directory,
-            state,
-            paths,
-            weights: CostWeights::uniform(),
-            obs: Instruments::new(),
-        }
+        World { overlay, reg, pastry, directory, state, paths, obs: Instruments::new() }
     }
 
     fn engine<'a>(w: &'a mut World) -> BcpEngine<'a> {
@@ -1111,7 +1074,6 @@ mod tests {
             directory: &w.directory,
             state: &mut w.state,
             paths: &mut w.paths,
-            weights: &w.weights,
             obs: &mut w.obs,
             session: 0,
             now: SimTime::ZERO,
@@ -1322,36 +1284,6 @@ mod tests {
         // heavy trust weight must push the distrusted host out of it.
         assert!(!out.best.contains_peer(PeerId::new(2), &w.reg));
         assert!(out.best.contains_peer(PeerId::new(3), &w.reg));
-    }
-
-    #[test]
-    fn min_trust_excludes_hosts_outright() {
-        use crate::trust::{Experience, TrustManager};
-        let mut w = world(1, 2);
-        let mut tm = TrustManager::new(1.0);
-        for _ in 0..50 {
-            tm.record(PeerId::new(0), PeerId::new(2), Experience::Negative);
-            tm.record(PeerId::new(0), PeerId::new(3), Experience::Negative);
-        }
-        let req = request(1);
-        let cfg = BcpConfig { min_trust: 0.4, ..BcpConfig::default() };
-        let err = {
-            let mut e = engine(&mut w);
-            e.trust = Some(&tm);
-            e.compose(&req, &cfg)
-        };
-        // Both hosts fall below the threshold: nothing can be composed.
-        assert!(matches!(err, Err(Error::NoQualifiedComposition)));
-    }
-
-    #[test]
-    fn disabling_soft_allocation_skips_reservations() {
-        let mut w = world(2, 3);
-        let req = request(2);
-        let cfg = BcpConfig { soft_allocation: false, budget: 16, ..BcpConfig::default() };
-        let out = engine(&mut w).compose(&req, &cfg).unwrap();
-        assert_eq!(out.stats.dropped_admission, 0, "no admission without reservations");
-        assert_eq!(w.state.soft_count(), 0);
     }
 
     #[test]
@@ -1606,8 +1538,8 @@ mod tests {
         assert_eq!(cache.len(), 0);
         assert_eq!(cache.invalidations(), 2);
 
-        // A trust-admitting config does key on the trust epoch.
-        let trust_cfg = BcpConfig { min_trust: 0.1, ..BcpConfig::default() };
+        // A trust-weighted config does key on the trust epoch.
+        let trust_cfg = BcpConfig { w_trust: 0.1, ..BcpConfig::default() };
         cache.ensure_current(1, 7, &trust_cfg);
         {
             let mut e = engine(&mut w);

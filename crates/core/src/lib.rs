@@ -28,8 +28,6 @@
 //! * [`experiments`] — drivers regenerating the paper's figures;
 //! * [`trust`] — decentralized trust management (§8 future work): beta
 //!   reputation feeding the next-hop metric;
-//! * [`conditional`] — conditional-branch composition semantics (§8 future
-//!   work): expected-case QoS and probability-scaled branch bandwidth;
 //! * [`spec`] — the textual request-specification parser (QoSTalk
 //!   stand-in).
 
@@ -37,7 +35,6 @@
 
 pub mod baselines;
 pub mod bcp;
-pub mod conditional;
 pub mod experiments;
 pub mod loadgen;
 pub mod model;

@@ -8,4 +8,4 @@ pub mod service_graph;
 pub use component::{FunctionCatalog, Registry, ServiceComponent};
 pub use function_graph::FunctionGraph;
 pub use request::CompositionRequest;
-pub use service_graph::{CostWeights, GraphEval, ServiceGraph};
+pub use service_graph::{GraphEval, ServiceGraph};

@@ -28,38 +28,14 @@ pub struct ServiceLink {
     pub to: LinkEnd,
 }
 
-/// Weights of the ψ cost aggregation (Eq. 1): one weight per end-system
-/// resource type plus one for bandwidth; they must sum to 1.
-#[derive(Clone, Copy, Debug)]
-pub struct CostWeights {
-    /// Per-[`ResourceKind`] weights (w_1 … w_n).
-    pub resource: [f64; ResourceKind::COUNT],
-    /// Bandwidth weight (w_{n+1}).
-    pub bandwidth: f64,
-}
+/// Eq. 1's bandwidth weight w_{n+1}. Eq. 1 weights its n + 1 terms (one
+/// per [`ResourceKind`] plus bandwidth) equally, so the weights sum to 1.
+pub(crate) const BANDWIDTH_WEIGHT: f64 = 1.0 / (ResourceKind::COUNT as f64 + 1.0);
 
-impl CostWeights {
-    /// Equal weighting across all resource types and bandwidth.
-    pub fn uniform() -> Self {
-        let k = ResourceKind::COUNT as f64 + 1.0;
-        CostWeights { resource: [1.0 / k; ResourceKind::COUNT], bandwidth: 1.0 / k }
-    }
-
-    /// True if the weights are a convex combination (sum to 1, all in
-    /// [0, 1]).
-    pub fn is_normalized(&self) -> bool {
-        let sum: f64 = self.resource.iter().sum::<f64>() + self.bandwidth;
-        (sum - 1.0).abs() < 1e-9
-            && self.resource.iter().all(|w| (0.0..=1.0).contains(w))
-            && (0.0..=1.0).contains(&self.bandwidth)
-    }
-}
-
-impl Default for CostWeights {
-    fn default() -> Self {
-        CostWeights::uniform()
-    }
-}
+/// Eq. 1's end-system resource weights w_1 … w_n, one per
+/// [`ResourceKind`].
+pub(crate) const RESOURCE_WEIGHTS: [f64; ResourceKind::COUNT] =
+    [BANDWIDTH_WEIGHT; ResourceKind::COUNT];
 
 /// Evaluation of a candidate service graph against a request, produced by
 /// the selection logic.
@@ -100,11 +76,6 @@ impl ServiceGraph {
     ) -> Self {
         assert_eq!(pattern.len(), assignment.len(), "assignment/pattern size mismatch");
         ServiceGraph { source, dest, pattern, assignment }
-    }
-
-    /// The component assigned to pattern node `i`.
-    pub fn component_at(&self, i: usize) -> ComponentId {
-        self.assignment[i]
     }
 
     /// The peer hosting pattern node `i`.
@@ -323,9 +294,9 @@ mod tests {
 
     #[test]
     fn cost_weights_uniform_is_normalized() {
-        assert!(CostWeights::uniform().is_normalized());
-        let bad = CostWeights { resource: [0.5, 0.5], bandwidth: 0.5 };
-        assert!(!bad.is_normalized());
+        let sum: f64 = RESOURCE_WEIGHTS.iter().sum::<f64>() + BANDWIDTH_WEIGHT;
+        assert!((sum - 1.0).abs() < 1e-9);
+        assert!(RESOURCE_WEIGHTS.iter().all(|&w| w == BANDWIDTH_WEIGHT));
     }
 
     #[test]

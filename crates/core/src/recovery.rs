@@ -19,7 +19,7 @@
 
 use crate::model::component::Registry;
 use crate::model::request::CompositionRequest;
-use crate::model::service_graph::{CostWeights, GraphEval, ServiceGraph};
+use crate::model::service_graph::{GraphEval, ServiceGraph};
 use crate::paths::PathTable;
 use crate::selection::{evaluate, Candidate};
 use crate::state::{OverlayState, SessionAllocation};
@@ -410,7 +410,6 @@ impl SessionManager {
         overlay: &Overlay,
         paths: &mut PathTable,
         state: &mut OverlayState,
-        weights: &CostWeights,
         obs: &mut Instruments,
     ) -> Vec<(SessionId, FailureOutcome)> {
         let affected: Vec<SessionId> = self
@@ -421,7 +420,7 @@ impl SessionManager {
             .collect();
         let mut outcomes = Vec::with_capacity(affected.len());
         for id in affected {
-            let outcome = self.switch_to_backup(id, peer, reg, overlay, paths, state, weights, obs);
+            let outcome = self.switch_to_backup(id, peer, reg, overlay, paths, state, obs);
             outcomes.push((id, outcome));
         }
         outcomes
@@ -436,7 +435,6 @@ impl SessionManager {
         overlay: &Overlay,
         paths: &mut PathTable,
         state: &mut OverlayState,
-        weights: &CostWeights,
         obs: &mut Instruments,
     ) -> FailureOutcome {
         let s = self.sessions.get_mut(&id).expect("caller verified membership");
@@ -461,8 +459,7 @@ impl SessionManager {
             if alive {
                 let (peers, links) = session_demands(&graph, &s.request, reg, overlay, paths);
                 if let Ok(alloc) = state.commit(&peers, &links) {
-                    let eval =
-                        evaluate(&graph, &s.request, reg, overlay, state, paths, weights);
+                    let eval = evaluate(&graph, &s.request, reg, overlay, state, paths);
                     s.primary = graph;
                     s.eval = eval;
                     s.allocation = alloc;
@@ -609,7 +606,6 @@ mod tests {
         reg: Registry,
         state: OverlayState,
         paths: PathTable,
-        weights: CostWeights,
     }
 
     /// 2 functions × 3 replicas on peers 2..8.
@@ -638,7 +634,7 @@ mod tests {
             }
         }
         let state = OverlayState::new(&overlay, ResourceVector::new(1.0, 256.0));
-        World { overlay, reg, state, paths: PathTable::new(), weights: CostWeights::uniform() }
+        World { overlay, reg, state, paths: PathTable::new() }
     }
 
     fn request() -> CompositionRequest {
@@ -666,7 +662,7 @@ mod tests {
                     FunctionGraph::linear(2),
                     vec![ComponentId::new(a), ComponentId::new(3 + b)],
                 );
-                let e = evaluate(&g, req, &w.reg, &w.overlay, &w.state, &mut w.paths, &w.weights);
+                let e = evaluate(&g, req, &w.reg, &w.overlay, &w.state, &mut w.paths);
                 out.push((g, e));
             }
         }
@@ -811,7 +807,6 @@ mod tests {
             &w.overlay,
             &mut w.paths,
             &mut w.state,
-            &w.weights,
             &mut Instruments::new(),
         );
         assert_eq!(outcomes.len(), 1);
@@ -839,7 +834,6 @@ mod tests {
             &w.overlay,
             &mut w.paths,
             &mut w.state,
-            &w.weights,
             &mut Instruments::new(),
         );
         assert_eq!(outcomes[0].1, FailureOutcome::NeedsReactive);
@@ -868,7 +862,6 @@ mod tests {
             &w.overlay,
             &mut w.paths,
             &mut w.state,
-            &w.weights,
             &mut Instruments::new(),
         );
         assert!(outcomes.is_empty());
@@ -1083,13 +1076,12 @@ mod tests {
         ]);
         let req = request();
         let primary = graph_of(&req, &[0, 3]);
-        let eval =
-            evaluate(&primary, &req, &reg, &w.overlay, &w.state, &mut w.paths, &w.weights);
+        let eval = evaluate(&primary, &req, &reg, &w.overlay, &w.state, &mut w.paths);
         let pool: Vec<(ServiceGraph, GraphEval)> = [vec![1u64, 2], vec![1, 3]]
             .iter()
             .map(|comps| {
                 let g = graph_of(&req, comps);
-                let e = evaluate(&g, &req, &reg, &w.overlay, &w.state, &mut w.paths, &w.weights);
+                let e = evaluate(&g, &req, &reg, &w.overlay, &w.state, &mut w.paths);
                 (g, e)
             })
             .collect();
@@ -1112,7 +1104,6 @@ mod tests {
             &w.overlay,
             &mut w.paths,
             &mut w.state,
-            &w.weights,
             &mut Instruments::new(),
         );
         assert_eq!(outcomes.len(), 1);

@@ -18,7 +18,8 @@ use crate::model::component::Registry;
 use crate::model::function_graph::FunctionGraph;
 use crate::model::request::CompositionRequest;
 use crate::model::service_graph::{
-    pattern_service_links, CostWeights, GraphEval, LinkEnd, ServiceGraph, ServiceLink,
+    pattern_service_links, GraphEval, LinkEnd, ServiceGraph, ServiceLink, BANDWIDTH_WEIGHT,
+    RESOURCE_WEIGHTS,
 };
 use crate::paths::PathTable;
 use crate::state::{link_key, OverlayState};
@@ -127,7 +128,6 @@ pub fn evaluate(
     overlay: &Overlay,
     state: &OverlayState,
     paths: &mut PathTable,
-    weights: &CostWeights,
 ) -> GraphEval {
     evaluate_with(
         graph.source,
@@ -138,7 +138,6 @@ pub fn evaluate(
         reg,
         state,
         &mut LiveLegs::new(overlay, state, paths),
-        weights,
         &mut GraphEvalScratch::default(),
     )
 }
@@ -167,7 +166,6 @@ pub fn evaluate_with(
     reg: &Registry,
     state: &OverlayState,
     legs: &mut impl Legs,
-    weights: &CostWeights,
     scratch: &mut GraphEvalScratch,
 ) -> GraphEval {
     let m = req.qos_req.dims();
@@ -213,7 +211,7 @@ pub fn evaluate_with(
         if !need.fits_within(&avail) {
             fits = false;
         }
-        cost += need.weighted_usage_ratio(&avail, &weights.resource);
+        cost += need.weighted_usage_ratio(&avail, &RESOURCE_WEIGHTS);
     }
 
     // Bandwidth term: Σ_links w_{n+1} · b_ℓ / ba_℘ over each service
@@ -244,7 +242,7 @@ pub fn evaluate_with(
             }
         });
         match route {
-            Some(headroom) => cost += link_cost(weights, bw, headroom),
+            Some(headroom) => cost += link_cost(bw, headroom),
             None => {
                 fits = false;
                 cost = f64::INFINITY;
@@ -286,8 +284,8 @@ pub fn evaluate_with(
 /// Eq. 1's bandwidth term of one service link, `w_{n+1} · b_ℓ / ba_℘`:
 /// `bw` Mbit/s over a route with `headroom` Mbit/s free, infinite when
 /// the route has none.
-pub(crate) fn link_cost(weights: &CostWeights, bw: f64, headroom: f64) -> f64 {
-    weights.bandwidth * if headroom > 0.0 { bw / headroom } else { f64::INFINITY }
+pub(crate) fn link_cost(bw: f64, headroom: f64) -> f64 {
+    BANDWIDTH_WEIGHT * if headroom > 0.0 { bw / headroom } else { f64::INFINITY }
 }
 
 /// True if the evaluation satisfies the request's QoS bounds and fits the
@@ -535,7 +533,7 @@ mod tests {
         let mut w = world();
         let req = request();
         let g = ServiceGraph::new(req.source, req.dest, FunctionGraph::linear(3), chain_assignment());
-        let eval = evaluate(&g, &req, &w.reg, &w.overlay, &w.state, &mut w.paths, &CostWeights::uniform());
+        let eval = evaluate(&g, &req, &w.reg, &w.overlay, &w.state, &mut w.paths);
         // Delay = 3 component Qp (30ms) + 4 overlay legs.
         let legs = w.paths.delay(&w.overlay, PeerId::new(0), PeerId::new(1))
             + w.paths.delay(&w.overlay, PeerId::new(1), PeerId::new(2))
@@ -554,7 +552,7 @@ mod tests {
         let mut req = request();
         req.qos_req = QosRequirement::new(vec![1.0, 10.0]).unwrap(); // 1ms budget
         let g = ServiceGraph::new(req.source, req.dest, FunctionGraph::linear(3), chain_assignment());
-        let eval = evaluate(&g, &req, &w.reg, &w.overlay, &w.state, &mut w.paths, &CostWeights::uniform());
+        let eval = evaluate(&g, &req, &w.reg, &w.overlay, &w.state, &mut w.paths);
         assert!(!is_qualified(&eval, &req));
     }
 
@@ -564,7 +562,7 @@ mod tests {
         let req = request();
         w.state.fail_peer(PeerId::new(2));
         let g = ServiceGraph::new(req.source, req.dest, FunctionGraph::linear(3), chain_assignment());
-        let eval = evaluate(&g, &req, &w.reg, &w.overlay, &w.state, &mut w.paths, &CostWeights::uniform());
+        let eval = evaluate(&g, &req, &w.reg, &w.overlay, &w.state, &mut w.paths);
         assert!(!eval.fits_resources);
         assert!(eval.cost.is_infinite());
     }
@@ -575,7 +573,7 @@ mod tests {
         let req = request();
         w.state.set_capacity(PeerId::new(1), ResourceVector::new(0.1, 8.0));
         let g = ServiceGraph::new(req.source, req.dest, FunctionGraph::linear(3), chain_assignment());
-        let eval = evaluate(&g, &req, &w.reg, &w.overlay, &w.state, &mut w.paths, &CostWeights::uniform());
+        let eval = evaluate(&g, &req, &w.reg, &w.overlay, &w.state, &mut w.paths);
         assert!(!eval.fits_resources);
     }
 
@@ -584,14 +582,12 @@ mod tests {
         let mut w = world();
         let req = request();
         let g = ServiceGraph::new(req.source, req.dest, FunctionGraph::linear(3), chain_assignment());
-        let before =
-            evaluate(&g, &req, &w.reg, &w.overlay, &w.state, &mut w.paths, &CostWeights::uniform());
+        let before = evaluate(&g, &req, &w.reg, &w.overlay, &w.state, &mut w.paths);
         // Load peer 1 heavily (committed elsewhere).
         w.state
             .commit(&[(PeerId::new(1), ResourceVector::new(0.7, 200.0))], &[])
             .unwrap();
-        let after =
-            evaluate(&g, &req, &w.reg, &w.overlay, &w.state, &mut w.paths, &CostWeights::uniform());
+        let after = evaluate(&g, &req, &w.reg, &w.overlay, &w.state, &mut w.paths);
         assert!(after.cost > before.cost, "ψ must grow with load");
     }
 
@@ -674,8 +670,7 @@ mod tests {
             req.function_graph.clone(),
             chain_assignment(),
         );
-        let eval =
-            evaluate(&g, &req, &w.reg, &w.overlay, &w.state, &mut w.paths, &CostWeights::uniform());
+        let eval = evaluate(&g, &req, &w.reg, &w.overlay, &w.state, &mut w.paths);
         // Compute both branches by hand; the eval must equal the max.
         let mut leg = |a: u64, b: u64| w.paths.delay(&w.overlay, PeerId::new(a), PeerId::new(b));
         let branch1 = leg(0, 1) + 10.0 + leg(1, 2) + 10.0 + leg(2, 9); // 0→n0→n1→dest
@@ -717,7 +712,6 @@ mod tests {
         assignment: &[ComponentId],
     ) -> GraphEval {
         let shape = PatternShape::new(&req.function_graph);
-        let weights = CostWeights::uniform();
         let mut scratch = GraphEvalScratch::default();
         let live = evaluate_with(
             req.source,
@@ -728,7 +722,6 @@ mod tests {
             &w.reg,
             &w.state,
             &mut LiveLegs::new(&w.overlay, &w.state, &mut w.paths),
-            &weights,
             &mut scratch,
         );
         let mut table = legs;
@@ -741,7 +734,6 @@ mod tests {
             &w.reg,
             &w.state,
             &mut table,
-            &weights,
             &mut scratch,
         );
         assert_bit_equal(&snapshot, &live);
@@ -800,9 +792,8 @@ mod tests {
         let mut a2 = chain_assignment();
         a2[0] = ComponentId::new(3); // duplicate of function 0 on peer 4
         let g2 = ServiceGraph::new(req.source, req.dest, FunctionGraph::linear(3), a2);
-        let weights = CostWeights::uniform();
-        let e1 = evaluate(&g1, &req, &w.reg, &w.overlay, &w.state, &mut w.paths, &weights);
-        let e2 = evaluate(&g2, &req, &w.reg, &w.overlay, &w.state, &mut w.paths, &weights);
+        let e1 = evaluate(&g1, &req, &w.reg, &w.overlay, &w.state, &mut w.paths);
+        let e2 = evaluate(&g2, &req, &w.reg, &w.overlay, &w.state, &mut w.paths);
         let expect_first = if e1.cost <= e2.cost { g1.clone() } else { g2.clone() };
         let (best, _, rest) = select_best(vec![(g1, e1), (g2, e2)]).unwrap();
         assert_eq!(best.assignment, expect_first.assignment);
@@ -818,9 +809,8 @@ mod tests {
         let mut a2 = chain_assignment();
         a2[0] = ComponentId::new(3);
         let g2 = ServiceGraph::new(req.source, req.dest, FunctionGraph::linear(3), a2);
-        let weights = CostWeights::uniform();
-        let e1 = evaluate(&g1, &req, &w.reg, &w.overlay, &w.state, &mut w.paths, &weights);
-        let e2 = evaluate(&g2, &req, &w.reg, &w.overlay, &w.state, &mut w.paths, &weights);
+        let e1 = evaluate(&g1, &req, &w.reg, &w.overlay, &w.state, &mut w.paths);
+        let e2 = evaluate(&g2, &req, &w.reg, &w.overlay, &w.state, &mut w.paths);
         // Scoring by ψ reproduces select_best exactly.
         let (a, _, _) = select_best(vec![(g1.clone(), e1.clone()), (g2.clone(), e2.clone())]).unwrap();
         let (b, _, _) = select_best_by(

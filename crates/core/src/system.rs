@@ -26,7 +26,7 @@ use crate::baselines::{self, BaselineContext, OptimalOptions, PoolPolicy};
 use crate::bcp::{BcpConfig, BcpEngine, BcpStats, ComposeCache, ComposeScratch, CompositionOutcome};
 use crate::model::component::{Registry, ServiceComponent};
 use crate::model::request::CompositionRequest;
-use crate::model::service_graph::{CostWeights, GraphEval, ServiceGraph};
+use crate::model::service_graph::{GraphEval, ServiceGraph};
 use crate::paths::PathTable;
 use crate::recovery::{FailureOutcome, RecoveryConfig, SessionManager};
 use crate::state::OverlayState;
@@ -37,7 +37,7 @@ use spidernet_sim::metrics::{counter, Instruments, MetricsRegistry};
 use spidernet_sim::time::{SimDuration, SimTime};
 use spidernet_sim::trace::TraceEvent;
 use spidernet_topology::inet::{generate_power_law, InetConfig};
-use spidernet_topology::overlay::{GeoConfig, Overlay, OverlayConfig, OverlayStyle};
+use spidernet_topology::overlay::{GeoConfig, Overlay, OverlayConfig};
 use spidernet_util::error::Result;
 use spidernet_util::id::{ComponentId, PeerId, SessionId};
 use spidernet_util::res::ResourceVector;
@@ -54,14 +54,10 @@ pub struct SpiderNetConfig {
     pub ip_nodes: usize,
     /// Overlay peers (paper: 1,000).
     pub peers: usize,
-    /// Overlay wiring.
-    pub style: OverlayStyle,
     /// Master seed.
     pub seed: u64,
     /// Uniform peer capacity.
     pub peer_capacity: ResourceVector,
-    /// ψ weights.
-    pub weights: CostWeights,
     /// Recovery policy.
     pub recovery: RecoveryConfig,
     /// When set, the overlay is the geometric scale model (coordinates in
@@ -79,10 +75,8 @@ impl Default for SpiderNetConfig {
         SpiderNetConfig {
             ip_nodes: 10_000,
             peers: 1_000,
-            style: OverlayStyle::Mesh { neighbors: 6 },
             seed: 0,
             peer_capacity: ResourceVector::new(1.0, 256.0),
-            weights: CostWeights::uniform(),
             recovery: RecoveryConfig::default(),
             geo: None,
             build_threads: 1,
@@ -116,12 +110,6 @@ impl SpiderNetConfigBuilder {
         self
     }
 
-    /// Overlay wiring.
-    pub fn style(mut self, style: OverlayStyle) -> Self {
-        self.cfg.style = style;
-        self
-    }
-
     /// Master seed.
     pub fn seed(mut self, seed: u64) -> Self {
         self.cfg.seed = seed;
@@ -131,12 +119,6 @@ impl SpiderNetConfigBuilder {
     /// Uniform peer capacity.
     pub fn peer_capacity(mut self, cap: ResourceVector) -> Self {
         self.cfg.peer_capacity = cap;
-        self
-    }
-
-    /// ψ weights.
-    pub fn weights(mut self, w: CostWeights) -> Self {
-        self.cfg.weights = w;
         self
     }
 
@@ -316,7 +298,6 @@ pub struct SpiderNet {
     directory: ServiceDirectory,
     state: OverlayState,
     paths: PathTable,
-    weights: CostWeights,
     obs: Instruments,
     sessions: SessionManager,
     trust: TrustManager,
@@ -365,8 +346,11 @@ impl SpiderNet {
             &InetConfig { nodes: cfg.ip_nodes, ..InetConfig::default() },
             cfg.seed,
         );
-        let overlay =
-            Overlay::build(&ip, &OverlayConfig { peers: cfg.peers, style: cfg.style }, cfg.seed);
+        let overlay = Overlay::build(
+            &ip,
+            &OverlayConfig { peers: cfg.peers, ..OverlayConfig::default() },
+            cfg.seed,
+        );
         SpiderNet::from_overlay(overlay, cfg)
     }
 
@@ -392,7 +376,6 @@ impl SpiderNet {
             directory: ServiceDirectory::new(),
             state,
             paths,
-            weights: cfg.weights,
             obs: Instruments::new(),
             sessions: SessionManager::new(cfg.recovery.clone()),
             trust: TrustManager::new(0.98),
@@ -506,7 +489,6 @@ impl SpiderNet {
                         reg: &self.reg,
                         state: &self.state,
                         paths: &mut self.paths,
-                        weights: &self.weights,
                     };
                     baselines::optimal_with(&mut ctx, req, &opt_opts)
                 };
@@ -540,7 +522,6 @@ impl SpiderNet {
                     reg: &self.reg,
                     state: &self.state,
                     paths: &mut self.paths,
-                    weights: &self.weights,
                 };
                 baselines::random(&mut ctx, req, &mut self.baseline_rng).map(|out| {
                     ComposeReport {
@@ -562,7 +543,6 @@ impl SpiderNet {
                     reg: &self.reg,
                     state: &self.state,
                     paths: &mut self.paths,
-                    weights: &self.weights,
                 };
                 baselines::static_(&mut ctx, req).map(|out| ComposeReport {
                     session,
@@ -657,7 +637,6 @@ impl SpiderNet {
             reg: &self.reg,
             state: &self.state,
             paths: &mut self.paths,
-            weights: &self.weights,
         };
         baselines::optimal_naive(&mut ctx, req, combo_cap)
     }
@@ -688,7 +667,6 @@ impl SpiderNet {
             directory: &self.directory,
             state: &mut self.state,
             paths: &mut self.paths,
-            weights: &self.weights,
             obs: &mut self.obs,
             session,
             now: self.now,
@@ -767,7 +745,6 @@ impl SpiderNet {
                 &self.overlay,
                 &mut self.paths,
                 &mut self.state,
-                &self.weights,
                 &mut self.obs,
             ));
         }

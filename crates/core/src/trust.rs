@@ -10,12 +10,9 @@
 //! history fades — a peer that misbehaved long ago can redeem itself, and
 //! a long-idle good reputation is not blindly trusted.
 //!
-//! Integration points:
-//! * BCP's composite next-hop metric takes a `w_trust · (1 − trust)` term
-//!   ([`crate::bcp::BcpConfig::w_trust`]), steering probes away from
-//!   distrusted hosts;
-//! * a minimum-trust threshold can exclude peers from candidacy outright
-//!   ([`crate::bcp::BcpConfig::min_trust`]).
+//! BCP's composite next-hop metric takes a `w_trust · (1 − trust)` term
+//! ([`crate::bcp::BcpConfig::w_trust`]), steering probes away from
+//! distrusted hosts.
 //!
 //! In the simulator one [`TrustManager`] instance holds every peer's
 //! observation table, sharded by observer — semantically the same as each

@@ -623,6 +623,17 @@ mod tests {
     }
 
     #[test]
+    fn zero_budget_compose_fails_at_once() {
+        // No probe can leave the source on a zero budget, so the compose
+        // must fail instead of waiting out the driver timeout.
+        let cluster = Cluster::start(fast_cfg(12, 5));
+        let res = cluster
+            .compose(PeerId::new(0), PeerId::new(6), vec![MediaFunction::UpScale], 0, TIMEOUT)
+            .expect("a zero-budget compose resolves");
+        assert!(!res.ok);
+    }
+
+    #[test]
     fn setup_times_scale_with_chain_length() {
         let cluster = Cluster::start(fast_cfg(36, 6));
         let chains: Vec<Vec<MediaFunction>> = vec![

@@ -568,9 +568,10 @@ impl DeployConfig {
 
 impl DeployConfig {
     /// Checks the deployment before any daemon starts: the shared cluster
-    /// settings ([`ClusterConfig::check`]) and at least the 8 peers the
-    /// standard scenario places its chain, source and destination on.
-    /// Errors are [`std::io::ErrorKind::InvalidInput`].
+    /// settings ([`ClusterConfig::check`]), at least the 8 peers the
+    /// standard scenario places its chain, source and destination on, and
+    /// a probing budget of at least 1. Errors are
+    /// [`std::io::ErrorKind::InvalidInput`].
     pub fn check(&self) -> std::io::Result<()> {
         self.cluster.check()?;
         if self.cluster.peers < 8 {
@@ -578,6 +579,9 @@ impl DeployConfig {
                 "a deployment needs at least 8 peers, got {}",
                 self.cluster.peers
             )));
+        }
+        if self.budget == 0 {
+            return Err(invalid_input("the probing budget must be at least 1"));
         }
         Ok(())
     }
@@ -790,103 +794,14 @@ fn connect_and_bootstrap(
 /// starts.
 pub fn deploy(cfg: DeployConfig) -> std::io::Result<DeployOutcome> {
     cfg.check()?;
-    let ports = free_ports(cfg.cluster.peers)?;
-    let mut children = spawn_children(&cfg, &ports)?;
-
-    // Everything from here on must kill the children on the way out.
-    let result = drive_deployment(&cfg, &ports, &mut children);
-    for child in &mut children {
-        let _ = child.kill();
-        let _ = child.wait();
-    }
-    result
-}
-
-fn drive_deployment(
-    cfg: &DeployConfig,
-    ports: &[u16],
-    children: &mut [Child],
-) -> std::io::Result<DeployOutcome> {
-    let deadline = Instant::now() + cfg.timeout;
-    let mut clients = connect_and_bootstrap(cfg, ports, deadline)?;
-
-    // Compose from the source node.
-    let source_client = cfg.source.index();
-    clients[source_client].send(&WireMsg::CtrlCompose {
-        request: 1,
-        dest: cfg.dest.raw(),
-        chain: cfg.chain.iter().map(|f| f.code()).collect(),
-        budget: cfg.budget,
-    })?;
-    let setup = match clients[source_client].recv_matching(cfg.timeout, |f| {
-        matches!(f, WireMsg::CtrlComposeResult(_))
-    })? {
-        WireMsg::CtrlComposeResult(s) => s,
-        _ => unreachable!("matched above"),
-    };
+    let (outcome, reports) = run_deployment(&cfg, 1)?;
+    let setup = outcome.setups.into_iter().next().expect("one session was composed");
     if !setup.ok {
         return Err(err("composition failed"));
     }
-    if cfg.kill_primary && setup.backups.is_empty() {
-        return Err(err("kill-primary requested but probing found no backup path"));
-    }
-
-    // Stream; optionally kill the primary head partway through.
-    clients[source_client].send(&WireMsg::CtrlStream {
-        session: setup.request,
-        path: setup.path.clone(),
-        functions: setup.functions.clone(),
-        backups: setup.backups.clone(),
-        dest: setup.dest,
-        frames: cfg.frames,
-        interval_ms: cfg.interval_ms,
-        width: cfg.dims.0,
-        height: cfg.dims.1,
-    })?;
-    if cfg.kill_primary {
-        // Let roughly a quarter of the stream flow, then fail the head.
-        let quarter =
-            cfg.frames as f64 * cfg.interval_ms * cfg.cluster.time_scale / 1_000.0 * 0.25;
-        std::thread::sleep(Duration::from_secs_f64(quarter.max(0.05)));
-        let head = setup.path[0] as usize;
-        children[head].kill()?;
-        children[head].wait()?;
-    }
-    let report = match clients[source_client]
-        .recv_matching(cfg.timeout, |f| matches!(f, WireMsg::CtrlStreamReport(_)))?
-    {
-        WireMsg::CtrlStreamReport(r) => r,
-        _ => unreachable!("matched above"),
-    };
-
-    // Final stats sweep (killed nodes report zeros).
-    let killed: Option<usize> = cfg.kill_primary.then(|| setup.path[0] as usize);
-    let mut stats = Vec::with_capacity(clients.len());
-    for (i, client) in clients.iter_mut().enumerate() {
-        if Some(i) == killed {
-            stats.push(WireStats { peer: i as u64, ..WireStats::default() });
-            continue;
-        }
-        let snap = client.send(&WireMsg::CtrlStatsRequest).and_then(|()| {
-            client.recv_matching(Duration::from_secs(5), |f| {
-                matches!(f, WireMsg::CtrlStatsReply(_))
-            })
-        });
-        match snap {
-            Ok(WireMsg::CtrlStatsReply(s)) => stats.push(s),
-            _ => stats.push(WireStats { peer: i as u64, ..WireStats::default() }),
-        }
-    }
-
-    // Graceful shutdown for whoever is still alive (the caller reaps).
-    for (i, client) in clients.iter_mut().enumerate() {
-        if Some(i) != killed {
-            let _ = client.send(&WireMsg::CtrlShutdown);
-        }
-    }
-
+    let report = reports.into_iter().next().expect("a composed session streams");
     let fingerprint = fingerprint(&setup, &report);
-    Ok(DeployOutcome { setup, report, stats, fingerprint })
+    Ok(DeployOutcome { setup, report, stats: outcome.stats, fingerprint })
 }
 
 // ---------------------------------------------------------------------
@@ -955,9 +870,18 @@ pub fn deploy_many(cfg: DeployConfig, sessions: u64) -> std::io::Result<MultiDep
     if sessions == 0 {
         return Err(invalid_input("a deployment needs at least one session"));
     }
+    run_deployment(&cfg, sessions).map(|(outcome, _)| outcome)
+}
+
+/// Spawns the daemons, [`drive`]s `sessions` sessions through them, and
+/// kills and reaps every child whatever the outcome.
+fn run_deployment(
+    cfg: &DeployConfig,
+    sessions: u64,
+) -> std::io::Result<(MultiDeployOutcome, Vec<WireStreamReport>)> {
     let ports = free_ports(cfg.cluster.peers)?;
-    let mut children = spawn_children(&cfg, &ports)?;
-    let result = drive_many(&cfg, sessions, &ports, &children);
+    let mut children = spawn_children(cfg, &ports)?;
+    let result = drive(cfg, sessions, &ports, &mut children);
     for child in &mut children {
         let _ = child.kill();
         let _ = child.wait();
@@ -965,12 +889,19 @@ pub fn deploy_many(cfg: DeployConfig, sessions: u64) -> std::io::Result<MultiDep
     result
 }
 
-fn drive_many(
+/// The one deployment driver. It connects and bootstraps, fires all
+/// `sessions` composes from `cfg.source` before reading any result, then
+/// starts every successful session's stream before reading any report.
+/// With `cfg.kill_primary` it kills the first session's primary head a
+/// quarter of the way into the stream. Last it sweeps every live
+/// daemon's stats and shuts them down. The stream reports come back in
+/// arrival order.
+fn drive(
     cfg: &DeployConfig,
     sessions: u64,
     ports: &[u16],
-    children: &[Child],
-) -> std::io::Result<MultiDeployOutcome> {
+    children: &mut [Child],
+) -> std::io::Result<(MultiDeployOutcome, Vec<WireStreamReport>)> {
     let deadline = Instant::now() + cfg.timeout;
     let remaining = |deadline: Instant| {
         deadline.checked_duration_since(Instant::now()).ok_or_else(|| {
@@ -1018,6 +949,16 @@ fn drive_many(
         .map(|(i, s)| s.ok_or_else(|| err(format!("request {} never resolved", i + 1))))
         .collect::<std::io::Result<_>>()?;
     let setups_ok = setups.iter().filter(|s| s.ok).count() as u64;
+    // A kill needs a composed primary and a backup to switch to.
+    let first = &setups[0];
+    let killed = if cfg.kill_primary && first.ok {
+        if first.backups.is_empty() {
+            return Err(err("kill-primary requested but probing found no backup path"));
+        }
+        Some(first.path[0] as usize)
+    } else {
+        None
+    };
 
     // Stream phase: every successful session streams concurrently.
     let stream_start = Instant::now();
@@ -1036,15 +977,20 @@ fn drive_many(
         })?;
         streaming += 1;
     }
-    let (mut frames_sent, mut frames_delivered, mut all_valid) = (0u64, 0u64, true);
+    if let Some(head) = killed {
+        // Let roughly a quarter of the stream flow, then fail the head.
+        let quarter = cfg.frames as f64 * cfg.interval_ms * cfg.cluster.time_scale / 1_000.0 * 0.25;
+        std::thread::sleep(Duration::from_secs_f64(quarter.max(0.05)));
+        children[head].kill()?;
+        children[head].wait()?;
+    }
+    let mut reports = Vec::with_capacity(streaming);
     for _ in 0..streaming {
         let frame = clients[src].recv_matching(remaining(deadline)?, |f| {
             matches!(f, WireMsg::CtrlStreamReport(_))
         })?;
         let WireMsg::CtrlStreamReport(r) = frame else { unreachable!("matched above") };
-        frames_sent += r.sent;
-        frames_delivered += r.delivered;
-        all_valid &= r.all_valid;
+        reports.push(r);
     }
     let stream_secs = stream_start.elapsed().as_secs_f64();
 
@@ -1056,35 +1002,41 @@ fn drive_many(
         .max()
         .unwrap_or(0);
 
-    // Stats sweep, then graceful shutdown.
+    // Stats sweep (a killed daemon reports zeros), then graceful shutdown
+    // for whoever is still alive (the caller reaps).
     let mut stats = Vec::with_capacity(clients.len());
     for (i, client) in clients.iter_mut().enumerate() {
-        let snap = client.send(&WireMsg::CtrlStatsRequest).and_then(|()| {
-            client.recv_matching(Duration::from_secs(5), |f| {
-                matches!(f, WireMsg::CtrlStatsReply(_))
+        let snap = (Some(i) != killed).then(|| {
+            client.send(&WireMsg::CtrlStatsRequest).and_then(|()| {
+                client.recv_matching(Duration::from_secs(5), |f| {
+                    matches!(f, WireMsg::CtrlStatsReply(_))
+                })
             })
         });
         match snap {
-            Ok(WireMsg::CtrlStatsReply(s)) => stats.push(s),
+            Some(Ok(WireMsg::CtrlStatsReply(s))) => stats.push(s),
             _ => stats.push(WireStats { peer: i as u64, ..WireStats::default() }),
         }
     }
-    for client in clients.iter_mut() {
-        let _ = client.send(&WireMsg::CtrlShutdown);
+    for (i, client) in clients.iter_mut().enumerate() {
+        if Some(i) != killed {
+            let _ = client.send(&WireMsg::CtrlShutdown);
+        }
     }
 
-    Ok(MultiDeployOutcome {
+    let outcome = MultiDeployOutcome {
         sessions,
         setups_ok,
         setup_wall_ms,
         compose_secs,
         stream_secs,
-        frames_sent,
-        frames_delivered,
-        all_valid,
+        frames_sent: reports.iter().map(|r| r.sent).sum(),
+        frames_delivered: reports.iter().map(|r| r.delivered).sum(),
+        all_valid: reports.iter().all(|r| r.all_valid),
         stats,
         peak_child_rss_bytes,
         setup_fingerprint: setup_fingerprint(&setups),
         setups,
-    })
+    };
+    Ok((outcome, reports))
 }

@@ -756,10 +756,11 @@ impl PeerNode {
             request,
             ComposeJob { dest, chain: chain.clone(), budget, replica_lists: vec![None; n], discovery_done_ms: None },
         );
-        if n == 0 {
+        if n == 0 || budget == 0 {
             // A zero-function chain sends no lookups, so no reply would
-            // ever call `start_probing` — the job would wedge forever.
-            // There is nothing to compose; fail it immediately.
+            // ever call `start_probing`; a zero budget lets no probe leave
+            // the source, so none would ever reach the destination. Either
+            // way the job would wedge forever: fail it immediately.
             self.finish_failure(request, out);
             return;
         }

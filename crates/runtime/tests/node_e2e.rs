@@ -1,7 +1,7 @@
 //! End-to-end tests of the socket transport: real `spidernet-node`
 //! processes on loopback TCP, compared against the in-process cluster.
 
-use spidernet_runtime::net::{deploy, deploy_many, DeployConfig};
+use spidernet_runtime::net::{deploy, deploy_many, setup_fingerprint, DeployConfig};
 use spidernet_runtime::{Cluster, MediaFunction};
 use spidernet_util::id::PeerId;
 use std::io::ErrorKind;
@@ -98,6 +98,15 @@ fn deploy_fingerprint_is_deterministic() {
     assert_eq!(a.fingerprint, b.fingerprint, "same seed, same outcome");
 }
 
+/// `deploy` and `deploy_many` run one driver: a single session composes
+/// the same setup through either entry point.
+#[test]
+fn deploy_and_deploy_many_compose_the_same_single_session() {
+    let one = deploy(DeployConfig::standard(8, 11, node_exe())).expect("deploy");
+    let many = deploy_many(DeployConfig::standard(8, 11, node_exe()), 1).expect("deploy_many");
+    assert_eq!(setup_fingerprint(&[one.setup]), many.setup_fingerprint);
+}
+
 /// `NetFaultConfig` means the same thing in both deployments: the socket
 /// transport drops droppable traffic at the sender's network layer, the
 /// protocol rides out the loss, and the drop counters move in both.
@@ -145,8 +154,8 @@ fn fault_injection_applies_in_both_transports() {
 /// library entry points return `InvalidInput`. Without the check,
 /// `--time-scale inf` reached the delay queue and the daemon panicked at
 /// its first delayed send (its startup registration: peer 0 of 8 has its
-/// function key rooted at another peer), and `deploy` asserted on too few
-/// peers or zero sessions.
+/// function key rooted at another peer), `deploy` asserted on too few
+/// peers or zero sessions, and a zero budget waited out the timeout.
 #[test]
 fn hostile_settings_are_refused_before_anything_starts() {
     // The settings check runs before the daemon binds any of these ports.
@@ -155,6 +164,7 @@ fn hostile_settings_are_refused_before_anything_starts() {
         &["serve", "--index", "0", "--peers", "8", "--ports", ports, "--time-scale", "inf"][..],
         &["deploy", "--peers", "4"],
         &["deploy", "--sessions", "0"],
+        &["deploy", "--budget", "0"],
     ] {
         let mut child = Command::new(node_exe())
             .args(args)

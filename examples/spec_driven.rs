@@ -1,17 +1,13 @@
 //! Spec-driven composition: author the composite request in the textual
-//! specification format (the QoSTalk stand-in), then compose it — once
-//! under parallel DAG semantics and once under conditional-branch
-//! semantics (the §8 extension).
+//! specification format (the QoSTalk stand-in), then compose it under
+//! parallel DAG semantics, where the worst branch bounds the QoS.
 //!
 //! ```text
 //! cargo run --release --example spec_driven
 //! ```
 
 use spidernet::core::bcp::BcpConfig;
-use spidernet::core::conditional::{evaluate_conditional, BranchPolicy};
 use spidernet::core::model::component::ServiceComponent;
-use spidernet::core::model::service_graph::CostWeights;
-use spidernet::core::paths::PathTable;
 use spidernet::core::spec::parse_spec;
 use spidernet::core::system::{SpiderNet, SpiderNetConfig};
 use spidernet::util::id::{ComponentId, FunctionId, PeerId};
@@ -79,24 +75,4 @@ fn main() {
         "\nparallel semantics: worst-branch delay {:.1} ms, ψ {:.4}",
         outcome.eval.qos[0], outcome.eval.cost
     );
-
-    // Conditional semantics: 30% of ADUs take the enrichment branch.
-    let mut paths = PathTable::new();
-    let cond = evaluate_conditional(
-        &outcome.best,
-        &BranchPolicy::new(vec![0.3, 0.7]).expect("valid policy"),
-        &request,
-        net.registry(),
-        net.overlay(),
-        net.state(),
-        &mut paths,
-        &CostWeights::uniform(),
-    )
-    .expect("policy matches branches");
-    println!(
-        "conditional (30% enrich): expected delay {:.1} ms, ψ {:.4}",
-        cond.qos[0], cond.cost
-    );
-    assert!(cond.qos[0] <= outcome.eval.qos[0] + 1e-9, "expected ≤ worst-case");
-    println!("\nexpected-case beats worst-case by {:.1} ms", outcome.eval.qos[0] - cond.qos[0]);
 }
