@@ -1,5 +1,5 @@
 //! Regenerates Fig. 10: wide-area session setup time vs function number on
-//! the threaded PlanetLab stand-in (102 peers).
+//! the in-process PlanetLab stand-in (102 peers), in model time.
 //!
 //! `cargo run --release -p spidernet-bench --bin fig10 [--paper] [--csv] [--json [path]] [--trace-json]`
 //!

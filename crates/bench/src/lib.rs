@@ -48,8 +48,8 @@ pub fn trace_json_requested() -> bool {
 }
 
 /// True if the CLI was invoked with `--churn-sweep` (fig10: sweep crash
-/// rates through the deterministic fault lab instead of the threaded
-/// setup-time experiment).
+/// rates through the deterministic fault lab instead of the setup-time
+/// experiment).
 pub fn churn_sweep_requested() -> bool {
     flag_present("--churn-sweep")
 }

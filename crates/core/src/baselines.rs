@@ -910,7 +910,7 @@ mod tests {
     use crate::model::component::{FunctionCatalog, ServiceComponent};
     use crate::model::function_graph::FunctionGraph;
     use spidernet_topology::inet::{generate_power_law, InetConfig};
-    use spidernet_topology::overlay::{OverlayConfig, OverlayStyle};
+    use spidernet_topology::overlay::OverlayConfig;
     use spidernet_util::id::{FunctionId, PeerId};
     use spidernet_util::qos::{QosRequirement, QosVector};
     use spidernet_util::res::ResourceVector;
@@ -927,7 +927,7 @@ mod tests {
         let ip = generate_power_law(&InetConfig { nodes: 200, ..InetConfig::default() }, 21);
         let overlay = Overlay::build(
             &ip,
-            &OverlayConfig { peers: 40, style: OverlayStyle::Mesh { neighbors: 5 } },
+            &OverlayConfig { peers: 40, neighbors: 5 },
             21,
         );
         let mut catalog = FunctionCatalog::new();

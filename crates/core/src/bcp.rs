@@ -1003,7 +1003,7 @@ mod tests {
     use crate::model::component::{FunctionCatalog, ServiceComponent};
     use crate::model::function_graph::FunctionGraph;
     use spidernet_topology::inet::{generate_power_law, InetConfig};
-    use spidernet_topology::overlay::{Overlay, OverlayConfig, OverlayStyle};
+    use spidernet_topology::overlay::{Overlay, OverlayConfig};
     use spidernet_util::qos::QosRequirement;
     use spidernet_util::res::ResourceVector;
 
@@ -1023,7 +1023,7 @@ mod tests {
         let ip = generate_power_law(&InetConfig { nodes: 200, ..InetConfig::default() }, 12);
         let overlay = Overlay::build(
             &ip,
-            &OverlayConfig { peers: 40, style: OverlayStyle::Mesh { neighbors: 5 } },
+            &OverlayConfig { peers: 40, neighbors: 5 },
             12,
         );
         let mut catalog = FunctionCatalog::new();

@@ -12,7 +12,7 @@
 //! | [`faults`] | beyond the paper — recovery under seeded fault plans and churn sweeps |
 //! | [`congestion`] | beyond the paper — QoS violations & goodput vs offered load under shared bandwidth |
 //!
-//! Fig. 10 (wide-area session setup time) runs on the threaded runtime and
+//! Fig. 10 (wide-area session setup time) runs on the wide-area runtime and
 //! lives in `spidernet-runtime::experiments`. [`ablation`] adds quality
 //! ablations of the design choices (commutation, quota policy, trust).
 //!

@@ -210,13 +210,13 @@ impl PathTable {
 mod tests {
     use super::*;
     use spidernet_topology::inet::{generate_power_law, InetConfig};
-    use spidernet_topology::overlay::{OverlayConfig, OverlayStyle};
+    use spidernet_topology::overlay::OverlayConfig;
 
     fn overlay() -> Overlay {
         let ip = generate_power_law(&InetConfig { nodes: 150, ..InetConfig::default() }, 4);
         Overlay::build(
             &ip,
-            &OverlayConfig { peers: 30, style: OverlayStyle::Mesh { neighbors: 4 } },
+            &OverlayConfig { peers: 30, neighbors: 4 },
             4,
         )
     }

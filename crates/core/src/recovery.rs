@@ -597,7 +597,7 @@ mod tests {
     use crate::model::component::{FunctionCatalog, ServiceComponent};
     use crate::model::function_graph::FunctionGraph;
     use spidernet_topology::inet::{generate_power_law, InetConfig};
-    use spidernet_topology::overlay::{OverlayConfig, OverlayStyle};
+    use spidernet_topology::overlay::OverlayConfig;
     use spidernet_util::id::FunctionId;
     use spidernet_util::qos::{QosRequirement, QosVector};
 
@@ -613,7 +613,7 @@ mod tests {
         let ip = generate_power_law(&InetConfig { nodes: 200, ..InetConfig::default() }, 31);
         let overlay = Overlay::build(
             &ip,
-            &OverlayConfig { peers: 40, style: OverlayStyle::Mesh { neighbors: 5 } },
+            &OverlayConfig { peers: 40, neighbors: 5 },
             31,
         );
         let mut catalog = FunctionCatalog::new();

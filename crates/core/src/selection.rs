@@ -476,7 +476,7 @@ mod tests {
     use super::*;
     use crate::model::component::ServiceComponent;
     use spidernet_topology::inet::{generate_power_law, InetConfig};
-    use spidernet_topology::overlay::{OverlayConfig, OverlayStyle};
+    use spidernet_topology::overlay::OverlayConfig;
     use spidernet_util::id::{FunctionId, PeerId};
     use spidernet_util::qos::QosRequirement;
     use spidernet_util::res::ResourceVector;
@@ -492,7 +492,7 @@ mod tests {
         let ip = generate_power_law(&InetConfig { nodes: 150, ..InetConfig::default() }, 6);
         let overlay = Overlay::build(
             &ip,
-            &OverlayConfig { peers: 30, style: OverlayStyle::Mesh { neighbors: 4 } },
+            &OverlayConfig { peers: 30, neighbors: 4 },
             6,
         );
         let mut reg = Registry::default();

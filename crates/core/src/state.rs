@@ -674,13 +674,13 @@ impl OverlayState {
 mod tests {
     use super::*;
     use spidernet_topology::inet::{generate_power_law, InetConfig};
-    use spidernet_topology::overlay::{OverlayConfig, OverlayStyle};
+    use spidernet_topology::overlay::OverlayConfig;
 
     fn overlay() -> Overlay {
         let ip = generate_power_law(&InetConfig { nodes: 120, ..InetConfig::default() }, 2);
         Overlay::build(
             &ip,
-            &OverlayConfig { peers: 24, style: OverlayStyle::Mesh { neighbors: 4 } },
+            &OverlayConfig { peers: 24, neighbors: 4 },
             2,
         )
     }

@@ -198,14 +198,14 @@ pub(crate) fn request_for(
 mod tests {
     use super::*;
     use spidernet_topology::inet::{generate_power_law, InetConfig};
-    use spidernet_topology::overlay::{OverlayConfig, OverlayStyle};
+    use spidernet_topology::overlay::OverlayConfig;
     use spidernet_util::rng::rng_for;
 
     fn overlay() -> Overlay {
         let ip = generate_power_law(&InetConfig { nodes: 250, ..InetConfig::default() }, 41);
         Overlay::build(
             &ip,
-            &OverlayConfig { peers: 50, style: OverlayStyle::Mesh { neighbors: 4 } },
+            &OverlayConfig { peers: 50, neighbors: 4 },
             41,
         )
     }

@@ -30,11 +30,6 @@ impl PastryNode {
     pub fn id(&self) -> NodeId {
         self.id
     }
-
-    /// Number of populated routing-table cells (diagnostics).
-    pub fn table_size(&self) -> usize {
-        self.table.len()
-    }
 }
 
 /// The result of routing one message.
@@ -600,7 +595,7 @@ mod tests {
     #[test]
     fn next_hop_from_walks_to_delivery() {
         // Manually following next_hop_from must terminate at the
-        // responsible node — the primitive the threaded runtime uses.
+        // responsible node — the primitive the wide-area runtime uses.
         let net = build(48);
         for probe in 0..30u64 {
             let key = NodeId::from_peer_index(90_000 + probe);

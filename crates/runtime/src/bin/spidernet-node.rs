@@ -34,8 +34,7 @@ fn usage() -> ! {
          spidernet-node deploy [--peers N] [--seed S] [--frames F] \
          [--interval-ms I] [--budget B] [--time-scale T] [--timeout-secs T] \
          [--drop-prob D] [--extra-delay-ms E] [--kill-primary]\n  \
-         spidernet-node deploy --sessions N [--verify-inprocess] \
-         [--json [path]] [...same flags as deploy]"
+         spidernet-node deploy --sessions N [--json [path]] [...same flags as deploy]"
     );
     std::process::exit(2)
 }
@@ -201,7 +200,9 @@ fn run_deploy(args: &[String]) {
 /// `deploy --sessions N`: N concurrent composition + streaming sessions
 /// through one loopback deployment, reporting per-session setup-latency
 /// percentiles, aggregate frames/sec, connection counts, and peak child
-/// RSS — as text and (with `--json [path]`) as BENCH_daemon.json.
+/// RSS — as text and (with `--json [path]`) as BENCH_daemon.json. Without
+/// injected faults it also replays the N compositions in process and
+/// reports whether the two setup fingerprints match.
 fn run_deploy_many(
     cfg: DeployConfig,
     sessions: u64,
@@ -214,7 +215,6 @@ fn run_deploy_many(
         Some(path) => Some(Some(path.clone())),
         None => switches.iter().any(|s| s == "json").then_some(None),
     };
-    let verify = switches.iter().any(|s| s == "verify-inprocess");
     if switches.iter().any(|s| s == "kill-primary") {
         eprintln!("--kill-primary applies to single-session deploys");
         usage()
@@ -236,7 +236,10 @@ fn run_deploy_many(
 
     // The same N compositions, sequentially, in-process: request ids and
     // message content match, so the setup fingerprints must be bit-equal.
-    let fingerprint_match = verify.then(|| {
+    // Under injected faults the two transports roll different fault
+    // streams, so their fingerprints cannot match and the replay is
+    // skipped.
+    let fingerprint_match = (!faults_active).then(|| {
         let cluster = Cluster::start(cluster_cfg);
         let mut wires = Vec::with_capacity(sessions as usize);
         for request in 1..=sessions {

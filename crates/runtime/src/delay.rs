@@ -1,19 +1,10 @@
-//! The wall-time network layer both transports share: a delay queue that
-//! holds each item for its model delay (× `time_scale`) before handing it
-//! on, and the sender-side fault rule applied as items leave it.
-//!
-//! The in-process cluster runs one queue for all of its peers' traffic and
-//! timers; a socket daemon runs one for outbound frames and one for its
-//! own timers. Either way a [`NetFaultConfig`](crate::NetFaultConfig)
-//! means the same thing: [`roll_faults`] is the only place it is applied.
+//! The daemon's wall-time delay queue: it holds each item for its model
+//! delay (× `time_scale`) before handing it on. A socket daemon runs one
+//! for outbound frames and one for its own timers; the in-process
+//! cluster steps model time instead ([`crate::cluster`]).
 
-use crate::node::World;
-use spidernet_util::rng::Rng;
-use spidernet_wire::WireMsg;
 use std::collections::BinaryHeap;
-use std::sync::atomic::Ordering;
 use std::sync::{Arc, Condvar, Mutex};
-use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 struct Entry<T> {
@@ -42,7 +33,6 @@ impl<T> PartialOrd for Entry<T> {
 struct State<T> {
     heap: BinaryHeap<Entry<T>>,
     seq: u64,
-    shutdown: bool,
 }
 
 struct Inner<T> {
@@ -68,28 +58,20 @@ pub(crate) struct DelayQueue<T> {
     scale: f64,
 }
 
-impl<T> Clone for DelayQueue<T> {
-    fn clone(&self) -> Self {
-        DelayQueue { inner: self.inner.clone(), scale: self.scale }
-    }
-}
-
 impl<T: Send + 'static> DelayQueue<T> {
-    /// Starts the pump thread. `scale` is wall seconds per model second.
-    pub(crate) fn start<F>(scale: f64, mut handle: F) -> (DelayQueue<T>, JoinHandle<()>)
+    /// Starts the pump thread, which runs for the life of the process.
+    /// `scale` is wall seconds per model second.
+    pub(crate) fn start<F>(scale: f64, mut handle: F) -> DelayQueue<T>
     where
         F: FnMut(T) -> Option<(T, f64)> + Send + 'static,
     {
         let inner = Arc::new(Inner {
-            state: Mutex::new(State { heap: BinaryHeap::new(), seq: 0, shutdown: false }),
+            state: Mutex::new(State { heap: BinaryHeap::new(), seq: 0 }),
             cond: Condvar::new(),
         });
         let pump = inner.clone();
-        let pump_thread = std::thread::spawn(move || loop {
+        std::thread::spawn(move || loop {
             let mut q = pump.state.lock().expect("a delay-queue user panicked");
-            if q.shutdown {
-                return;
-            }
             let now = Instant::now();
             let wait = match q.heap.peek() {
                 Some(e) if e.due <= now => {
@@ -105,53 +87,16 @@ impl<T: Send + 'static> DelayQueue<T> {
             };
             let _ = pump.cond.wait_timeout(q, wait).expect("a delay-queue user panicked");
         });
-        (DelayQueue { inner, scale }, pump_thread)
+        DelayQueue { inner, scale }
     }
 
     /// Queues `item` to fire after `model_ms` of model time.
     pub(crate) fn push(&self, item: T, model_ms: f64) {
         self.inner.push(item, wall(model_ms, self.scale));
     }
-
-    /// Stops the pump thread; queued items are dropped.
-    pub(crate) fn shutdown(&self) {
-        self.inner.state.lock().expect("a delay-queue user panicked").shutdown = true;
-        self.inner.cond.notify_one();
-    }
 }
 
 /// Model ms to compressed wall time (negative delays fire at once).
 fn wall(model_ms: f64, scale: f64) -> Duration {
     Duration::from_secs_f64((model_ms * scale / 1_000.0).max(0.0))
-}
-
-/// What the fault injector decided for one outbound wire message.
-pub(crate) enum Fault {
-    /// Hand it on now.
-    Deliver,
-    /// Lost (counted in [`World::msgs_dropped`]).
-    Drop,
-    /// Hold it back this many more model ms, then deliver it without
-    /// rolling again.
-    Delay(f64),
-}
-
-/// The two-step fault rule, applied at the sender's network layer once per
-/// message: a droppable frame ([`WireMsg::droppable`]) is rolled for loss,
-/// and a survivor may draw extra uniform delay. Everything else (and every
-/// message when the config is inactive) delivers without touching `rng`.
-/// Callers must not roll a message they re-queued for [`Fault::Delay`].
-pub(crate) fn roll_faults(world: &World, msg: &WireMsg, rng: &mut Rng) -> Fault {
-    let faults = world.cfg.faults;
-    if !faults.is_active() || !msg.droppable() {
-        return Fault::Deliver;
-    }
-    if faults.drop_prob > 0.0 && rng.gen::<f64>() < faults.drop_prob {
-        world.msgs_dropped.fetch_add(1, Ordering::Relaxed);
-        return Fault::Drop;
-    }
-    if faults.extra_delay_ms > 0.0 {
-        return Fault::Delay(rng.gen::<f64>() * faults.extra_delay_ms);
-    }
-    Fault::Deliver
 }

@@ -6,6 +6,10 @@
 //! (2) service graph finding via BCP, and (3) session initialization, for
 //! compositions of 2–6 functions. Setup completes "within several seconds"
 //! — multi-hop WAN round trips dominate.
+//!
+//! The in-process cluster computes every time from content-keyed message
+//! timestamps, so for a fixed config the figure is exact and repeats bit
+//! for bit.
 
 use crate::cluster::{Cluster, ClusterConfig};
 use crate::media::MediaFunction;
@@ -19,7 +23,7 @@ use std::time::Duration;
 /// Experiment parameters.
 #[derive(Clone, Debug)]
 pub struct Fig10Config {
-    /// Cluster shape (peers, WAN model, time compression).
+    /// Cluster shape (peers, WAN model, protocol timers).
     pub cluster: ClusterConfig,
     /// Function counts to sweep (paper: 2–6).
     pub function_counts: Vec<usize>,
@@ -27,16 +31,15 @@ pub struct Fig10Config {
     pub requests_per_point: usize,
     /// Per-request probing budget.
     pub budget: u32,
-    /// Driver-side wall timeout per request.
+    /// Driver-side timeout per request ([`Cluster::compose`] reads it as
+    /// model time).
     pub request_timeout: Duration,
 }
 
 impl Default for Fig10Config {
     fn default() -> Self {
         Fig10Config {
-            // 10× compression keeps thread-scheduling noise (≈ms wall)
-            // an order of magnitude below the WAN signal (≈100ms model).
-            cluster: ClusterConfig { peers: 102, time_scale: 0.1, ..ClusterConfig::default() },
+            cluster: ClusterConfig::default(),
             function_counts: vec![2, 3, 4, 5, 6],
             requests_per_point: 25,
             budget: 16,
@@ -129,8 +132,9 @@ pub fn run(cfg: &Fig10Config) -> Fig10Result {
     let mut rng = rng_for(cfg.cluster.seed, "fig10");
     let mut rows = Vec::new();
 
-    // Warm-up requests: populate thread stacks, path caches, and branch
-    // predictors so the measured rows don't absorb cold-start wall noise.
+    // Three unmeasured composes come first. The figure's rows were drawn
+    // after them, so they fix the RNG stream and the request ids the rows
+    // see; dropping them would change the CSV.
     for w in 0..3u64 {
         let _ = cluster.compose(
             PeerId::new(w),
@@ -191,7 +195,7 @@ mod tests {
     #[test]
     fn csv_has_one_row_per_function_count() {
         let cfg = Fig10Config {
-            cluster: ClusterConfig { peers: 24, time_scale: 0.004, ..ClusterConfig::default() },
+            cluster: ClusterConfig { peers: 24, ..ClusterConfig::default() },
             function_counts: vec![2],
             requests_per_point: 2,
             ..Fig10Config::default()
@@ -206,11 +210,7 @@ mod tests {
     #[test]
     fn setup_time_decomposes_and_grows_with_functions() {
         let cfg = Fig10Config {
-            cluster: ClusterConfig {
-                peers: 30,
-                time_scale: 0.004,
-                ..ClusterConfig::default()
-            },
+            cluster: ClusterConfig { peers: 30, ..ClusterConfig::default() },
             function_counts: vec![2, 5],
             requests_per_point: 6,
             ..Fig10Config::default()

@@ -1,37 +1,39 @@
-//! Threaded wide-area deployment of SpiderNet — the PlanetLab stand-in.
+//! Wide-area deployment of SpiderNet — the PlanetLab stand-in.
 //!
 //! The paper's prototype is multi-threaded node software deployed on 102
 //! PlanetLab hosts across the US and Europe, populated with six multimedia
 //! service components and driven by a customizable video-streaming
 //! application (§6.2). This crate reproduces that system twice over one
 //! shared protocol engine and one message set, the `spidernet-wire`
-//! [`WireMsg`](spidernet_wire::WireMsg) — in-process (threads + channels)
-//! and as real networked OS processes (TCP + the wire codec):
+//! [`WireMsg`](spidernet_wire::WireMsg) — in-process (one discrete-event
+//! loop in model time) and as real networked OS processes (TCP + the wire
+//! codec):
 //!
 //! * [`wan`] — a measured-RTT-scale wide-area delay model (regions, jitter);
 //! * [`media`] — the six multimedia components as real byte transforms over
 //!   synthetic video frames;
 //! * [`node`] — the transport-agnostic protocol engine ([`node::PeerNode`]
 //!   behind the [`node::Outbox`] trait), which checks every frame at its
-//!   entry, and the shared deterministic environment ([`node::World`]);
-//! * `delay` — the wall-time delay queue and sender-side fault rule both
-//!   transports share;
-//! * [`cluster`] — the in-process (channel) transport: one actor thread per
-//!   peer plus a delay-queue network thread; DHT lookups, BCP probes,
-//!   session setup acks, heartbeats, and media frames all travel hop by hop
-//!   through real channels with injected WAN latencies;
+//!   entry, the sender-side fault rule both transports apply, and the
+//!   shared deterministic environment ([`node::World`]);
+//! * [`cluster`] — the in-process runtime: every peer's engine stepped by
+//!   one event queue keyed by model time; DHT lookups, BCP probes, session
+//!   setup acks, heartbeats, and media frames all travel hop by hop with
+//!   injected WAN latencies, and the caller's thread fires the events;
 //! * [`mc`] — the model-checker adapter: `PeerNode`s behind a virtual
 //!   [`mc::ModelOutbox`], exposing every delivery interleaving (plus
 //!   drop/duplicate/crash faults) to the `spidernet-sim` explorer;
 //! * [`net`] — the socket transport: the Linux `spidernet-node` daemon (one
-//!   OS process per peer, connections on one `epoll` loop), its control
-//!   client, and the loopback `deploy` orchestrator;
+//!   OS process per peer, connections on one `epoll` loop, outbound frames
+//!   and timers held in wall-time delay queues), its control client, and
+//!   the loopback `deploy` orchestrator;
 //! * [`experiments`] — the Fig. 10 driver (session setup time vs function
 //!   number, decomposed into discovery / probing / session-init phases).
 
 #![warn(missing_docs)]
 
 pub mod cluster;
+#[cfg(target_os = "linux")]
 mod delay;
 #[cfg(target_os = "linux")]
 pub(crate) mod evnet;

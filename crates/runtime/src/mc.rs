@@ -6,8 +6,8 @@
 //! the network: each [`McAction`] delivers one of them (or fires a
 //! timer, drops, duplicates, crashes a peer), so the
 //! [`spidernet_sim::mc`] engine can explore delivery interleavings that
-//! the channel and socket transports would only hit under rare
-//! scheduling, loss, or WAN jitter.
+//! the cluster's due-ordered event queue never produces and the socket
+//! transport would only hit under rare scheduling, loss, or WAN jitter.
 //!
 //! The adversary is bounded by a [`NetModel`]: arbitrary reorder (or
 //! FIFO per channel), a drop budget over the droppable message class, a
@@ -560,7 +560,7 @@ impl CheckedWorld {
 
     /// Files one drained outbox into the virtual network: wire sends
     /// become in-flight messages (sends to dead peers vanish, as the
-    /// cluster's network thread would lose them), timers become pending
+    /// cluster's event loop would lose them), timers become pending
     /// entries due relative to the current clock, and driver results are
     /// recorded for the invariant checks. Maintenance probes leaving the
     /// streaming source also update the ghost path table.

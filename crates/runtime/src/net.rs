@@ -24,7 +24,7 @@
 //!
 //! [`NetFaultConfig`](crate::NetFaultConfig) is honored at the *sender's*
 //! network layer, before bytes reach a socket, by the same fault rule
-//! the in-process delay queue applies (`delay::roll_faults`), so a fault
+//! the in-process event loop applies (`node::roll_faults`), so a fault
 //! config means the same thing in both deployments.
 //!
 //! ## Model time
@@ -35,7 +35,10 @@
 //! functions of message content — a socket deployment reports the same
 //! numbers as the in-process cluster for the same seed.
 
-use crate::delay::{roll_faults, DelayQueue, Fault};
+#[cfg(target_os = "linux")]
+use crate::delay::DelayQueue;
+#[cfg(target_os = "linux")]
+use crate::node::{roll_faults, Fault};
 use crate::media::MediaFunction;
 use crate::node::{ClusterConfig, Outbox, PeerNode, SetupResult, StreamReport, Timer, World};
 use spidernet_sim::trace::TraceEvent;
@@ -223,6 +226,7 @@ pub(crate) enum EngineInput {
     Announce,
 }
 
+#[cfg(target_os = "linux")]
 struct SocketOutbox {
     epoch: Instant,
     scale: f64,
@@ -232,6 +236,7 @@ struct SocketOutbox {
     pending_reports: HashMap<u64, ReplySink>,
 }
 
+#[cfg(target_os = "linux")]
 struct OutFrame {
     to: PeerId,
     msg: WireMsg,
@@ -239,6 +244,7 @@ struct OutFrame {
     rolled: bool,
 }
 
+#[cfg(target_os = "linux")]
 impl Outbox for SocketOutbox {
     fn wire(&mut self, to: PeerId, msg: WireMsg, delay_ms: f64) {
         self.outbound.push(OutFrame { to, msg, rolled: false }, delay_ms);
@@ -298,7 +304,7 @@ fn serve(cfg: NodeConfig) -> std::io::Result<()> {
     let (engine_tx, engine_rx) = std::sync::mpsc::channel::<EngineInput>();
 
     // Timers: local bookkeeping, no faults, straight into the engine.
-    let (timers, _) = {
+    let timers = {
         let engine = engine_tx.clone();
         DelayQueue::start(scale, move |timer: Timer| {
             let _ = engine.send(EngineInput::Timer(timer));
@@ -319,7 +325,7 @@ fn serve(cfg: NodeConfig) -> std::io::Result<()> {
     // Outbound: WAN delay already waited out by the queue; apply
     // sender-side fault injection, then hand survivors to the transport
     // (or straight to our own inbox for self-sends).
-    let (outbound, _) = {
+    let outbound = {
         let engine = engine_tx.clone();
         let world = world.clone();
         let mut rng = rng_for_indexed(world.cfg.seed, "net-faults", cfg.index as u64);
@@ -382,11 +388,12 @@ fn serve(cfg: NodeConfig) -> std::io::Result<()> {
                     }
                 }
                 WireMsg::CtrlStatsRequest => {
+                    let (probes_sent, dht_hops, msgs_dropped) = world.counters();
                     sink(WireMsg::CtrlStatsReply(WireStats {
                         peer: me.raw(),
-                        probes_sent: world.probes_sent.load(Ordering::Relaxed),
-                        dht_hops: world.dht_hops.load(Ordering::Relaxed),
-                        msgs_dropped: world.msgs_dropped.load(Ordering::Relaxed),
+                        probes_sent,
+                        dht_hops,
+                        msgs_dropped,
                         store_entries: node.store_entries(),
                         frames_tx: stats.frames_tx.load(Ordering::Relaxed),
                         frames_rx: stats.frames_rx.load(Ordering::Relaxed),
@@ -696,8 +703,8 @@ fn fingerprint(setup: &WireSetup, report: &WireStreamReport) -> u64 {
 /// Order-independent digest of a batch of composition outcomes (sorted by
 /// request id, then paths, backups, and f64 metric bits folded in). Pure
 /// model-time content — the same value in-process or over sockets,
-/// regardless of wall clock or session concurrency, which is what lets `deploy --sessions N
-/// --verify-inprocess` compare a concurrent socket deployment against N
+/// regardless of wall clock or session concurrency, which is what lets
+/// `deploy --sessions N` compare a concurrent socket deployment against N
 /// sequential in-process compositions.
 pub fn setup_fingerprint(setups: &[WireSetup]) -> u64 {
     let mut ordered: Vec<&WireSetup> = setups.iter().collect();

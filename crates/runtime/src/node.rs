@@ -7,10 +7,11 @@
 //! (its own timers), and the driver commands ([`PeerNode::compose`],
 //! [`PeerNode::start_stream`], or their control-frame form
 //! [`PeerNode::control`]). It never touches a channel or a socket: every
-//! outbound effect goes through the [`Outbox`] trait, implemented by the
-//! in-process channel transport ([`crate::cluster`]), the socket daemon
-//! ([`crate::net`]), and the model checker ([`crate::mc`]). Protocol
-//! logic exists exactly once.
+//! outbound effect goes through the [`Outbox`] trait, implemented by
+//! [`crate::mc::ModelOutbox`], which captures effects for the model
+//! checker ([`crate::mc`]) and the in-process event loop
+//! ([`crate::cluster`]), and by the socket daemon ([`crate::net`]).
+//! Protocol logic exists exactly once.
 //!
 //! Peers exchange [`WireMsg`] values everywhere — the in-process cluster
 //! hands them over unencoded, the daemon encodes them onto TCP. A frame
@@ -25,16 +26,16 @@
 //! of each message is a pure function of `(seed, from, to, salt)`.
 //! Messages carry an `at_ms` model timestamp accumulated hop by hop, and
 //! every session-setup metric (discovery, probing, init, total) is
-//! computed from these timestamps — never from the wall clock. For a
-//! fixed seed the reported metrics are bit-identical across transports,
-//! runs, and thread schedules. Wall time (via [`Outbox::now_ms`]) is used
-//! only where the protocol genuinely reacts to real elapsed time: the
-//! streaming failover detector.
+//! computed from these timestamps — never from a clock. For a fixed seed
+//! the reported metrics are bit-identical across transports and runs.
+//! Elapsed time ([`Outbox::now_ms`]) is read only by the streaming
+//! failover detector: the in-process cluster reports its event clock, a
+//! daemon its wall clock over `time_scale`.
 //!
 //! The destination filters collected probes to a *model* sub-window
 //! (half the collect window) before selecting, so a probe's membership in
 //! the selection set depends on its deterministic model arrival, not on
-//! how close to the wall deadline the transport delivered it.
+//! how close to the collect deadline a daemon's transport delivered it.
 
 use crate::media::{Frame, MediaFunction};
 use crate::wan::WanModel;
@@ -44,7 +45,7 @@ use spidernet_util::hash::function_key;
 use spidernet_util::id::PeerId;
 use spidernet_util::qos::QosVector;
 use spidernet_util::res::ResourceVector;
-use spidernet_util::rng::splitmix64;
+use spidernet_util::rng::{splitmix64, Rng};
 use spidernet_wire::{WireMsg, WireProbe, WireReplica, MAX_PIXEL_BYTES};
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -106,6 +107,39 @@ impl NetFaultConfigBuilder {
     }
 }
 
+/// What the fault injector decided for one outbound wire message.
+pub(crate) enum Fault {
+    /// Hand it on now.
+    Deliver,
+    /// Lost (counted in [`World::msgs_dropped`]).
+    Drop,
+    /// Hold it back this many more model ms, then deliver it without
+    /// rolling again.
+    Delay(f64),
+}
+
+/// The two-step fault rule, the one place a [`NetFaultConfig`] is applied:
+/// the cluster's event loop and a daemon's outbound queue each roll every
+/// wire message once its WAN delay has passed. A droppable frame
+/// ([`WireMsg::droppable`]) is rolled for loss, and a survivor may draw
+/// extra uniform delay. Everything else (and every message when the config
+/// is inactive) delivers without touching `rng`. Callers must not roll a
+/// message they re-queued for [`Fault::Delay`].
+pub(crate) fn roll_faults(world: &World, msg: &WireMsg, rng: &mut Rng) -> Fault {
+    let faults = world.cfg.faults;
+    if !faults.is_active() || !msg.droppable() {
+        return Fault::Deliver;
+    }
+    if faults.drop_prob > 0.0 && rng.gen::<f64>() < faults.drop_prob {
+        world.msgs_dropped.fetch_add(1, Ordering::Relaxed);
+        return Fault::Drop;
+    }
+    if faults.extra_delay_ms > 0.0 {
+        return Fault::Delay(rng.gen::<f64>() * faults.extra_delay_ms);
+    }
+    Fault::Deliver
+}
+
 /// Cluster construction parameters, shared verbatim by both transports —
 /// a socket deployment built from the same config and seed reproduces the
 /// in-process cluster's topology, component placement, and model-time
@@ -118,7 +152,9 @@ pub struct ClusterConfig {
     pub jitter: f64,
     /// Master seed.
     pub seed: u64,
-    /// Wall seconds per model second (0.02 = 50× compression).
+    /// Wall seconds per model second (0.02 = 50× compression). A daemon
+    /// runs at this pace; the in-process cluster, which steps model time,
+    /// uses it only to read its call timeouts as model time.
     pub time_scale: f64,
     /// Destination-side probe collection window, model ms.
     pub collect_window_ms: f64,
@@ -352,6 +388,13 @@ impl World {
         stores
     }
 
+    /// The deployment-wide counters `(probes_sent, dht_hops,
+    /// msgs_dropped)`.
+    pub fn counters(&self) -> (u64, u64, u64) {
+        let read = |c: &AtomicU64| c.load(Ordering::Relaxed);
+        (read(&self.probes_sent), read(&self.dht_hops), read(&self.msgs_dropped))
+    }
+
     /// Records one trace event.
     pub fn record(&self, ev: TraceEvent) {
         self.trace.lock().unwrap().record(ev);
@@ -386,8 +429,8 @@ pub enum Timer {
 }
 
 /// The engine's view of a transport: where outbound messages, timers, and
-/// driver results go. Implementations decide what "wire" means (an
-/// in-process delay queue, or a fault-injecting sender queue feeding TCP
+/// driver results go. Implementations decide what "wire" means (the
+/// cluster's event queue, or a fault-injecting sender queue feeding TCP
 /// connections).
 pub trait Outbox {
     /// Ships `msg` to peer `to`; the transport must deliver it after
@@ -398,11 +441,12 @@ pub trait Outbox {
     /// model time. Timers are local bookkeeping: never dropped, never
     /// jittered.
     fn timer(&mut self, timer: Timer, delay_ms: f64);
-    /// Wall-derived model time, ms since the deployment epoch. Used only
-    /// by the streaming failover detector.
+    /// Model time, ms since the deployment started: the cluster's event
+    /// clock, or a daemon's wall clock over `time_scale`. Used only by the
+    /// streaming failover detector.
     fn now_ms(&self) -> f64;
-    /// Delivers a finished setup result to whoever asked (driver channel
-    /// or control connection).
+    /// Delivers a finished setup result to whoever asked (the cluster's
+    /// caller or a control connection).
     fn setup_result(&mut self, result: SetupResult);
     /// Delivers a finished stream report likewise.
     fn stream_report(&mut self, report: StreamReport);
@@ -472,7 +516,7 @@ struct StreamJob {
     acked: HashSet<u64>,
     all_valid: bool,
     delivery_digest: u64,
-    /// Model ms (wall-derived) of the last sign of progress — the
+    /// Model ms ([`Outbox::now_ms`]) of the last sign of progress — the
     /// failover detector's baseline.
     last_progress_ms: f64,
     switches: u32,
@@ -1265,13 +1309,6 @@ impl PeerNode {
     }
 
     // --- model-checker seams ------------------------------------------
-
-    /// Sessions this peer is currently streaming (sorted).
-    pub fn stream_sessions(&self) -> Vec<u64> {
-        let mut s: Vec<u64> = self.stream_jobs.keys().copied().collect();
-        s.sort_unstable();
-        s
-    }
 
     /// Snapshot of one streaming session's failover state, or `None` when
     /// this peer isn't sourcing `session`.

@@ -4,9 +4,9 @@
 //! Europe". We assign each peer to a region and draw per-message one-way
 //! delays from measured-RTT-scale ranges: intra-region tens of
 //! milliseconds, transcontinental ~35–45 ms one-way, transatlantic
-//! ~45–75 ms one-way, plus multiplicative jitter. A global `time_scale`
-//! lets tests compress wall-clock time without changing reported
-//! model-time numbers.
+//! ~45–75 ms one-way, plus multiplicative jitter. A daemon's `time_scale`
+//! compresses wall-clock time without changing reported model-time
+//! numbers.
 
 use spidernet_util::id::PeerId;
 use spidernet_util::rng::{rng_for_indexed, splitmix64, Rng};

@@ -8,7 +8,6 @@
 //! dependencies.
 
 use crate::metrics::MetricsRegistry;
-use crate::trace::TraceBuffer;
 use spidernet_util::stats::Summary;
 
 /// Builder for one `TRACE_<name>.json` report.
@@ -76,12 +75,6 @@ impl TraceReport {
             self.session_columns = reg.counters().map(|(n, _)| n.to_owned()).collect();
             self.sessions.extend(reg.session_rows());
         }
-        self
-    }
-
-    /// Records trace-ring statistics.
-    pub fn add_trace(&mut self, trace: &TraceBuffer) -> &mut Self {
-        self.trace_stats = Some((trace.recorded(), trace.len() as u64, trace.overwritten()));
         self
     }
 

@@ -93,11 +93,6 @@ impl FlowNet {
         id
     }
 
-    /// Number of registered links.
-    pub fn link_count(&self) -> usize {
-        self.capacity.len()
-    }
-
     /// A link's fixed capacity.
     pub fn link_capacity(&self, link: LinkId) -> f64 {
         self.capacity[link.index()]

@@ -2,7 +2,7 @@
 //!
 //! The paper's simulator generates a 10,000-node power-law IP network with
 //! Inet-3.0, randomly promotes 1,000 nodes to SpiderNet peers, connects them
-//! into an overlay (mesh or power-law), and routes both IP-layer and
+//! into a latency-aware mesh overlay, and routes both IP-layer and
 //! overlay-layer traffic over shortest paths. This crate reproduces that
 //! pipeline:
 //!
@@ -28,5 +28,5 @@ pub mod routing;
 pub use flow::{FlowKey, FlowNet, LinkId};
 pub use graph::{EdgeAttrs, Graph, NodeIndex};
 pub use inet::{generate_power_law, InetConfig};
-pub use overlay::{Overlay, OverlayConfig, OverlayLink, OverlayStyle};
+pub use overlay::{Overlay, OverlayConfig, OverlayLink};
 pub use routing::{dijkstra, PathResult, RoutingOracle};

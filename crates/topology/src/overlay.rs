@@ -4,11 +4,9 @@
 //! peers over M application-level links, "either maintained as a
 //! topologically-aware overlay mesh or dynamically constructed", and states
 //! that the composition system is orthogonal to the overlay topology. We
-//! therefore support three styles — a latency-aware mesh, a power-law
-//! overlay, and a random regular overlay — all built over the same IP
-//! substrate: each overlay link's delay is the IP shortest-path delay
-//! between the two peers' hosts and its capacity is the bottleneck capacity
-//! of that IP path.
+//! build the topologically-aware mesh over an IP substrate: each overlay
+//! link's delay is the IP shortest-path delay between the two peers' hosts
+//! and its capacity is the bottleneck capacity of that IP path.
 
 use crate::graph::{EdgeAttrs, Graph, NodeIndex};
 use crate::routing::{dijkstra, PathResult, RoutingOracle};
@@ -19,41 +17,21 @@ use spidernet_util::rng::rng_for;
 /// Attributes of one overlay link: same shape as an IP link.
 pub type OverlayLink = EdgeAttrs;
 
-/// The overlay wiring style.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum OverlayStyle {
-    /// Topologically-aware mesh: each peer links to its `k` nearest peers
-    /// by IP latency (Ratnasamy et al.'s binning idea reduced to kNN).
-    Mesh {
-        /// Nearest peers each node links to.
-        neighbors: usize,
-    },
-    /// Power-law overlay: preferential attachment among peers with `m`
-    /// links per joining peer.
-    PowerLaw {
-        /// Links added per joining peer.
-        edges_per_node: usize,
-    },
-    /// Random (approximately) regular overlay with the given degree.
-    RandomRegular {
-        /// Minimum degree of every peer.
-        degree: usize,
-    },
-}
-
-/// Overlay construction parameters.
+/// Overlay construction parameters: a topologically-aware mesh where each
+/// peer links to its `neighbors` nearest peers by IP latency (Ratnasamy et
+/// al.'s binning idea reduced to kNN).
 #[derive(Clone, Debug)]
 pub struct OverlayConfig {
     /// Number of peers promoted from the IP graph (the paper uses 1,000
     /// peers out of 10,000 IP nodes).
     pub peers: usize,
-    /// Wiring style.
-    pub style: OverlayStyle,
+    /// Nearest peers each node links to.
+    pub neighbors: usize,
 }
 
 impl Default for OverlayConfig {
     fn default() -> Self {
-        OverlayConfig { peers: 1_000, style: OverlayStyle::Mesh { neighbors: 6 } }
+        OverlayConfig { peers: 1_000, neighbors: 6 }
     }
 }
 
@@ -144,65 +122,18 @@ impl Overlay {
             graph.add_edge(a, b, EdgeAttrs::new(delay, cap));
         };
 
-        match cfg.style {
-            OverlayStyle::Mesh { neighbors } => {
-                assert!(neighbors >= 1, "mesh needs at least one neighbor");
-                #[allow(clippy::needless_range_loop)] // `a` indexes both sssp and graph
-                for a in 0..cfg.peers {
-                    let mut others: Vec<usize> = (0..cfg.peers).filter(|&b| b != a).collect();
-                    others.sort_by(|&x, &y| {
-                        sssp[a]
-                            .delay_to(ip_hosts[x])
-                            .partial_cmp(&sssp[a].delay_to(ip_hosts[y]))
-                            .expect("finite delays")
-                    });
-                    for &b in others.iter().take(neighbors) {
-                        connect(&mut graph, a, b);
-                    }
-                }
-            }
-            OverlayStyle::PowerLaw { edges_per_node } => {
-                assert!(edges_per_node >= 1);
-                let seedn = (edges_per_node + 1).min(cfg.peers);
-                let mut pool: Vec<usize> = Vec::new();
-                for a in 0..seedn {
-                    for b in (a + 1)..seedn {
-                        connect(&mut graph, a, b);
-                        pool.push(a);
-                        pool.push(b);
-                    }
-                }
-                for new in seedn..cfg.peers {
-                    let mut chosen = Vec::with_capacity(edges_per_node);
-                    let mut guard = 0;
-                    while chosen.len() < edges_per_node && guard < 10_000 {
-                        guard += 1;
-                        let c = *pool.choose(&mut rng).expect("non-empty pool");
-                        if c != new && !chosen.contains(&c) {
-                            chosen.push(c);
-                        }
-                    }
-                    for &b in &chosen {
-                        connect(&mut graph, new, b);
-                        pool.push(new);
-                        pool.push(b);
-                    }
-                }
-            }
-            OverlayStyle::RandomRegular { degree } => {
-                assert!(degree >= 2, "random overlay needs degree ≥ 2 to stay connected");
-                // Ring for connectivity, then random chords up to the degree.
-                for a in 0..cfg.peers {
-                    connect(&mut graph, a, (a + 1) % cfg.peers);
-                }
-                for a in 0..cfg.peers {
-                    let mut guard = 0;
-                    while graph.degree(a) < degree && guard < 1_000 {
-                        guard += 1;
-                        let b = rng.gen_range(0..cfg.peers);
-                        connect(&mut graph, a, b);
-                    }
-                }
+        assert!(cfg.neighbors >= 1, "mesh needs at least one neighbor");
+        #[allow(clippy::needless_range_loop)] // `a` indexes both sssp and graph
+        for a in 0..cfg.peers {
+            let mut others: Vec<usize> = (0..cfg.peers).filter(|&b| b != a).collect();
+            others.sort_by(|&x, &y| {
+                sssp[a]
+                    .delay_to(ip_hosts[x])
+                    .partial_cmp(&sssp[a].delay_to(ip_hosts[y]))
+                    .expect("finite delays")
+            });
+            for &b in others.iter().take(cfg.neighbors) {
+                connect(&mut graph, a, b);
             }
         }
 
@@ -336,13 +267,13 @@ mod tests {
         generate_power_law(&InetConfig { nodes: 300, ..InetConfig::default() }, 5)
     }
 
-    fn build(style: OverlayStyle) -> Overlay {
-        Overlay::build(&ip_graph(), &OverlayConfig { peers: 60, style }, 9)
+    fn build(neighbors: usize) -> Overlay {
+        Overlay::build(&ip_graph(), &OverlayConfig { peers: 60, neighbors }, 9)
     }
 
     #[test]
     fn mesh_overlay_is_connected_with_expected_degree() {
-        let o = build(OverlayStyle::Mesh { neighbors: 4 });
+        let o = build(4);
         assert_eq!(o.peer_count(), 60);
         assert!(o.graph().is_connected());
         // kNN guarantees each peer at least k links (mutual selections can
@@ -353,24 +284,9 @@ mod tests {
     }
 
     #[test]
-    fn power_law_overlay_is_connected() {
-        let o = build(OverlayStyle::PowerLaw { edges_per_node: 2 });
-        assert!(o.graph().is_connected());
-    }
-
-    #[test]
-    fn random_regular_overlay_meets_degree_floor() {
-        let o = build(OverlayStyle::RandomRegular { degree: 4 });
-        assert!(o.graph().is_connected());
-        for p in o.peers() {
-            assert!(o.graph().degree(p.index()) >= 4, "peer {p}");
-        }
-    }
-
-    #[test]
     fn overlay_link_delay_matches_ip_shortest_path() {
         let ip = ip_graph();
-        let o = Overlay::build(&ip, &OverlayConfig { peers: 40, style: OverlayStyle::Mesh { neighbors: 3 } }, 2);
+        let o = Overlay::build(&ip, &OverlayConfig { peers: 40, neighbors: 3 }, 2);
         let mut oracle = RoutingOracle::new(&ip);
         for (a, b, e) in o.graph().edges() {
             let ha = o.ip_host(PeerId::from(a));
@@ -382,7 +298,7 @@ mod tests {
 
     #[test]
     fn peer_hosts_are_distinct() {
-        let o = build(OverlayStyle::Mesh { neighbors: 3 });
+        let o = build(3);
         let mut hosts: Vec<_> = o.peers().map(|p| o.ip_host(p)).collect();
         hosts.sort_unstable();
         hosts.dedup();
@@ -391,7 +307,7 @@ mod tests {
 
     #[test]
     fn route_delay_uses_overlay_paths() {
-        let o = build(OverlayStyle::Mesh { neighbors: 4 });
+        let o = build(4);
         let a = PeerId::new(0);
         let b = PeerId::new(30);
         let d = o.route_delay(a, b);
@@ -405,8 +321,10 @@ mod tests {
 
     #[test]
     fn deterministic_in_seed() {
+        // The seed acts through peer placement; the mesh wiring that
+        // follows draws nothing.
         let ip = ip_graph();
-        let cfg = OverlayConfig { peers: 50, style: OverlayStyle::PowerLaw { edges_per_node: 2 } };
+        let cfg = OverlayConfig { peers: 50, neighbors: 3 };
         let a = Overlay::build(&ip, &cfg, 3);
         let b = Overlay::build(&ip, &cfg, 3);
         assert_eq!(
@@ -459,7 +377,7 @@ mod tests {
 
     #[test]
     fn graph_overlay_has_no_direct_delay() {
-        let o = build(OverlayStyle::Mesh { neighbors: 3 });
+        let o = build(3);
         assert!(!o.is_geo());
         assert!(o.direct_delay(PeerId::new(0), PeerId::new(1)).is_none());
         assert!(o.access_capacity(PeerId::new(0)).is_none());
@@ -469,6 +387,6 @@ mod tests {
     #[should_panic(expected = "more peers than IP nodes")]
     fn too_many_peers_rejected() {
         let ip = generate_power_law(&InetConfig { nodes: 10, ..InetConfig::default() }, 1);
-        Overlay::build(&ip, &OverlayConfig { peers: 11, style: OverlayStyle::Mesh { neighbors: 2 } }, 0);
+        Overlay::build(&ip, &OverlayConfig { peers: 11, neighbors: 2 }, 0);
     }
 }

@@ -146,11 +146,6 @@ impl<T> SlotArena<T> {
         self.live == 0
     }
 
-    /// Total slots ever allocated (live + free).
-    pub fn capacity_slots(&self) -> usize {
-        self.slots.len()
-    }
-
     /// Live entries in slot-index order.
     pub fn iter(&self) -> impl Iterator<Item = (SlotKey, &T)> + '_ {
         self.slots.iter().enumerate().filter_map(|(i, s)| {

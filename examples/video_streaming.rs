@@ -1,5 +1,5 @@
 //! The paper's motivating application (§6.2): customizable wide-area P2P
-//! video streaming with desired transformations — on the threaded
+//! video streaming with desired transformations — on the in-process
 //! (PlanetLab stand-in) runtime, surviving a killed component peer.
 //!
 //! ```text
@@ -13,12 +13,9 @@ use std::time::Duration;
 
 fn main() {
     // 102 peers across three WAN regions; each hosts one of the six media
-    // components (≈17 replicas per function, as in the paper).
-    let cluster = Cluster::start(ClusterConfig {
-        peers: 102,
-        time_scale: 0.02, // 50× compressed wall time; reported times are model ms
-        ..ClusterConfig::default()
-    });
+    // components (≈17 replicas per function, as in the paper). Reported
+    // times are model ms.
+    let cluster = Cluster::start(ClusterConfig::default());
     for f in MediaFunction::ALL {
         println!("{:>16}: {} replicas", f.name(), cluster.replica_count(f));
     }
@@ -37,30 +34,19 @@ fn main() {
     );
     println!("primary path: {:?}, {} backup paths", setup.path, setup.backups.len());
 
-    // Stream 60 frames at 25 fps (40 ms interval) — and kill the first
-    // component peer a third of the way in.
+    // Kill the first component peer, then stream 60 frames at 25 fps
+    // (40 ms interval): the source detects the ack gap and fails over.
     let victim = setup.path[0];
-    let killer = std::thread::spawn({
-        let wait = Duration::from_secs_f64(60.0 / 3.0 * 40.0 * 0.02 / 1000.0);
-        move || wait
-    });
-    let wait = killer.join().expect("join");
-    let cluster_ref = &cluster;
-    std::thread::scope(|s| {
-        s.spawn(move || {
-            std::thread::sleep(wait);
-            println!("!! killing component peer {victim}");
-            cluster_ref.kill(victim);
-        });
-        let report = cluster_ref
-            .stream(source, &setup, 60, 40.0, (64, 48), Duration::from_secs(60))
-            .expect("stream timeout");
-        println!(
-            "\nstream report: sent {}, delivered {}, valid {}, failovers {}",
-            report.sent, report.delivered, report.all_valid, report.switches
-        );
-        println!("final path: {:?}", report.final_path);
-        assert!(report.switches >= 1, "expected a failover after the kill");
-        assert!(report.all_valid, "delivered frames must match the transform chain");
-    });
+    println!("!! killing component peer {victim}");
+    cluster.kill(victim);
+    let report = cluster
+        .stream(source, &setup, 60, 40.0, (64, 48), Duration::from_secs(60))
+        .expect("stream timeout");
+    println!(
+        "\nstream report: sent {}, delivered {}, valid {}, failovers {}",
+        report.sent, report.delivered, report.all_valid, report.switches
+    );
+    println!("final path: {:?}", report.final_path);
+    assert!(report.switches >= 1, "expected a failover after the kill");
+    assert!(report.all_valid, "delivered frames must match the transform chain");
 }

@@ -2,7 +2,8 @@
 //! must render byte-identical CSV to the goldens captured from the
 //! pre-refactor (BTreeMap world state, build-per-cell) representation —
 //! and must stay identical across worker-thread counts. Small latency,
-//! overhead, fault-lab and loadgen runs are pinned by value the same way.
+//! overhead, fault-lab and loadgen runs are pinned by value the same way,
+//! and so is the default Fig. 10 run on the in-process runtime.
 //!
 //! These goldens pin the figure *outputs*, so any arena/SoA or
 //! clone-per-cell change that perturbs float accumulation order, RNG
@@ -14,6 +15,7 @@ use spidernet::core::experiments::{ablation, congestion, faults, fig11, fig8, fi
 use spidernet::core::loadgen::{run_cell, ArrivalProcess, LoadConfig};
 use spidernet::core::system::{SpiderNet, SpiderNetConfig};
 use spidernet::core::workload::PopulationConfig;
+use spidernet::runtime::experiments as fig10;
 use spidernet::sim::fault::FaultPlan;
 
 const FIG8_GOLDEN: &str = include_str!("golden/fig8_default.csv");
@@ -209,4 +211,18 @@ fn ablation_small_matches_golden_bits_across_thread_counts() {
         );
         assert_eq!(key, ABLATION_GOLDEN, "ablation drifted at {threads} thread(s)");
     }
+}
+
+// --- Fig. 10 on the in-process runtime ------------------------------------
+//
+// Setup times come from content-keyed model timestamps, so the default
+// figure is a pure function of its config. Captured with
+// `cargo run --release -p spidernet-bench --bin fig10 -- --csv`.
+
+const FIG10_GOLDEN: &str = include_str!("golden/fig10_default.csv");
+
+#[test]
+fn fig10_default_matches_golden() {
+    let res = fig10::run(&fig10::Fig10Config::default());
+    assert_eq!(res.to_csv(), FIG10_GOLDEN, "fig10 default CSV drifted");
 }

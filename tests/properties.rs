@@ -15,7 +15,7 @@ use spidernet::dht::{NodeId, PastryNetwork};
 use spidernet::sim::time::SimTime;
 use spidernet::sim::trace::TraceBuffer;
 use spidernet::topology::inet::{generate_power_law, InetConfig};
-use spidernet::topology::overlay::{Overlay, OverlayConfig, OverlayStyle};
+use spidernet::topology::overlay::{Overlay, OverlayConfig};
 use spidernet::topology::routing::dijkstra;
 use spidernet::util::hash::sha1;
 use spidernet::util::id::{ComponentId, PeerId};
@@ -240,7 +240,7 @@ fn soft_allocations_never_overbook() {
     let ip = generate_power_law(&InetConfig { nodes: 60, ..InetConfig::default() }, 1);
     let overlay = Overlay::build(
         &ip,
-        &OverlayConfig { peers: 10, style: OverlayStyle::Mesh { neighbors: 3 } },
+        &OverlayConfig { peers: 10, neighbors: 3 },
         1,
     );
     let mut rng = prop_rng("soft-alloc");
