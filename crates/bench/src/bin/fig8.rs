@@ -111,16 +111,11 @@ fn main() {
             .num("optimal_phase_secs", out.optimal_phase_secs)
             .int("combos_examined", out.combos_examined)
             .int("combos_pruned", out.combos_pruned)
-            // Pairwise-delay cache effectiveness: hits replay a memoized
-            // SSSP distance, misses pay a fresh computation, evictions
-            // count insert rejections once the memo saturates (queries
-            // silently degrade to tree walks), bypasses are deliberate
-            // contention-aware queries that skip the memo because it only
-            // stores uncongested delays.
+            // Overlay path rows: a miss builds a source's SSSP row (one
+            // Dijkstra), a hit reads a row already built. The keys keep
+            // their pair-cache names from before the row table.
             .int("pair_cache_hits", out.metrics.value(counter::PAIR_CACHE_HITS))
-            .int("pair_cache_misses", out.metrics.value(counter::PAIR_CACHE_MISSES))
-            .int("pair_cache_evictions", out.metrics.value(counter::PAIR_CACHE_EVICTIONS))
-            .int("pair_cache_bypasses", out.metrics.value(counter::PAIR_CACHE_BYPASSES));
+            .int("pair_cache_misses", out.metrics.value(counter::PAIR_CACHE_MISSES));
         // Head-to-head optimal-phase comparison: the naive reference
         // enumerator vs branch-and-bound over the same request stream and
         // cap (identical considered-combination semantics).

@@ -138,6 +138,13 @@ impl BcpConfig {
     pub fn builder() -> BcpConfigBuilder {
         BcpConfigBuilder { cfg: BcpConfig::default() }
     }
+
+    /// True when the next-hop metric carries a trust term, i.e. for any
+    /// non-zero [`BcpConfig::w_trust`]. Pool builds read trust only then,
+    /// and the compose cache keys on the trust epoch only then.
+    pub fn weighs_trust(&self) -> bool {
+        self.w_trust != 0.0
+    }
 }
 
 /// Builder for [`BcpConfig`]; every setter defaults to the paper's values.
@@ -352,11 +359,10 @@ impl ComposeCache {
     /// mismatch, or — when `cfg` weights trust — a trust-table change.
     /// Call once per compose, before the engine runs.
     pub fn ensure_current(&mut self, epoch: u64, trust_epoch: u64, cfg: &BcpConfig) {
-        let uses_trust = cfg.w_trust > 0.0;
         let fingerprint = Self::config_fingerprint(cfg);
         let stale = epoch != self.epoch
             || fingerprint != self.fingerprint
-            || (uses_trust && trust_epoch != self.trust_epoch);
+            || (cfg.weighs_trust() && trust_epoch != self.trust_epoch);
         if stale {
             if !self.pools.is_empty() || !self.lookups.is_empty() {
                 self.invalidations += 1;
@@ -494,8 +500,15 @@ fn build_pool(
                 shed_peer.get_or_insert(comp.peer);
                 return None; // ψ-saturated hosts are shed, not probed
             }
-            let trust = trust.map(|t| t.aggregate_trust(comp.peer)).unwrap_or(0.5);
-            let static_score = W_FAILURE * comp.failure_prob + cfg.w_trust * (1.0 - trust);
+            // Unweighted, the term is +0.0 whatever the trust: skip the walk
+            // over every observer of the host.
+            let trust_term = if cfg.weighs_trust() {
+                let trust = trust.map(|t| t.aggregate_trust(comp.peer)).unwrap_or(0.5);
+                cfg.w_trust * (1.0 - trust)
+            } else {
+                0.0
+            };
+            let static_score = W_FAILURE * comp.failure_prob + trust_term;
             Some(PoolEntry { cid: m.component, peer: comp.peer, static_score })
         })
         .collect();
@@ -1549,5 +1562,47 @@ mod tests {
         assert_eq!(cache.len(), 2);
         cache.ensure_current(1, 8, &trust_cfg);
         assert_eq!(cache.len(), 0);
+
+        // So does a negative weight: its trust term is just as live.
+        let negative_cfg = BcpConfig { w_trust: -0.1, ..BcpConfig::default() };
+        cache.ensure_current(1, 8, &negative_cfg);
+        {
+            let mut e = engine(&mut w);
+            e.cache = Some(&mut cache);
+            e.compose(&req, &negative_cfg).unwrap();
+        }
+        assert_eq!(cache.len(), 2);
+        cache.ensure_current(1, 9, &negative_cfg);
+        assert_eq!(cache.len(), 0, "a trust change must flush pools priced with trust");
+    }
+
+    #[test]
+    fn zero_trust_weight_ignores_trust_tables() {
+        use crate::trust::Experience;
+        let cfg = BcpConfig::default();
+        assert!(!cfg.weighs_trust());
+        let req = request(3);
+        let mut w = world(3, 3);
+        let plain = engine(&mut w).compose(&req, &cfg).unwrap();
+
+        // Poison the first replica of every function, vouch for the rest.
+        let mut tm = TrustManager::new(1.0);
+        for observer in 0..5u64 {
+            for host in 2..11u64 {
+                let e = if (host - 2) % 3 == 0 { Experience::Negative } else { Experience::Positive };
+                for _ in 0..50 {
+                    tm.record(PeerId::new(observer), PeerId::new(host), e);
+                }
+            }
+        }
+        let mut w = world(3, 3);
+        let poisoned = {
+            let mut e = engine(&mut w);
+            e.trust = Some(&tm);
+            e.compose(&req, &cfg).unwrap()
+        };
+        assert_eq!(stats_key(&plain.stats), stats_key(&poisoned.stats));
+        assert_eq!(plain.best.assignment, poisoned.best.assignment);
+        assert_eq!(plain.eval.cost.to_bits(), poisoned.eval.cost.to_bits());
     }
 }

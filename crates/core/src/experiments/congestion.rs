@@ -20,8 +20,8 @@
 //! A session *violates* its QoS when its delivered fraction of the
 //! demanded stream rate drops below `frac_floor`, or when its
 //! contention-inflated end-to-end delay exceeds the request's delay bound
-//! (those delay queries bypass the pair-delay memo — the memo only stores
-//! uncongested values). Goodput sums the fair-share rates actually
+//! (those queries re-price every hop under stress: the path rows only
+//! store uncongested distances). Goodput sums the fair-share rates actually
 //! delivered. Fair-share recomputes ride the simulator's indexed
 //! [`EventCore`]: every establishment schedules a rate-recalc event, and
 //! each fired event forces the lazy recompute and checks the flow-model

@@ -3,29 +3,36 @@
 //! Service links map onto overlay network paths (paper §2.2); pricing a
 //! candidate service graph therefore needs, for arbitrary peer pairs, the
 //! overlay path's delay, its node sequence (for bandwidth accounting), and
-//! its bottleneck capacity. This table memoizes one overlay SSSP per
-//! queried source.
+//! its bottleneck capacity. This table keeps one overlay SSSP row per
+//! queried source, so every pair query is an array index into that row.
 
-use spidernet_topology::routing::{dijkstra, PairDelayCache, PathResult};
+use spidernet_topology::routing::{dijkstra, PathResult};
 use spidernet_topology::Overlay;
-use spidernet_util::hash::FxHashMap;
 use spidernet_util::id::PeerId;
 
-/// Per-source shortest-path cache over the overlay graph, fronted by a
-/// symmetric per-pair delay memo so hot leg lookups (baseline enumeration,
-/// BCP leg pricing) skip the tree walk entirely.
+/// Per-source shortest-path rows over the overlay graph, indexed by peer.
+///
+/// `delay(a, b)` reads `b`'s slot of `a`'s SSSP row, so the direction of
+/// a query is the direction of the tree that answers it: the two trees of
+/// an undirected pair can disagree in the last ulp, and callers that pin
+/// bit-exact outputs always get the source's bits. Rows are built on first
+/// use (one Dijkstra each) and only for sources that are queried.
 ///
 /// Nothing is ever invalidated: the overlay graph is immutable and routing
-/// ignores peer liveness, so cached trees and pair delays stay exact
-/// through churn.
+/// ignores peer liveness, so built rows stay exact through churn.
 ///
 /// In the geometric (scale) overlay mode every query is answered in O(1)
-/// from coordinates — no SSSP tree or pair memo is ever built, which is
-/// what lets one machine hold 10^5–10^6 peers.
+/// from coordinates — no row is ever built or allocated, which is what
+/// lets one machine hold 10^5–10^6 peers.
 #[derive(Clone, Debug, Default)]
 pub struct PathTable {
-    cache: FxHashMap<PeerId, PathResult>,
-    pairs: PairDelayCache,
+    /// Slot `p` holds peer `p`'s SSSP row once a query from `p` built it.
+    /// Grows to the overlay's peer count when the first row is built.
+    trees: Vec<Option<PathResult>>,
+    /// Row reads that found the row already built.
+    row_hits: u64,
+    /// Rows built (one Dijkstra each).
+    row_misses: u64,
 }
 
 impl PathTable {
@@ -34,18 +41,23 @@ impl PathTable {
         PathTable::default()
     }
 
-    fn sssp(&mut self, overlay: &Overlay, from: PeerId) -> &PathResult {
-        self.cache
-            .entry(from)
-            .or_insert_with(|| dijkstra(overlay.graph(), from.index()))
+    /// `from`'s SSSP row, built on first use. Every row read of the table
+    /// goes through here and is counted as a hit or a miss.
+    fn row(&mut self, overlay: &Overlay, from: PeerId) -> &PathResult {
+        if self.trees.is_empty() {
+            self.trees.resize_with(overlay.peer_count(), || None);
+        }
+        let slot = &mut self.trees[from.index()];
+        if slot.is_some() {
+            self.row_hits += 1;
+        } else {
+            self.row_misses += 1;
+        }
+        slot.get_or_insert_with(|| dijkstra(overlay.graph(), from.index()))
     }
 
-    /// Overlay-routed one-way delay `from → to`, ms.
-    ///
-    /// Served from the pair memo when warm; otherwise answered by `from`'s
-    /// SSSP tree and memoized. The memo is direction-preserving — a hit
-    /// returns the exact bits the producing tree computed, never the
-    /// reverse tree's ulp-sibling.
+    /// Overlay-routed one-way delay `from → to`, ms, read from `from`'s
+    /// SSSP row (∞ if the pair is disconnected).
     pub fn delay(&mut self, overlay: &Overlay, from: PeerId, to: PeerId) -> f64 {
         if from == to {
             return 0.0;
@@ -53,12 +65,7 @@ impl PathTable {
         if let Some(d) = overlay.direct_delay(from, to) {
             return d;
         }
-        if let Some(d) = self.pairs.get(from.index(), to.index()) {
-            return d;
-        }
-        let d = self.sssp(overlay, from).delay_to(to.index());
-        self.pairs.insert(from.index(), to.index(), d);
-        d
+        self.row(overlay, from).delay_to(to.index())
     }
 
     /// The overlay peer path `from → to` (inclusive of both endpoints), or
@@ -73,7 +80,7 @@ impl PathTable {
             // links by the state layer.
             return Some(vec![from, to]);
         }
-        self.sssp(overlay, from)
+        self.row(overlay, from)
             .path_to(to.index())
             .map(|p| p.into_iter().map(PeerId::from).collect())
     }
@@ -100,7 +107,7 @@ impl PathTable {
             buf.push(to);
             return true;
         }
-        let res = self.sssp(overlay, from);
+        let res = self.row(overlay, from);
         if res.delay_to(to.index()).is_infinite() {
             return false;
         }
@@ -119,14 +126,10 @@ impl PathTable {
     /// hop's current load (`ρ ∈ [0, 1]`, e.g.
     /// `OverlayState::link_stress`). Each hop contributes
     /// `delay × (1 + ρ)` — an uncontended hop costs its static delay, a
-    /// saturated one twice that.
-    ///
-    /// Deliberately **bypasses the pair-delay memo**: the memo caches
-    /// *uncongested* shortest-path delays, and serving those while flows
-    /// load the route would report stale QoS (the same staleness class
-    /// the PR8 compose-cache watermark fixed). Bypasses are counted
-    /// ([`PathTable::pair_bypasses`]) so the extra tree walks stay
-    /// visible next to the memo's hits/misses.
+    /// saturated one twice that. The route comes from `from`'s row, but
+    /// the hop delays are summed afresh: the row's distances are
+    /// uncongested, and serving them while flows load the route would
+    /// report stale QoS.
     pub fn contended_delay(
         &mut self,
         overlay: &Overlay,
@@ -137,7 +140,6 @@ impl PathTable {
         if from == to {
             return 0.0;
         }
-        self.pairs.note_bypass();
         if overlay.is_geo() {
             let base = overlay.direct_delay(from, to).unwrap_or(f64::INFINITY);
             return base * (1.0 + stress(from, to).clamp(0.0, 1.0));
@@ -170,39 +172,21 @@ impl PathTable {
         Some(cap)
     }
 
-    /// Number of cached sources.
+    /// Number of built rows.
     pub fn cached_sources(&self) -> usize {
-        self.cache.len()
+        self.trees.iter().filter(|t| t.is_some()).count()
     }
 
-    /// Number of memoized point-to-point delay pairs.
-    pub fn cached_pairs(&self) -> usize {
-        self.pairs.len()
-    }
-
-    /// Pair-memo inserts refused because the memo was at capacity. Feeds
-    /// the `topology.pair_cache_evictions` counter so a saturated memo
-    /// (silent until now) is visible in exported metrics.
-    pub fn pair_rejections(&self) -> u64 {
-        self.pairs.rejected()
-    }
-
-    /// Pair-memo lookups served without a tree walk (feeds the
+    /// Row reads that found the row already built (feeds the
     /// `topology.pair_cache_hits` counter).
-    pub fn pair_hits(&self) -> u64 {
-        self.pairs.hits()
+    pub fn row_hits(&self) -> u64 {
+        self.row_hits
     }
 
-    /// Pair-memo lookups that fell through to an SSSP tree (feeds the
+    /// Rows built, one Dijkstra each (feeds the
     /// `topology.pair_cache_misses` counter).
-    pub fn pair_misses(&self) -> u64 {
-        self.pairs.misses()
-    }
-
-    /// Lookups that skipped the memo for contention-aware delays (feeds
-    /// the `topology.pair_cache_bypasses` counter).
-    pub fn pair_bypasses(&self) -> u64 {
-        self.pairs.bypasses()
+    pub fn row_misses(&self) -> u64 {
+        self.row_misses
     }
 }
 
@@ -255,16 +239,52 @@ mod tests {
     }
 
     #[test]
-    fn caches_one_tree_per_source() {
+    fn delay_reads_the_source_row_in_both_directions() {
         let ov = overlay();
+        let n = ov.peer_count() as u64;
         let mut pt = PathTable::new();
-        pt.delay(&ov, PeerId::new(0), PeerId::new(1));
-        pt.delay(&ov, PeerId::new(0), PeerId::new(2));
-        assert_eq!(pt.cached_sources(), 1);
+        let mut asymmetric = 0;
+        // Forward queries build rows from the low ids up, reverse queries
+        // from the high ids down.
+        for lo in 0..n {
+            for hi in (lo + 1..n).rev() {
+                let (a, b) = (PeerId::new(lo), PeerId::new(hi));
+                let ab = pt.delay(&ov, a, b);
+                let ba = pt.delay(&ov, b, a);
+                assert_eq!(ab.to_bits(), dijkstra(ov.graph(), a.index()).delay_to(b.index()).to_bits());
+                assert_eq!(ba.to_bits(), dijkstra(ov.graph(), b.index()).delay_to(a.index()).to_bits());
+                if ab.to_bits() != ba.to_bits() {
+                    asymmetric += 1;
+                }
+            }
+        }
+        assert!(asymmetric > 0, "the fixture must hold a pair whose directions differ in bits");
     }
 
     #[test]
-    fn contended_delay_bypasses_the_pair_memo() {
+    fn caches_one_tree_per_source() {
+        let ov = overlay();
+        let n = ov.peer_count() as u64;
+        let mut pt = PathTable::new();
+        let sources = [3u64, 11, 29];
+        let k = sources.len() as u64;
+        let mut buf = Vec::new();
+        for &s in &sources {
+            for t in 0..n {
+                let (a, b) = (PeerId::new(s), PeerId::new(t));
+                pt.delay(&ov, a, b);
+                pt.peer_path_into(&ov, a, b, &mut buf);
+            }
+        }
+        // One miss builds each source's row; the other reads hit. A
+        // self-query reads no row.
+        assert_eq!(pt.cached_sources(), sources.len());
+        assert_eq!(pt.row_misses(), k);
+        assert_eq!(pt.row_hits(), k * (n - 1) * 2 - k);
+    }
+
+    #[test]
+    fn contended_delay_scales_the_static_hops() {
         let ov = overlay();
         let mut pt = PathTable::new();
         let (a, b) = (PeerId::new(0), PeerId::new(17));
@@ -275,7 +295,6 @@ mod tests {
         // Saturated hops cost double.
         let hot = pt.contended_delay(&ov, a, b, |_, _| 1.0);
         assert!((hot - 2.0 * base).abs() < 1e-9);
-        assert_eq!(pt.pair_bypasses(), 2, "every contended query bypasses the memo");
         assert_eq!(pt.contended_delay(&ov, a, a, |_, _| 1.0), 0.0);
     }
 
@@ -300,6 +319,6 @@ mod tests {
         let expect = ov.access_capacity(a).unwrap().min(ov.access_capacity(b).unwrap());
         assert!((cap - expect).abs() < 1e-12);
         assert_eq!(pt.cached_sources(), 0, "geo queries must not build SSSP trees");
-        assert_eq!(pt.cached_pairs(), 0, "geo queries must not fill the pair memo");
+        assert!(pt.trees.is_empty(), "geo queries must not allocate the row table");
     }
 }

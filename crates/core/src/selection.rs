@@ -82,8 +82,8 @@ pub trait Legs {
     fn route(&mut self, from: PeerId, to: PeerId, hop: impl FnMut((usize, usize))) -> Option<f64>;
 }
 
-/// [`Legs`] answered by the live path cache: every leg is one
-/// [`PathTable`] call, counted by its pair-memo hit/miss counters.
+/// [`Legs`] answered by the live path table: every leg is one
+/// [`PathTable`] row read, counted by its row hit/miss counters.
 pub struct LiveLegs<'a> {
     overlay: &'a Overlay,
     state: &'a OverlayState,
@@ -350,8 +350,8 @@ pub fn merge_branches(
 /// Immutable per-request snapshot of the overlay legs a candidate
 /// evaluation touches, read through [`Legs`].
 ///
-/// Built once per enumeration from the mutable [`PathTable`] (warming its
-/// SSSP trees and pair-delay memo) over the pairs it is given — the
+/// Built once per enumeration from the mutable [`PathTable`] (building
+/// any SSSP row it lacks) over the pairs it is given — the
 /// optimal baseline passes those its patterns' service links can join —
 /// then shared read-only across worker threads: no `&mut` anywhere.
 /// Every route's overlay-link keys sit back to back in one arena, so a

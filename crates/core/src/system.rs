@@ -307,8 +307,6 @@ pub struct SpiderNet {
     compose_seq: u64,
     /// Deterministic stream backing the Random strategy.
     baseline_rng: Rng,
-    /// Pair-memo rejections already folded into the metrics counter.
-    pair_rejects_reported: u64,
     /// Structural world version: bumped whenever directory contents or
     /// peer membership change (registration, failure, revival). Combined
     /// with [`OverlayState::watermark_crossings`] it keys the compose
@@ -327,10 +325,8 @@ pub struct SpiderNet {
     /// Compose-cache (hits, misses, invalidations) already folded into
     /// the metrics registry.
     compose_cache_reported: (u64, u64, u64),
-    /// Pair-delay (hits, misses) already folded into the metrics registry.
+    /// Path-row (hits, misses) already folded into the metrics registry.
     pair_lookups_reported: (u64, u64),
-    /// Pair-delay memo bypasses already folded into the metrics registry.
-    pair_bypasses_reported: u64,
 }
 
 impl SpiderNet {
@@ -383,14 +379,12 @@ impl SpiderNet {
             seed: cfg.seed,
             compose_seq: 0,
             baseline_rng: rng_for(cfg.seed, "baseline-random"),
-            pair_rejects_reported: 0,
             world_epoch: 0,
             trust_epoch: 0,
             compose_cache: None,
             compose_scratch: ComposeScratch::default(),
             compose_cache_reported: (0, 0, 0),
             pair_lookups_reported: (0, 0),
-            pair_bypasses_reported: 0,
         }
     }
 
@@ -567,21 +561,11 @@ impl SpiderNet {
         })
     }
 
-    /// Folds pair-memo insert rejections into the
-    /// `topology.pair_cache_evictions` counter and records a
-    /// [`TraceEvent::PairCacheSaturated`] when new rejections appeared. A
-    /// saturated memo silently degrades delay queries to tree walks;
-    /// without this the slowdown is invisible in exported metrics.
+    /// Folds the path table's row reads into the
+    /// `topology.pair_cache_hits` / `pair_cache_misses` counters: a miss
+    /// is a row built (one Dijkstra), a hit a read of a row already built.
     fn sync_pair_cache_stats(&mut self) {
-        let rejected = self.paths.pair_rejections();
-        if rejected > self.pair_rejects_reported {
-            let delta = rejected - self.pair_rejects_reported;
-            self.pair_rejects_reported = rejected;
-            let c = self.obs.metrics.counter(counter::PAIR_CACHE_EVICTIONS);
-            self.obs.metrics.add(c, delta);
-            self.obs.trace.record(TraceEvent::PairCacheSaturated { rejected });
-        }
-        let (hits, misses) = (self.paths.pair_hits(), self.paths.pair_misses());
+        let (hits, misses) = (self.paths.row_hits(), self.paths.row_misses());
         let (h0, m0) = self.pair_lookups_reported;
         if hits > h0 {
             let c = self.obs.metrics.counter(counter::PAIR_CACHE_HITS);
@@ -592,12 +576,6 @@ impl SpiderNet {
             self.obs.metrics.add(c, misses - m0);
         }
         self.pair_lookups_reported = (hits, misses);
-        let bypasses = self.paths.pair_bypasses();
-        if bypasses > self.pair_bypasses_reported {
-            let c = self.obs.metrics.counter(counter::PAIR_CACHE_BYPASSES);
-            self.obs.metrics.add(c, bypasses - self.pair_bypasses_reported);
-            self.pair_bypasses_reported = bypasses;
-        }
     }
 
     /// Folds compose-cache deltas into the metrics registry. Counters are
@@ -848,9 +826,9 @@ impl SpiderNet {
 
     /// End-to-end delay of a live session's primary graph with every hop
     /// inflated by current link stress (queueing under contention). Walks
-    /// source → hosts → dest and sums contention-aware hop delays; these
-    /// queries deliberately bypass the pair-delay memo, which only stores
-    /// uncongested values.
+    /// source → hosts → dest and sums contention-aware hop delays; each
+    /// hop is re-priced under stress, since the path rows only store
+    /// uncongested distances.
     pub fn contended_session_delay(&mut self, id: SessionId) -> Option<f64> {
         let SpiderNet { sessions, state, paths, overlay, reg, .. } = self;
         let s = sessions.session(id)?;

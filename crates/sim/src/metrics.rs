@@ -44,17 +44,12 @@ pub mod counter {
     pub const COMPOSE_CACHE_MISSES: &str = "bcp.compose_cache_misses";
     /// Compose-cache flushes forced by epoch or config drift.
     pub const COMPOSE_CACHE_INVALIDATIONS: &str = "bcp.compose_cache_invalidations";
-    /// Pairwise-delay cache hits (memoized SSSP distance reused).
+    /// Overlay path-row reads that found the source's SSSP row already
+    /// built (`core::paths::PathTable`; the name predates the row table).
     pub const PAIR_CACHE_HITS: &str = "topology.pair_cache_hits";
-    /// Pairwise-delay cache misses (fresh SSSP distance computed).
+    /// Overlay path rows built: one Dijkstra per queried source, so at most
+    /// the peer count per world.
     pub const PAIR_CACHE_MISSES: &str = "topology.pair_cache_misses";
-    /// Pairwise-delay memo insert rejections (memo at capacity; the
-    /// query fell back to an uncached tree walk).
-    pub const PAIR_CACHE_EVICTIONS: &str = "topology.pair_cache_evictions";
-    /// Pairwise-delay queries that deliberately skipped the memo because
-    /// the caller wanted contention-inflated delays (the memo only stores
-    /// uncongested values).
-    pub const PAIR_CACHE_BYPASSES: &str = "topology.pair_cache_bypasses";
 }
 
 /// Conventional histogram names used across the experiments.

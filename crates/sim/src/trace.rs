@@ -121,13 +121,6 @@ pub enum TraceEvent {
         /// Bytes currently queued toward the peer.
         queued_bytes: u64,
     },
-    /// The pair-delay memo hit its capacity cap and refused inserts since
-    /// the last report — delay queries beyond the cap silently fall back
-    /// to full tree walks, which this event makes visible.
-    PairCacheSaturated {
-        /// Inserts refused so far (monotone across a run).
-        rejected: u64,
-    },
     /// An optimal-baseline enumeration finished, summarizing how much of
     /// the candidate combo space branch-and-bound pruning cut away.
     BaselinePruned {

@@ -71,141 +71,6 @@ impl PathResult {
     }
 }
 
-/// Memoized point-to-point delays, shared across per-source SSSP trees.
-///
-/// Per-source caches ([`RoutingOracle`], the core crate's `PathTable`)
-/// answer a pair query by walking to the full tree rooted at the query's
-/// source. Composition enumerators ask for the *same handful of pairs*
-/// across thousands of candidate graphs, so this cache stores every
-/// answered pair under one symmetric `(lo, hi)` key; repeated leg lookups
-/// become a single hash probe with no tree in sight.
-///
-/// The two directions are kept in separate slots: an undirected graph has
-/// `d(a,b) == d(b,a)` mathematically, but the two trees can disagree in
-/// the last ulp (different addition order along tied paths), and callers
-/// that pin bit-exact outputs must get back exactly the value the
-/// producing tree computed.
-#[derive(Clone, Debug, Default)]
-pub struct PairDelayCache {
-    map: FxHashMap<(NodeIndex, NodeIndex), PairSlots>,
-    /// Inserts refused because the cache was at [`MAX_CACHED_PAIRS`].
-    /// At 10^5-peer scale the pair space dwarfs the bound, and silent
-    /// saturation turns every post-cap leg lookup back into a tree walk —
-    /// the counter makes that perf cliff observable.
-    rejected: u64,
-    /// Lookups answered from a memoized slot.
-    hits: u64,
-    /// Lookups that fell through to the producing SSSP tree.
-    misses: u64,
-    /// Lookups that deliberately skipped the memo because the caller
-    /// needed a contention-adjusted delay: the memo stores *uncongested*
-    /// shortest-path delays, so serving it while flows load the route
-    /// would hand back stale QoS. Counted so the bypass cost is visible
-    /// next to hits/misses.
-    bypasses: u64,
-}
-
-#[derive(Clone, Copy, Debug, Default)]
-struct PairSlots {
-    /// Delay `lo → hi`, produced by `lo`'s SSSP tree.
-    fwd: Option<f64>,
-    /// Delay `hi → lo`, produced by `hi`'s SSSP tree.
-    rev: Option<f64>,
-}
-
-/// Entry-count bound: beyond this the cache stops inserting (lookups keep
-/// working). Values are immutable once present, so the bound can never
-/// change what a query returns — only whether it is O(1).
-pub const MAX_CACHED_PAIRS: usize = 1 << 20;
-
-impl PairDelayCache {
-    /// An empty cache.
-    pub fn new() -> Self {
-        PairDelayCache::default()
-    }
-
-    /// The memoized delay `from → to`, if this exact direction was
-    /// inserted before. Counts the probe as a hit or miss.
-    pub fn get(&mut self, from: NodeIndex, to: NodeIndex) -> Option<f64> {
-        let found = self.map.get(&Self::key(from, to)).and_then(|slots| {
-            if from <= to {
-                slots.fwd
-            } else {
-                slots.rev
-            }
-        });
-        if found.is_some() {
-            self.hits += 1;
-        } else {
-            self.misses += 1;
-        }
-        found
-    }
-
-    /// Memoizes the delay `from → to` as computed by `from`'s SSSP tree.
-    /// No-op once [`MAX_CACHED_PAIRS`] entries exist.
-    pub fn insert(&mut self, from: NodeIndex, to: NodeIndex, delay: f64) {
-        if self.map.len() >= MAX_CACHED_PAIRS && !self.map.contains_key(&Self::key(from, to)) {
-            self.rejected += 1;
-            return;
-        }
-        let slots = self.map.entry(Self::key(from, to)).or_default();
-        if from <= to {
-            slots.fwd = Some(delay);
-        } else {
-            slots.rev = Some(delay);
-        }
-    }
-
-    /// Number of symmetric pair entries held.
-    pub fn len(&self) -> usize {
-        self.map.len()
-    }
-
-    /// Inserts refused because the cache was full — the
-    /// `topology.pair_cache_evictions` counter's source of truth.
-    pub fn rejected(&self) -> u64 {
-        self.rejected
-    }
-
-    /// Lookups answered from a memoized slot (feeds the
-    /// `topology.pair_cache_hits` counter).
-    pub fn hits(&self) -> u64 {
-        self.hits
-    }
-
-    /// Lookups that missed and fell through to a tree walk (feeds the
-    /// `topology.pair_cache_misses` counter).
-    pub fn misses(&self) -> u64 {
-        self.misses
-    }
-
-    /// Records a lookup that skipped the memo because a contention-aware
-    /// delay was required (static cached values would be stale).
-    pub fn note_bypass(&mut self) {
-        self.bypasses += 1;
-    }
-
-    /// Lookups that bypassed the memo for contention-aware delays (feeds
-    /// the `topology.pair_cache_bypasses` counter).
-    pub fn bypasses(&self) -> u64 {
-        self.bypasses
-    }
-
-    /// True if nothing is cached.
-    pub fn is_empty(&self) -> bool {
-        self.map.is_empty()
-    }
-
-    fn key(a: NodeIndex, b: NodeIndex) -> (NodeIndex, NodeIndex) {
-        if a <= b {
-            (a, b)
-        } else {
-            (b, a)
-        }
-    }
-}
-
 #[derive(PartialEq)]
 struct HeapItem {
     dist: f64,
@@ -354,53 +219,6 @@ mod tests {
         // Everything else is unreachable from the isolated source.
         assert!(r.bottleneck_capacity_to(&g, 0).is_none());
         assert!(r.delay_to(0).is_infinite());
-    }
-
-    #[test]
-    fn pair_cache_is_direction_preserving() {
-        let mut pc = PairDelayCache::new();
-        assert!(pc.is_empty());
-        pc.insert(0, 3, 5.0);
-        assert_eq!(pc.get(0, 3), Some(5.0));
-        // The reverse direction was never produced; it must not be served.
-        assert_eq!(pc.get(3, 0), None);
-        pc.insert(3, 0, 5.0 + 1e-13); // the reverse tree's ulp-sibling
-        assert_eq!(pc.get(3, 0), Some(5.0 + 1e-13));
-        assert_eq!(pc.get(0, 3), Some(5.0));
-        assert_eq!(pc.len(), 1, "both directions share one symmetric entry");
-    }
-
-    #[test]
-    fn pair_cache_counts_bypasses_separately_from_lookups() {
-        let mut pc = PairDelayCache::new();
-        pc.insert(0, 1, 2.0);
-        assert_eq!(pc.get(0, 1), Some(2.0));
-        pc.note_bypass();
-        pc.note_bypass();
-        assert_eq!(pc.bypasses(), 2);
-        // Bypasses are not hits or misses: the memo was never consulted.
-        assert_eq!(pc.hits(), 1);
-        assert_eq!(pc.misses(), 0);
-    }
-
-    #[test]
-    fn pair_cache_counts_rejected_inserts_at_cap() {
-        let mut pc = PairDelayCache::new();
-        assert_eq!(pc.rejected(), 0);
-        // Fill to the cap (symmetric keys: (0, 1..=MAX)).
-        for i in 0..MAX_CACHED_PAIRS {
-            pc.insert(0, i + 1, i as f64);
-        }
-        assert_eq!(pc.len(), MAX_CACHED_PAIRS);
-        assert_eq!(pc.rejected(), 0);
-        // New pairs are refused and counted; existing pairs still update.
-        pc.insert(1, 2, 9.0);
-        pc.insert(2, 3, 9.0);
-        assert_eq!(pc.rejected(), 2);
-        assert_eq!(pc.get(1, 2), None);
-        pc.insert(MAX_CACHED_PAIRS, 0, 7.0); // reverse slot of an existing pair
-        assert_eq!(pc.rejected(), 2, "existing symmetric entry must still accept");
-        assert_eq!(pc.get(MAX_CACHED_PAIRS, 0), Some(7.0));
     }
 
     #[test]

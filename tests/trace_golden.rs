@@ -37,7 +37,6 @@ fn render(ev: &TraceEvent) -> String {
         TraceEvent::ConnOpened { peer } => format!("conn+ p{peer}"),
         TraceEvent::ConnClosed { peer } => format!("conn- p{peer}"),
         TraceEvent::ConnRetry { peer, attempt } => format!("connr p{peer} a{attempt}"),
-        TraceEvent::PairCacheSaturated { rejected } => format!("paircache r{rejected}"),
         TraceEvent::ConnBackpressure { peer, shed_bytes } => {
             format!("connbp p{peer} shed{shed_bytes}")
         }
