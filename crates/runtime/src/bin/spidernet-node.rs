@@ -199,8 +199,9 @@ fn run_deploy(args: &[String]) {
 
 /// `deploy --sessions N`: N concurrent composition + streaming sessions
 /// through one loopback deployment, reporting per-session setup-latency
-/// percentiles, aggregate frames/sec, connection counts, and peak child
-/// RSS — as text and (with `--json [path]`) as BENCH_daemon.json. Without
+/// percentiles, aggregate frames/sec, backup switches, dropped messages,
+/// connection counts, and peak child RSS — as text and (with
+/// `--json [path]`) as BENCH_daemon.json. Without
 /// injected faults it also replays the N compositions in process and
 /// reports whether the two setup fingerprints match.
 fn run_deploy_many(
@@ -303,16 +304,19 @@ fn run_deploy_many(
     let decode_errors: u64 = outcome.stats.iter().map(|s| s.decode_errors).sum();
     let wire_frames_tx: u64 = outcome.stats.iter().map(|s| s.frames_tx).sum();
     let wire_bytes_tx: u64 = outcome.stats.iter().map(|s| s.bytes_tx).sum();
+    let msgs_dropped: u64 = outcome.stats.iter().map(|s| s.msgs_dropped).sum();
 
     println!(
         "deploy: {}/{} sessions composed over {peers} peers, \
          setup p50/p90/p99 = {p50:.1}/{p90:.1}/{p99:.1} ms, \
          {}/{} frames delivered ({frames_per_sec:.0} frames/s), \
+         {} switches, {msgs_dropped} msgs dropped, \
          {conns_opened} conns, peak child RSS {:.1} MB",
         outcome.setups_ok,
         outcome.sessions,
         outcome.frames_delivered,
         outcome.frames_sent,
+        outcome.switches,
         outcome.peak_child_rss_bytes as f64 / 1e6,
     );
     if let Some(ok) = fingerprint_match {
@@ -334,6 +338,8 @@ fn run_deploy_many(
             .int("frames_delivered", outcome.frames_delivered)
             .bool("all_valid", outcome.all_valid)
             .num("frames_per_sec", frames_per_sec)
+            .int("switches", outcome.switches)
+            .int("msgs_dropped", msgs_dropped)
             .int("conns_opened", conns_opened)
             .int("conn_retries", conn_retries)
             .int("decode_errors", decode_errors)

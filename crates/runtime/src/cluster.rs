@@ -2,13 +2,14 @@
 //! discrete-event loop in model time.
 //!
 //! All protocol logic lives in [`crate::node::PeerNode`]; this module
-//! only moves messages. Each engine call writes into a
-//! [`ModelOutbox`], and every send and timer it captured is queued as an
-//! event due at the model clock plus its delay. Firing an event sets the
-//! clock to its due time and hands the [`WireMsg`] (unencoded) or the
-//! [`Timer`] to its peer. The socket transport ([`crate::net`]) drives
-//! the *same* engine over TCP in paced wall time; a deployment built from
-//! the same [`ClusterConfig`] and seed reports the same setup metrics.
+//! only moves messages. Each engine call writes into an [`Outbox`], and
+//! every send and timer it captured is queued as an event due at the
+//! model clock plus its delay. Firing an event sets the clock to its due
+//! time and hands the [`WireMsg`] (unencoded) or the [`Timer`] to its
+//! peer. Each socket daemon ([`crate::net`]) drives the *same* engine
+//! over the same queue type, one per process, reading its clock off the
+//! wall and sending due messages over TCP; a deployment built from the
+//! same [`ClusterConfig`] and seed reports the same setup metrics.
 //!
 //! Peer failure is modeled by the network dropping all traffic to the
 //! dead peer (its timers included); streaming sources detect the
@@ -21,9 +22,8 @@
 //! a fixed seed fires the same events in the same order on every run.
 //! All reported times are model milliseconds.
 
-use crate::mc::ModelOutbox;
 use crate::media::MediaFunction;
-use crate::node::{roll_faults, Fault, PeerNode, Timer, World};
+use crate::node::{roll_faults, Fault, Outbox, PeerNode, Timer, World};
 use spidernet_util::id::PeerId;
 use spidernet_util::rng::{rng_for, Rng};
 use spidernet_wire::WireMsg;
@@ -35,7 +35,7 @@ use std::time::Duration;
 pub use crate::node::{ClusterConfig, NetFaultConfig, SetupResult, StreamReport};
 
 /// What one event hands to its peer.
-enum Body {
+pub(crate) enum Body {
     /// A peer frame; `rolled` once the fault injector has seen it, so it
     /// is never rolled twice.
     Wire { msg: WireMsg, rolled: bool },
@@ -44,12 +44,12 @@ enum Body {
 }
 
 /// One queued event: `body` for peer `to`, due at model ms `due`.
-struct Event {
-    due: f64,
+pub(crate) struct Event {
+    pub(crate) due: f64,
     /// Push order, which breaks ties between equal due times.
     seq: u64,
-    to: PeerId,
-    body: Body,
+    pub(crate) to: PeerId,
+    pub(crate) body: Body,
 }
 
 impl Ord for Event {
@@ -70,14 +70,59 @@ impl PartialEq for Event {
 }
 impl Eq for Event {}
 
+/// The one model-time event queue: the cluster steps every peer through
+/// one, and each socket daemon runs its own. Events pop in due order,
+/// ties in push order. Each owner keeps its own firing policy.
+#[derive(Default)]
+pub(crate) struct EventQueue {
+    heap: BinaryHeap<Event>,
+    /// Events queued so far: the next event's `seq`.
+    pushed: u64,
+}
+
+impl EventQueue {
+    /// Queues `body` for `to`, due `delay_ms` after model ms `at`
+    /// (negative delays are due at once).
+    pub(crate) fn push(&mut self, at: f64, delay_ms: f64, to: PeerId, body: Body) {
+        let seq = self.pushed;
+        self.pushed += 1;
+        self.heap.push(Event { due: at + delay_ms.max(0.0), seq, to, body });
+    }
+
+    /// Queues what one engine call on `peer` sent (unrolled) and
+    /// scheduled, each due its delay after the call's clock, and leaves
+    /// the call's results in `out`.
+    pub(crate) fn schedule(&mut self, peer: PeerId, out: &mut Outbox) {
+        let now = out.now;
+        for (to, msg, delay_ms) in out.sent.drain(..) {
+            self.push(now, delay_ms, to, Body::Wire { msg, rolled: false });
+        }
+        for (timer, delay_ms) in out.timers.drain(..) {
+            self.push(now, delay_ms, peer, Body::Timer(timer));
+        }
+    }
+
+    /// Model ms the earliest event is due at.
+    pub(crate) fn next_due(&self) -> Option<f64> {
+        self.heap.peek().map(|e| e.due)
+    }
+
+    /// Pops the earliest event if it is due by `deadline`.
+    pub(crate) fn pop_due(&mut self, deadline: f64) -> Option<Event> {
+        if self.heap.peek()?.due <= deadline {
+            self.heap.pop()
+        } else {
+            None
+        }
+    }
+}
+
 /// Everything the event loop mutates, behind the cluster's one lock.
 struct Net {
     world: Arc<World>,
     nodes: Vec<PeerNode>,
     dead: Vec<bool>,
-    queue: BinaryHeap<Event>,
-    /// Events queued so far: the next event's `seq`.
-    pushed: u64,
+    queue: EventQueue,
     /// Model ms: the due time of the last fired event.
     clock: f64,
     /// The `"net-faults"` stream [`roll_faults`] draws from.
@@ -86,29 +131,12 @@ struct Net {
 }
 
 impl Net {
-    /// Queues `body` for `to`, due `delay_ms` from now (negative delays
-    /// are due at once).
-    fn push(&mut self, to: PeerId, body: Body, delay_ms: f64) {
-        let seq = self.pushed;
-        self.pushed += 1;
-        self.queue.push(Event { due: self.clock + delay_ms.max(0.0), seq, to, body });
-    }
-
     /// Runs one engine call on `peer` at the current clock, queues what it
     /// sent and scheduled, and returns the outbox with its driver results.
-    fn run(
-        &mut self,
-        peer: PeerId,
-        call: impl FnOnce(&mut PeerNode, &mut ModelOutbox),
-    ) -> ModelOutbox {
-        let mut out = ModelOutbox::at(self.clock);
+    fn run(&mut self, peer: PeerId, call: impl FnOnce(&mut PeerNode, &mut Outbox)) -> Outbox {
+        let mut out = Outbox::at(self.clock);
         call(&mut self.nodes[peer.index()], &mut out);
-        for (to, msg, delay_ms) in std::mem::take(&mut out.sent) {
-            self.push(to, Body::Wire { msg, rolled: false }, delay_ms);
-        }
-        for (timer, delay_ms) in std::mem::take(&mut out.timers) {
-            self.push(peer, Body::Timer(timer), delay_ms);
-        }
+        self.queue.schedule(peer, &mut out);
         out
     }
 
@@ -116,9 +144,8 @@ impl Net {
     /// returns that call's outbox; `None` once nothing is due. Traffic to
     /// a dead peer vanishes before the fault injector sees it; a wire
     /// message is rolled once, then dropped, held back, or delivered.
-    fn fire(&mut self, deadline: f64) -> Option<ModelOutbox> {
-        while self.queue.peek()?.due <= deadline {
-            let Event { due, to, body, .. } = self.queue.pop()?;
+    fn fire(&mut self, deadline: f64) -> Option<Outbox> {
+        while let Some(Event { due, to, body, .. }) = self.queue.pop_due(deadline) {
             self.clock = due;
             if self.dead[to.index()] {
                 continue;
@@ -128,7 +155,7 @@ impl Net {
                     match roll_faults(&self.world, &msg, &mut self.rng) {
                         Fault::Drop => continue,
                         Fault::Delay(ms) => {
-                            self.push(to, Body::Wire { msg, rolled: true }, ms);
+                            self.queue.push(due, ms, to, Body::Wire { msg, rolled: true });
                             continue;
                         }
                         Fault::Deliver => self.run(to, |node, out| node.handle(msg, out)),
@@ -147,9 +174,9 @@ impl Net {
     /// they belong to calls that already returned.
     fn until<T>(
         &mut self,
-        first: ModelOutbox,
+        first: Outbox,
         timeout: Duration,
-        mut pick: impl FnMut(ModelOutbox) -> Option<T>,
+        mut pick: impl FnMut(Outbox) -> Option<T>,
     ) -> Option<T> {
         let deadline = self.clock + timeout.as_secs_f64() * 1_000.0 / self.world.cfg.time_scale;
         let mut out = first;
@@ -187,8 +214,7 @@ impl Cluster {
             world: world.clone(),
             nodes,
             dead: vec![false; world.cfg.peers],
-            queue: BinaryHeap::new(),
-            pushed: 0,
+            queue: EventQueue::default(),
             clock: 0.0,
             rng: rng_for(world.cfg.seed, "net-faults"),
             next_request: 1,

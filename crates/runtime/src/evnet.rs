@@ -1,31 +1,40 @@
-//! The daemon's connection I/O: every connection of a `spidernet-node`
-//! process multiplexed over one `epoll` poller thread (see
-//! [`crate::poll`]).
-//!
-//! The engine, delay queues, fault injection, and control protocol live
-//! upstream in [`crate::net`]; this module only moves frames between them
-//! and sockets. It never inspects frame contents beyond routing: peer
-//! frames go to the engine as they decoded, and the engine's entry check
-//! drops malformed ones. Everything upstream of a socket behaves as in the
-//! in-process cluster, which is what keeps deployment fingerprints
-//! bit-equal to it.
+//! The daemon's event loop: one `spidernet-node` process runs its whole
+//! peer on the thread that called [`crate::net::run_node`].
 //!
 //! ## Structure
 //!
-//! One `evnet` thread owns the listener, every established socket, and
-//! all outbound queues. Other threads talk to it through a command
-//! channel paired with an eventfd waker:
+//! One loop owns the listener, every connection, the [`PeerNode`] and
+//! one event queue of the engine's sends and timers, ordered by due time
+//! in model ms: the in-process cluster's queue type
+//! ([`crate::cluster`]). Model time "now" is the wall time since the loop
+//! started over `time_scale`. Each engine call writes into an
+//! [`Outbox`] at now; its sends and timers are queued at now plus their
+//! delays, and its setup results and stream reports go onto the control
+//! connection whose `CtrlCompose`/`CtrlStream` asked for them. A due wire
+//! message is rolled once for injected faults (`node::roll_faults`, on
+//! this daemon's own `"net-faults"` stream), then dropped, held back, or
+//! delivered: into this peer's engine when it is addressed here, else
+//! encoded onto the connection to its peer. One turn of the loop:
 //!
-//! * the outbound delay queue sends `Cmd::Send` (a wire message for a
-//!   peer, already WAN-delayed and fault-filtered);
-//! * engine reply sinks send `Cmd::Reply` (a control frame back to the
-//!   client connection it came from);
-//! * transient dial helpers send `Cmd::Dialed`/`Cmd::DialFailed` once a
-//!   blocking [`dial_peer`] handshake resolves.
+//! 1. take the results of finished dials;
+//! 2. fire every event due by now;
+//! 3. re-announce this peer's component every [`ANNOUNCE_EVERY`] (soft
+//!    state: registrations are droppable wire traffic);
+//! 4. flush each connection that took frames this turn, once;
+//! 5. arm a `timerfd` ([`Alarm`]) for the earlier of the queue head and
+//!    the next announce;
+//! 6. block in `epoll_wait` until a socket is ready or the alarm fires,
+//!    then accept, read and dispatch.
 //!
-//! Dials stay blocking — on loopback they resolve in microseconds, and
-//! running them on short-lived helper threads keeps the retry/backoff/
-//! handshake logic a plain loop instead of a poller state machine.
+//! Frames read off a connection are dispatched once it is back in the
+//! connection map, so a control reply finds it there. The engine's entry
+//! check drops malformed peer frames; this module never inspects frame
+//! contents beyond routing.
+//!
+//! Dials stay blocking, on short-lived helper threads: a dial to a dead
+//! peer retries with backoff for over a second, which would stall the
+//! loop. A helper's result comes back over a channel and an eventfd
+//! [`Waker`].
 //!
 //! ## Backpressure
 //!
@@ -35,7 +44,8 @@
 //! tolerates loss) are shed and their buffers recycled; everything else
 //! (probes, acks, registrations, control replies) is always queued, so
 //! a slow consumer can never change setup or failover outcomes — only
-//! delivery counts, exactly like a congested WAN. Shedding records
+//! delivery counts, exactly like a congested WAN. A shed frame is counted
+//! in [`World::msgs_dropped`] and recorded as
 //! [`TraceEvent::ConnBackpressure`]; crossing the high-water mark (half
 //! the cap) records [`TraceEvent::QueueDepth`].
 //!
@@ -47,18 +57,22 @@
 
 #![cfg(target_os = "linux")]
 
-use crate::net::{dial_peer, EngineInput, NetStats, ReplySink, PEER_DOWN_COOLDOWN};
-use crate::node::World;
-use crate::poll::{Poller, Waker};
+use crate::cluster::{Body, Event, EventQueue};
+use crate::net::{dial_peer, report_to_wire, setup_to_wire, NetStats, PEER_DOWN_COOLDOWN};
+use crate::node::{roll_faults, Fault, Outbox, PeerNode, World};
+use crate::poll::{Alarm, Poller, Waker};
 use spidernet_sim::trace::TraceEvent;
 use spidernet_util::id::PeerId;
-use spidernet_wire::{negotiate, BufPool, FrameDecoder, WireMsg, CONTROL_PEER, PROTO_VERSION};
+use spidernet_util::rng::{rng_for_indexed, Rng};
+use spidernet_wire::{
+    negotiate, BufPool, FrameDecoder, WireMsg, WireStats, CONTROL_PEER, PROTO_VERSION,
+};
 use std::collections::{HashMap, VecDeque};
 use std::io::{self, IoSlice, Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::os::fd::AsRawFd;
-use std::sync::atomic::Ordering;
-use std::sync::mpsc::{channel, Receiver, Sender, TryRecvError};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -70,8 +84,12 @@ pub(crate) const OUTQ_CAP_BYTES: usize = 256 * 1024;
 /// Most frames handed to one `writev` call.
 const MAX_WRITE_BATCH: usize = 16;
 
+/// Wall time between announcements of this peer's component.
+const ANNOUNCE_EVERY: Duration = Duration::from_millis(250);
+
 const TOKEN_LISTENER: u64 = u64::MAX;
 const TOKEN_WAKER: u64 = u64::MAX - 1;
+const TOKEN_ALARM: u64 = u64::MAX - 2;
 
 // ---------------------------------------------------------------------
 // The bounded outbound queue.
@@ -183,9 +201,10 @@ impl OutQueue {
 }
 
 // ---------------------------------------------------------------------
-// Connections and commands.
+// Connections.
 // ---------------------------------------------------------------------
 
+#[derive(Clone, Copy)]
 enum ConnKind {
     /// Accepted, `Hello` not yet seen.
     Pending,
@@ -204,9 +223,15 @@ struct Conn {
     dec: FrameDecoder,
     outq: OutQueue,
     want_write: bool,
+    /// Took frames this turn; flushed at the turn's end.
+    dirty: bool,
 }
 
 impl Conn {
+    fn new(stream: TcpStream, kind: ConnKind, outq: OutQueue) -> Conn {
+        Conn { stream, kind, dec: FrameDecoder::new(), outq, want_write: false, dirty: false }
+    }
+
     fn peer_raw(&self) -> u64 {
         match self.kind {
             ConnKind::PeerIn(p) | ConnKind::PeerOut(p) => p.raw(),
@@ -226,149 +251,246 @@ enum OutState {
     Down(Instant),
 }
 
+/// What a dial helper reports back to the loop.
 enum Cmd {
-    /// Encode and send one wire message toward a peer (dialing it first
-    /// if needed).
-    Send { to: PeerId, msg: WireMsg },
-    /// Send a control reply back down the connection it belongs to
-    /// (dropped silently if that connection is gone).
-    Reply { conn: u64, msg: WireMsg },
-    /// A dial helper finished its handshake.
+    /// The handshake completed.
     Dialed { to: PeerId, stream: TcpStream },
-    /// A dial helper exhausted its attempt budget.
+    /// The attempt budget ran out.
     DialFailed { to: PeerId },
 }
 
 // ---------------------------------------------------------------------
-// The public handle.
+// The loop.
 // ---------------------------------------------------------------------
 
-/// Handle to a running event transport: cheap to clone, safe to use from
-/// any thread. Dropping every handle does not stop the poller thread —
-/// the daemon's lifetime is the process (shutdown is `CtrlShutdown` →
-/// `run_node` returns → process exit).
-#[derive(Clone)]
-pub(crate) struct EventNet {
-    cmds: Sender<Cmd>,
-    waker: Arc<Waker>,
+/// Runs peer `me` on the calling thread until a control connection sends
+/// `CtrlShutdown`. `listener` is bound to `ports[me]`; model time starts
+/// now.
+pub(crate) fn serve(
+    listener: TcpListener,
+    me: PeerId,
+    ports: Arc<Vec<u16>>,
+    world: Arc<World>,
+) -> io::Result<()> {
+    start(listener, me, ports, world)?.run()
 }
 
-impl EventNet {
-    /// Takes ownership of the daemon's listener and spawns the poller
-    /// thread. Decoded peer frames and control inputs flow into
-    /// `engine`.
-    pub(crate) fn start(
-        listener: TcpListener,
-        me: PeerId,
-        ports: Arc<Vec<u16>>,
-        stats: Arc<NetStats>,
-        world: Arc<World>,
-        engine: Sender<EngineInput>,
-    ) -> io::Result<EventNet> {
-        listener.set_nonblocking(true)?;
-        let poller = Poller::new()?;
-        let waker = Arc::new(Waker::new()?);
-        poller.add(listener.as_raw_fd(), TOKEN_LISTENER, true, false)?;
-        poller.add(waker.fd(), TOKEN_WAKER, true, false)?;
-        let (cmds, rx) = channel();
-        let net = EventNet { cmds, waker };
-        let lp = Loop {
-            me,
-            ports,
-            stats,
-            world,
-            engine,
-            net: net.clone(),
-            poller,
-            listener,
-            rx,
-            conns: HashMap::new(),
-            next_token: 0,
-            out: HashMap::new(),
-            pool: BufPool::default(),
-        };
-        std::thread::Builder::new().name("evnet".into()).spawn(move || lp.run())?;
-        Ok(net)
-    }
-
-    /// Queues one wire message toward `to`.
-    pub(crate) fn send(&self, to: PeerId, msg: WireMsg) {
-        if self.cmds.send(Cmd::Send { to, msg }).is_ok() {
-            self.waker.wake();
-        }
-    }
-
-    /// A reply sink bound to connection `conn` (for the engine's control
-    /// inputs).
-    fn reply_sink(&self, conn: u64) -> ReplySink {
-        let net = self.clone();
-        Arc::new(move |msg| {
-            if net.cmds.send(Cmd::Reply { conn, msg }).is_ok() {
-                net.waker.wake();
-            }
-        })
-    }
+/// Registers the listener, waker and alarm with a fresh poller and
+/// builds the loop, without running it.
+fn start(
+    listener: TcpListener,
+    me: PeerId,
+    ports: Arc<Vec<u16>>,
+    world: Arc<World>,
+) -> io::Result<Loop> {
+    listener.set_nonblocking(true)?;
+    let poller = Poller::new()?;
+    let waker = Arc::new(Waker::new()?);
+    let alarm = Alarm::new()?;
+    poller.add(listener.as_raw_fd(), TOKEN_LISTENER, true, false)?;
+    poller.add(waker.fd(), TOKEN_WAKER, true, false)?;
+    poller.add(alarm.fd(), TOKEN_ALARM, true, false)?;
+    let (dials_tx, dials) = channel();
+    let now = Instant::now();
+    Ok(Loop {
+        me,
+        ports,
+        stats: Arc::new(NetStats::default()),
+        rng: rng_for_indexed(world.cfg.seed, "net-faults", me.index() as u64),
+        node: PeerNode::new(me, world.clone(), HashMap::new()),
+        world,
+        poller,
+        listener,
+        waker,
+        alarm,
+        dials_tx,
+        dials,
+        conns: HashMap::new(),
+        next_token: 0,
+        out: HashMap::new(),
+        pool: BufPool::default(),
+        written: Vec::new(),
+        queue: EventQueue::default(),
+        epoch: now,
+        replies: HashMap::new(),
+        next_announce: now,
+        shutdown: false,
+    })
 }
 
-// ---------------------------------------------------------------------
-// The poller loop.
-// ---------------------------------------------------------------------
-
+/// Everything one daemon owns; see the module docs for one turn.
 struct Loop {
     me: PeerId,
     ports: Arc<Vec<u16>>,
     stats: Arc<NetStats>,
     world: Arc<World>,
-    engine: Sender<EngineInput>,
-    net: EventNet,
     poller: Poller,
     listener: TcpListener,
-    rx: Receiver<Cmd>,
+    waker: Arc<Waker>,
+    alarm: Alarm,
+    dials_tx: Sender<Cmd>,
+    dials: Receiver<Cmd>,
     conns: HashMap<u64, Conn>,
-    /// Monotonic; tokens are never reused, so a stale reply sink can
-    /// never reach a recycled connection slot.
+    /// Monotonic; tokens are never reused, so a stale reply can never
+    /// reach a recycled connection slot.
     next_token: u64,
     out: HashMap<PeerId, OutState>,
     pool: BufPool,
+    /// Tokens of the connections that took frames this turn, each listed
+    /// once (see `Conn::dirty`).
+    written: Vec<u64>,
+    node: PeerNode,
+    /// The engine's pending sends and timers, due in model ms.
+    queue: EventQueue,
+    /// The stream this daemon rolls its due wire messages on.
+    rng: Rng,
+    /// The wall instant of model time zero.
+    epoch: Instant,
+    /// The control connection awaiting each request's setup result or
+    /// stream report.
+    replies: HashMap<u64, u64>,
+    next_announce: Instant,
+    shutdown: bool,
 }
 
 impl Loop {
-    fn run(mut self) {
+    fn run(mut self) -> io::Result<()> {
         let mut events = Vec::new();
-        loop {
-            loop {
-                match self.rx.try_recv() {
-                    Ok(cmd) => self.handle_cmd(cmd),
-                    Err(TryRecvError::Empty) => break,
-                    // Every handle dropped: the daemon is shutting down.
-                    Err(TryRecvError::Disconnected) => return,
+        while !self.shutdown {
+            while let Ok(cmd) = self.dials.try_recv() {
+                match cmd {
+                    Cmd::Dialed { to, stream } => self.on_dialed(to, stream),
+                    Cmd::DialFailed { to } => self.on_dial_failed(to),
                 }
             }
-            // The timeout is a safety valve (Down-state expiry has no
-            // dedicated timer); commands arrive via the waker.
-            if self.poller.wait(&mut events, Some(Duration::from_millis(500))).is_err() {
-                return;
+            let now = self.now_ms();
+            while let Some(event) = self.queue.pop_due(now) {
+                self.fire(event);
             }
-            for ev in std::mem::take(&mut events) {
+            let wall = Instant::now();
+            if wall >= self.next_announce {
+                self.call(|node, out| node.announce(out));
+                self.next_announce = wall + ANNOUNCE_EVERY;
+            }
+            self.flush_written();
+            let head = self.queue.next_due().map(|ms| self.epoch + self.wall(ms));
+            let wake = head.map_or(self.next_announce, |h| h.min(self.next_announce));
+            self.alarm.set(wake.saturating_duration_since(Instant::now()))?;
+            self.poller.wait(&mut events, None)?;
+            for ev in events.drain(..) {
                 match ev.token {
                     TOKEN_LISTENER => self.accept_ready(),
-                    TOKEN_WAKER => self.net.waker.drain(),
+                    TOKEN_WAKER => self.waker.drain(),
+                    TOKEN_ALARM => self.alarm.drain(),
                     token => self.conn_event(token, ev.readable, ev.writable, ev.hangup),
                 }
+                if self.shutdown {
+                    break;
+                }
+            }
+        }
+        Ok(())
+    }
+
+    /// Model ms since the loop started.
+    fn now_ms(&self) -> f64 {
+        self.epoch.elapsed().as_secs_f64() * 1_000.0 / self.world.cfg.time_scale
+    }
+
+    /// Model ms as wall time.
+    fn wall(&self, model_ms: f64) -> Duration {
+        Duration::from_secs_f64((model_ms * self.world.cfg.time_scale / 1_000.0).max(0.0))
+    }
+
+    /// Runs one engine call at the current model time, queues what it
+    /// sent and scheduled, and sends its results to the control
+    /// connections that asked for them.
+    fn call(&mut self, call: impl FnOnce(&mut PeerNode, &mut Outbox)) {
+        let mut out = Outbox::at(self.now_ms());
+        call(&mut self.node, &mut out);
+        self.queue.schedule(self.me, &mut out);
+        for s in out.setups {
+            if let Some(token) = self.replies.remove(&s.request) {
+                self.reply(token, &WireMsg::CtrlComposeResult(setup_to_wire(&s)));
+            }
+        }
+        for r in out.reports {
+            if let Some(token) = self.replies.remove(&r.session) {
+                self.reply(token, &WireMsg::CtrlStreamReport(report_to_wire(&r)));
             }
         }
     }
 
-    fn handle_cmd(&mut self, cmd: Cmd) {
-        match cmd {
-            Cmd::Send { to, msg } => self.send_to_peer(to, msg),
-            Cmd::Reply { conn, msg } => {
-                let frame = self.pool.encode(&msg);
-                self.enqueue(conn, frame, false);
+    /// Fires one due event. A wire message not yet rolled for faults is
+    /// rolled once: dropped, re-queued `rolled` after its extra delay, or
+    /// delivered like a rolled one — into this engine when addressed here,
+    /// else onto its peer's connection.
+    fn fire(&mut self, Event { due, to, body, .. }: Event) {
+        match body {
+            Body::Wire { msg, rolled } => {
+                if !rolled {
+                    match roll_faults(&self.world, &msg, &mut self.rng) {
+                        Fault::Drop => return,
+                        Fault::Delay(ms) => {
+                            self.queue.push(due, ms, to, Body::Wire { msg, rolled: true });
+                            return;
+                        }
+                        Fault::Deliver => {}
+                    }
+                }
+                if to == self.me {
+                    self.call(|node, out| node.handle(msg, out));
+                } else {
+                    self.send_to_peer(to, msg);
+                }
             }
-            Cmd::Dialed { to, stream } => self.on_dialed(to, stream),
-            Cmd::DialFailed { to } => self.on_dial_failed(to),
+            Body::Timer(timer) => self.call(|node, out| node.on_timer(timer, out)),
         }
+    }
+
+    /// One frame off a control connection: a compose or stream command
+    /// runs with its result bound to this connection, a stats request is
+    /// answered here, and a shutdown ends the loop.
+    fn control(&mut self, token: u64, frame: WireMsg) {
+        match frame {
+            WireMsg::CtrlCompose { request: id, .. } | WireMsg::CtrlStream { session: id, .. } => {
+                self.replies.insert(id, token);
+                let mut accepted = false;
+                self.call(|node, out| accepted = node.control(frame, out));
+                if !accepted {
+                    self.replies.remove(&id);
+                }
+            }
+            WireMsg::CtrlStatsRequest => {
+                let (probes_sent, dht_hops, msgs_dropped) = self.world.counters();
+                let read = |c: &AtomicU64| c.load(Ordering::Relaxed);
+                let s = &self.stats;
+                let reply = WireMsg::CtrlStatsReply(WireStats {
+                    peer: self.me.raw(),
+                    probes_sent,
+                    dht_hops,
+                    msgs_dropped,
+                    store_entries: self.node.store_entries(),
+                    frames_tx: read(&s.frames_tx),
+                    frames_rx: read(&s.frames_rx),
+                    bytes_tx: read(&s.bytes_tx),
+                    bytes_rx: read(&s.bytes_rx),
+                    conns_opened: read(&s.conns_opened),
+                    conn_retries: read(&s.conn_retries),
+                    decode_errors: read(&s.decode_errors),
+                });
+                self.reply(token, &reply);
+            }
+            WireMsg::CtrlShutdown => self.shutdown = true,
+            _ => {}
+        }
+    }
+
+    /// Queues a control reply on connection `token` (dropped if it is
+    /// gone).
+    fn reply(&mut self, token: u64, msg: &WireMsg) {
+        let frame = self.pool.encode(msg);
+        self.enqueue(token, frame, false);
     }
 
     /// Routes one outbound wire message: straight onto an established
@@ -387,31 +509,21 @@ impl Loop {
                 let frame = self.pool.encode(&msg);
                 self.enqueue(token, frame, droppable);
             }
-            Some(OutState::Dialing(q)) => {
-                let frame = self.pool.encode(&msg);
-                match q.push(frame, droppable) {
-                    Push::Shed(f) => {
-                        self.world.record(TraceEvent::ConnBackpressure {
-                            peer: to.raw(),
-                            shed_bytes: f.len() as u64,
-                        });
-                        self.pool.put(f);
-                    }
-                    Push::Queued { crossed_high_water: true } => {
-                        let queued_bytes = q.bytes() as u64;
-                        self.world.record(TraceEvent::QueueDepth { peer: to.raw(), queued_bytes });
-                    }
-                    Push::Queued { .. } => {}
+            Some(OutState::Dialing(q)) => match q.push(self.pool.encode(&msg), droppable) {
+                Push::Shed(f) => shed(&self.world, &self.pool, to.raw(), f),
+                Push::Queued { crossed_high_water: true } => {
+                    let queued_bytes = q.bytes() as u64;
+                    self.world.record(TraceEvent::QueueDepth { peer: to.raw(), queued_bytes });
                 }
-            }
+                Push::Queued { .. } => {}
+            },
             Some(OutState::Down(until)) if Instant::now() < *until => {
                 // Peer presumed dead: drop its traffic.
             }
             _ => {
                 // No state or an expired cooldown: dial.
                 let mut q = OutQueue::new(OUTQ_CAP_BYTES);
-                let frame = self.pool.encode(&msg);
-                let _ = q.push(frame, droppable); // empty queue always accepts
+                let _ = q.push(self.pool.encode(&msg), droppable); // empty queue always accepts
                 self.out.insert(to, OutState::Dialing(q));
                 self.spawn_dial(to);
             }
@@ -425,8 +537,8 @@ impl Loop {
         let ports = self.ports.clone();
         let stats = self.stats.clone();
         let world = self.world.clone();
-        let cmds = self.net.cmds.clone();
-        let waker = self.net.waker.clone();
+        let cmds = self.dials_tx.clone();
+        let waker = self.waker.clone();
         std::thread::spawn(move || {
             let cmd = match dial_peer(me, &ports, to, &stats, &world) {
                 Some(stream) => Cmd::Dialed { to, stream },
@@ -451,23 +563,21 @@ impl Loop {
                 OutQueue::new(OUTQ_CAP_BYTES)
             }
         };
-        if stream.set_nonblocking(true).is_err() {
-            self.out.insert(to, OutState::Down(Instant::now() + PEER_DOWN_COOLDOWN));
-            return;
-        }
         let token = self.next_token;
         self.next_token += 1;
-        let want_write = !outq.is_empty();
-        if self.poller.add(stream.as_raw_fd(), token, true, want_write).is_err() {
+        if stream.set_nonblocking(true).is_err()
+            || self.poller.add(stream.as_raw_fd(), token, true, false).is_err()
+        {
             self.out.insert(to, OutState::Down(Instant::now() + PEER_DOWN_COOLDOWN));
             return;
         }
-        self.conns.insert(
-            token,
-            Conn { stream, kind: ConnKind::PeerOut(to), dec: FrameDecoder::new(), outq, want_write },
-        );
+        let mut conn = Conn::new(stream, ConnKind::PeerOut(to), outq);
+        if !conn.outq.is_empty() {
+            conn.dirty = true;
+            self.written.push(token);
+        }
+        self.conns.insert(token, conn);
         self.out.insert(to, OutState::Up(token));
-        self.flush_conn(token);
     }
 
     fn on_dial_failed(&mut self, to: PeerId) {
@@ -479,7 +589,7 @@ impl Loop {
     }
 
     /// Adds `frame` to connection `token`'s queue (recording shed /
-    /// high-water traces) and flushes.
+    /// high-water traces) and marks the connection for this turn's flush.
     fn enqueue(&mut self, token: u64, frame: Vec<u8>, droppable: bool) {
         let Some(conn) = self.conns.get_mut(&token) else {
             // Connection already gone (e.g. a reply racing a disconnect).
@@ -488,39 +598,44 @@ impl Loop {
         };
         let peer = conn.peer_raw();
         match conn.outq.push(frame, droppable) {
-            Push::Shed(f) => {
-                self.world
-                    .record(TraceEvent::ConnBackpressure { peer, shed_bytes: f.len() as u64 });
-                self.pool.put(f);
-            }
+            Push::Shed(f) => shed(&self.world, &self.pool, peer, f),
             Push::Queued { crossed_high_water } => {
                 if crossed_high_water {
                     let queued_bytes = conn.outq.bytes() as u64;
                     self.world.record(TraceEvent::QueueDepth { peer, queued_bytes });
                 }
-                self.flush_conn(token);
+                if !conn.dirty {
+                    conn.dirty = true;
+                    self.written.push(token);
+                }
             }
+        }
+    }
+
+    fn flush_written(&mut self) {
+        for token in std::mem::take(&mut self.written) {
+            self.flush_conn(token);
         }
     }
 
     /// Flushes a connection's queue and reconciles its write interest.
     fn flush_conn(&mut self, token: u64) {
-        let Some(mut conn) = self.conns.remove(&token) else { return };
-        match conn.outq.flush(&mut conn.stream, &self.pool, &self.stats) {
-            Ok(()) => {
-                let want = !conn.outq.is_empty();
-                if want != conn.want_write {
-                    conn.want_write = want;
-                    let _ = self.poller.modify(conn.stream.as_raw_fd(), token, true, want);
-                }
-                self.conns.insert(token, conn);
-            }
-            Err(_) => self.drop_conn(token, conn),
+        let Some(conn) = self.conns.get_mut(&token) else { return };
+        conn.dirty = false;
+        if conn.outq.flush(&mut conn.stream, &self.pool, &self.stats).is_err() {
+            let conn = self.conns.remove(&token).expect("present");
+            self.drop_conn(conn);
+            return;
+        }
+        let want = !conn.outq.is_empty();
+        if want != conn.want_write {
+            conn.want_write = want;
+            let _ = self.poller.modify(conn.stream.as_raw_fd(), token, true, want);
         }
     }
 
     /// Tears down a connection already removed from the map.
-    fn drop_conn(&mut self, _token: u64, mut conn: Conn) {
+    fn drop_conn(&mut self, mut conn: Conn) {
         let _ = self.poller.remove(conn.stream.as_raw_fd());
         conn.outq.drain_to_pool(&self.pool);
         if let ConnKind::PeerOut(peer) = conn.kind {
@@ -535,24 +650,15 @@ impl Loop {
             match self.listener.accept() {
                 Ok((stream, _)) => {
                     let _ = stream.set_nodelay(true);
-                    if stream.set_nonblocking(true).is_err() {
-                        continue;
-                    }
                     let token = self.next_token;
                     self.next_token += 1;
-                    if self.poller.add(stream.as_raw_fd(), token, true, false).is_err() {
+                    if stream.set_nonblocking(true).is_err()
+                        || self.poller.add(stream.as_raw_fd(), token, true, false).is_err()
+                    {
                         continue;
                     }
-                    self.conns.insert(
-                        token,
-                        Conn {
-                            stream,
-                            kind: ConnKind::Pending,
-                            dec: FrameDecoder::new(),
-                            outq: OutQueue::new(OUTQ_CAP_BYTES),
-                            want_write: false,
-                        },
-                    );
+                    let outq = OutQueue::new(OUTQ_CAP_BYTES);
+                    self.conns.insert(token, Conn::new(stream, ConnKind::Pending, outq));
                 }
                 Err(e) if e.kind() == io::ErrorKind::WouldBlock => return,
                 Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
@@ -569,7 +675,7 @@ impl Loop {
             if hangup {
                 // ERR/HUP with nothing left to read: tear down.
                 if let Some(conn) = self.conns.remove(&token) {
-                    self.drop_conn(token, conn);
+                    self.drop_conn(conn);
                 }
                 return;
             }
@@ -579,17 +685,40 @@ impl Loop {
         }
     }
 
-    /// Drains the socket's read side, decoding and dispatching frames.
-    /// Returns false when the connection was closed.
+    /// Drains the socket's read side, then puts the connection back (or
+    /// tears it down) and dispatches the frames it carried: peer frames
+    /// into the engine, control frames to [`Loop::control`]. Returns
+    /// false when the connection was closed.
     fn read_ready(&mut self, token: u64) -> bool {
         let Some(mut conn) = self.conns.remove(&token) else { return false };
+        let mut frames = Vec::new();
+        let open = self.read_frames(token, &mut conn, &mut frames);
+        let kind = conn.kind;
+        if open {
+            self.conns.insert(token, conn);
+        } else {
+            self.drop_conn(conn);
+        }
+        for frame in frames {
+            if self.shutdown {
+                break;
+            }
+            match kind {
+                ConnKind::Ctrl => self.control(token, frame),
+                _ => self.call(|node, out| node.handle(frame, out)),
+            }
+        }
+        open
+    }
+
+    /// Reads until the socket would block, decoding frames into `frames`
+    /// (a pending connection's `Hello` is answered in place). Returns
+    /// false at EOF, on a read or decode error, or on a refused handshake.
+    fn read_frames(&mut self, token: u64, conn: &mut Conn, frames: &mut Vec<WireMsg>) -> bool {
         let mut buf = [0u8; 64 * 1024];
         loop {
             match conn.stream.read(&mut buf) {
-                Ok(0) => {
-                    self.drop_conn(token, conn);
-                    return false;
-                }
+                Ok(0) => return false,
                 Ok(n) => {
                     self.stats.bytes_rx.fetch_add(n as u64, Ordering::Relaxed);
                     conn.dec.extend(&buf[..n]);
@@ -597,78 +726,54 @@ impl Loop {
                         match conn.dec.next_frame() {
                             Ok(Some(frame)) => {
                                 self.stats.frames_rx.fetch_add(1, Ordering::Relaxed);
-                                if !self.on_frame(token, &mut conn, frame) {
-                                    self.drop_conn(token, conn);
+                                if !matches!(conn.kind, ConnKind::Pending) {
+                                    frames.push(frame);
+                                } else if !self.hello(token, conn, frame) {
                                     return false;
                                 }
                             }
                             Ok(None) => break,
                             Err(_) => {
                                 self.stats.decode_errors.fetch_add(1, Ordering::Relaxed);
-                                self.drop_conn(token, conn);
                                 return false;
                             }
                         }
                     }
                 }
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
+                Err(e) if e.kind() == io::ErrorKind::WouldBlock => return true,
                 Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-                Err(_) => {
-                    self.drop_conn(token, conn);
-                    return false;
-                }
+                Err(_) => return false,
             }
         }
-        self.conns.insert(token, conn);
-        true
     }
 
-    /// One decoded frame off a connection. Returns false to close it.
-    fn on_frame(&mut self, token: u64, conn: &mut Conn, frame: WireMsg) -> bool {
-        match conn.kind {
-            ConnKind::Pending => match frame {
-                WireMsg::Hello { peer, proto_min, proto_max, .. } => {
-                    let Some(proto) =
-                        negotiate((PROTO_VERSION, PROTO_VERSION), (proto_min, proto_max))
-                    else {
-                        return false;
-                    };
-                    conn.kind = if peer == CONTROL_PEER {
-                        ConnKind::Ctrl
-                    } else {
-                        ConnKind::PeerIn(PeerId::new(peer))
-                    };
-                    let ack = self.pool.encode(&WireMsg::HelloAck { peer: u64::MAX, proto });
-                    match conn.outq.push(ack, false) {
-                        Push::Queued { .. } => {}
-                        Push::Shed(f) => self.pool.put(f), // unreachable: not droppable
-                    }
-                    // The conn is checked out of the map; flush directly.
-                    if conn.outq.flush(&mut conn.stream, &self.pool, &self.stats).is_err() {
-                        return false;
-                    }
-                    let want = !conn.outq.is_empty();
-                    if want != conn.want_write {
-                        conn.want_write = want;
-                        let _ = self.poller.modify(conn.stream.as_raw_fd(), token, true, want);
-                    }
-                    true
-                }
-                _ => {
-                    // Anything before the Hello is a protocol violation.
-                    self.stats.decode_errors.fetch_add(1, Ordering::Relaxed);
-                    false
-                }
-            },
-            ConnKind::PeerIn(_) | ConnKind::PeerOut(_) => {
-                self.engine.send(EngineInput::Wire(frame)).is_ok()
-            }
-            ConnKind::Ctrl => {
-                let sink = self.net.reply_sink(token);
-                self.engine.send(EngineInput::Ctrl(frame, sink)).is_ok()
-            }
-        }
+    /// A pending connection's first frame. A `Hello` with a common
+    /// protocol version makes it a peer or control connection and queues
+    /// the `HelloAck`; anything else is a protocol violation (false).
+    fn hello(&mut self, token: u64, conn: &mut Conn, frame: WireMsg) -> bool {
+        let WireMsg::Hello { peer, proto_min, proto_max, .. } = frame else {
+            self.stats.decode_errors.fetch_add(1, Ordering::Relaxed);
+            return false;
+        };
+        let Some(proto) = negotiate((PROTO_VERSION, PROTO_VERSION), (proto_min, proto_max)) else {
+            return false;
+        };
+        conn.kind =
+            if peer == CONTROL_PEER { ConnKind::Ctrl } else { ConnKind::PeerIn(PeerId::new(peer)) };
+        let ack = self.pool.encode(&WireMsg::HelloAck { peer: u64::MAX, proto });
+        let _ = conn.outq.push(ack, false); // never shed: not droppable
+        conn.dirty = true;
+        self.written.push(token);
+        true
     }
+}
+
+/// Refuses one media frame to a full queue: counts it in
+/// [`World::msgs_dropped`], traces it, and recycles its buffer.
+fn shed(world: &World, pool: &BufPool, peer: u64, frame: Vec<u8>) {
+    world.msgs_dropped.fetch_add(1, Ordering::Relaxed);
+    world.record(TraceEvent::ConnBackpressure { peer, shed_bytes: frame.len() as u64 });
+    pool.put(frame);
 }
 
 #[cfg(test)]
@@ -744,23 +849,17 @@ mod tests {
         }
     }
 
-    /// End-to-end through one poller: a blocking control client
-    /// handshakes, sends a control frame, the engine replies through the
-    /// sink, and the reply comes back over the same connection.
+    /// The loop on its own thread: a blocking control client handshakes,
+    /// a stats request is answered on the same connection (the start-up
+    /// announce already stored this one-peer deployment's component), and
+    /// a shutdown ends the loop with `Ok`.
     #[test]
-    fn accepts_a_control_client_and_replies_through_the_sink() {
+    fn serves_a_control_client_until_shutdown() {
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let port = listener.local_addr().unwrap().port();
-        let (engine_tx, engine_rx) = channel();
-        let _net = EventNet::start(
-            listener,
-            PeerId::new(0),
-            Arc::new(vec![port]),
-            Arc::new(NetStats::default()),
-            test_world(8),
-            engine_tx,
-        )
-        .unwrap();
+        let daemon = std::thread::spawn(move || {
+            serve(listener, PeerId::new(0), Arc::new(vec![port]), test_world(1))
+        });
 
         let mut stream = TcpStream::connect(("127.0.0.1", port)).unwrap();
         stream.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
@@ -770,58 +869,85 @@ mod tests {
             WireMsg::HelloAck { proto, .. } => assert_eq!(proto, PROTO_VERSION),
             other => panic!("expected HelloAck, got {other:?}"),
         }
-
         stream.write_all(&encode_to_vec(&WireMsg::CtrlStatsRequest)).unwrap();
-        let sink = match engine_rx.recv_timeout(Duration::from_secs(5)).unwrap() {
-            EngineInput::Ctrl(WireMsg::CtrlStatsRequest, sink) => sink,
-            _ => panic!("expected the control frame at the engine"),
-        };
-        sink(WireMsg::CtrlShutdown);
         match read_one_frame(&mut stream, &mut dec) {
-            WireMsg::CtrlShutdown => {}
-            other => panic!("expected the sink's reply, got {other:?}"),
+            WireMsg::CtrlStatsReply(s) => assert_eq!((s.peer, s.store_entries), (0, 1)),
+            other => panic!("expected a stats reply, got {other:?}"),
         }
+        stream.write_all(&encode_to_vec(&WireMsg::CtrlShutdown)).unwrap();
+        daemon.join().expect("the loop did not panic").expect("shutdown returns Ok");
     }
 
-    /// Two pollers: node 0 dials node 1 on demand (helper thread +
-    /// handshake) and a protocol frame arrives at node 1's engine.
+    /// A peer that completes the handshake and then never reads: media
+    /// frames past a queue's cap are shed, first at the dial's holding
+    /// queue, then at the established connection's, and every frame the
+    /// daemon refused is counted in `msgs_dropped`.
     #[test]
-    fn dials_on_demand_and_delivers_peer_frames() {
-        let l0 = TcpListener::bind("127.0.0.1:0").unwrap();
-        let l1 = TcpListener::bind("127.0.0.1:0").unwrap();
-        let ports = Arc::new(vec![
-            l0.local_addr().unwrap().port(),
-            l1.local_addr().unwrap().port(),
-        ]);
-        let world = test_world(8);
-        let (tx0, _rx0) = channel();
-        let (tx1, rx1) = channel();
-        let net0 = EventNet::start(
-            l0,
-            PeerId::new(0),
-            ports.clone(),
-            Arc::new(NetStats::default()),
-            world.clone(),
-            tx0,
-        )
-        .unwrap();
-        let _net1 = EventNet::start(
-            l1,
-            PeerId::new(1),
-            ports,
-            Arc::new(NetStats::default()),
-            world,
-            tx1,
-        )
-        .unwrap();
+    fn shed_media_frames_are_counted_as_dropped() {
+        let stalled = TcpListener::bind("127.0.0.1:0").unwrap();
+        let ports = Arc::new(vec![0, stalled.local_addr().unwrap().port()]);
+        let (held_tx, held) = channel();
+        let peer = std::thread::spawn(move || {
+            let (mut s, _) = stalled.accept().unwrap();
+            let _hello = read_one_frame(&mut s, &mut FrameDecoder::new());
+            let ack = WireMsg::HelloAck { peer: 1, proto: PROTO_VERSION };
+            s.write_all(&encode_to_vec(&ack)).unwrap();
+            held_tx.send(s).unwrap(); // keep the socket open, unread
+        });
+        let world = test_world(2);
+        let me = TcpListener::bind("127.0.0.1:0").unwrap();
+        let mut lp = start(me, PeerId::new(0), ports, world.clone()).unwrap();
+        let to = PeerId::new(1);
+        let media = |seq: u64| WireMsg::StreamFrame {
+            session: 1,
+            path: vec![1],
+            functions: vec![0],
+            idx: 0,
+            dest: 1,
+            source: 0,
+            orig_w: 64,
+            orig_h: 64,
+            frame: spidernet_wire::WirePixels { width: 64, height: 64, seq, pixels: vec![0; 4096] },
+            at_ms: 0.0,
+        };
+        let dropped = || world.counters().2;
 
-        let msg = WireMsg::DhtLookup { query: 9, key: 42, origin: 0, hops: 1, at_ms: 12.5 };
-        net0.send(PeerId::new(1), msg);
-        match rx1.recv_timeout(Duration::from_secs(5)).unwrap() {
-            EngineInput::Wire(WireMsg::DhtLookup { query, hops, .. }) => {
-                assert_eq!((query, hops), (9, 1));
-            }
-            _ => panic!("expected the lookup delivered to node 1's engine"),
+        // The dial is still in flight: its holding queue takes what fits.
+        let mut offered = 0u64;
+        for _ in 0..100 {
+            lp.send_to_peer(to, media(offered));
+            offered += 1;
         }
+        let Some(OutState::Dialing(q)) = lp.out.get(&to) else { panic!("dialing") };
+        let held_back = q.frames.len() as u64;
+        assert!(held_back < offered, "the holding queue shed nothing");
+        assert_eq!(dropped(), offered - held_back, "every shed at the holding queue counts");
+
+        // Established: rounds smaller than the cap fill the kernel
+        // buffers first, then the queue, which sheds.
+        match lp.dials.recv_timeout(Duration::from_secs(10)).unwrap() {
+            Cmd::Dialed { to, stream } => lp.on_dialed(to, stream),
+            Cmd::DialFailed { .. } => panic!("the handshake failed"),
+        }
+        let _held = held.recv_timeout(Duration::from_secs(10)).unwrap();
+        peer.join().unwrap();
+        lp.flush_written();
+        let before = dropped();
+        for _ in 0..10_000 {
+            for _ in 0..30 {
+                lp.send_to_peer(to, media(offered));
+                offered += 1;
+            }
+            lp.flush_written();
+            if dropped() > before {
+                break;
+            }
+        }
+        assert!(dropped() > before, "the established connection shed nothing");
+        let Some(&OutState::Up(token)) = lp.out.get(&to) else { panic!("up") };
+        let queued = lp.conns[&token].outq.frames.len() as u64;
+        // The dial helper wrote the Hello; every other frame written was media.
+        let written = lp.stats.frames_tx.load(Ordering::Relaxed) - 1;
+        assert_eq!(dropped(), offered - written - queued, "every refused frame counts");
     }
 }

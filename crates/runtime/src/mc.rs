@@ -1,9 +1,10 @@
-//! Model-checker adapter: real `PeerNode`s behind a virtual outbox.
+//! Model-checker adapter: real `PeerNode`s over a virtual network.
 //!
-//! [`CheckedWorld`] drives N unmodified [`PeerNode`]s through a
-//! [`ModelOutbox`] that captures every emitted message and timer instead
-//! of shipping them. The set of captured-but-undelivered messages *is*
-//! the network: each [`McAction`] delivers one of them (or fires a
+//! [`CheckedWorld`] drives N unmodified [`PeerNode`]s and files every
+//! message and timer an engine call leaves in its [`Outbox`] into a
+//! virtual network instead of an event queue. The set of
+//! captured-but-undelivered messages *is* the network: each
+//! [`McAction`] delivers one of them (or fires a
 //! timer, drops, duplicates, crashes a peer), so the
 //! [`spidernet_sim::mc`] engine can explore delivery interleavings that
 //! the cluster's due-ordered event queue never produces and the socket
@@ -175,53 +176,6 @@ impl McScenario {
             .collect();
         let replicas = hosts.iter().map(Vec::len).min().unwrap_or(0);
         (0..replicas).map(|i| hosts.iter().map(|h| h[i]).collect()).collect()
-    }
-}
-
-/// A virtual [`Outbox`] that captures everything a [`PeerNode`] emits —
-/// wire sends, timer schedules, driver results — instead of shipping
-/// it, and reads a fixed model clock. [`CheckedWorld`] drains one after
-/// every `handle` call and turns the captures into explorable actions.
-#[derive(Clone, Debug, Default)]
-pub struct ModelOutbox {
-    /// Model time [`Outbox::now_ms`] reports.
-    pub now: f64,
-    /// Captured wire sends: `(to, msg, delay_ms)`.
-    pub sent: Vec<(PeerId, WireMsg, f64)>,
-    /// Captured timer schedules: `(timer, delay_ms)`.
-    pub timers: Vec<(Timer, f64)>,
-    /// Captured driver setup results.
-    pub setups: Vec<SetupResult>,
-    /// Captured driver stream reports.
-    pub reports: Vec<StreamReport>,
-}
-
-impl ModelOutbox {
-    /// An empty outbox whose clock reads `now`.
-    pub fn at(now: f64) -> ModelOutbox {
-        ModelOutbox { now, ..ModelOutbox::default() }
-    }
-}
-
-impl Outbox for ModelOutbox {
-    fn wire(&mut self, to: PeerId, msg: WireMsg, delay_ms: f64) {
-        self.sent.push((to, msg, delay_ms));
-    }
-
-    fn timer(&mut self, timer: Timer, delay_ms: f64) {
-        self.timers.push((timer, delay_ms));
-    }
-
-    fn now_ms(&self) -> f64 {
-        self.now
-    }
-
-    fn setup_result(&mut self, result: SetupResult) {
-        self.setups.push(result);
-    }
-
-    fn stream_report(&mut self, report: StreamReport) {
-        self.reports.push(report);
     }
 }
 
@@ -500,7 +454,7 @@ impl CheckedWorld {
             scenario,
         };
         let sc = cw.scenario.clone();
-        let mut out = ModelOutbox::at(0.0);
+        let mut out = Outbox::at(0.0);
         if sc.pre_established {
             let mut paths = sc.service_paths(&cw.world);
             assert!(!paths.is_empty(), "no hosts for the scenario chain");
@@ -564,7 +518,7 @@ impl CheckedWorld {
     /// entries due relative to the current clock, and driver results are
     /// recorded for the invariant checks. Maintenance probes leaving the
     /// streaming source also update the ghost path table.
-    fn drain(&mut self, from: PeerId, out: ModelOutbox) {
+    fn drain(&mut self, from: PeerId, out: Outbox) {
         self.setups.extend(out.setups);
         self.reports.extend(out.reports);
         for (to, msg, _delay) in out.sent {
@@ -650,7 +604,7 @@ impl CheckedWorld {
             }
             _ => None,
         };
-        let mut out = ModelOutbox::at(self.clock_ms);
+        let mut out = Outbox::at(self.clock_ms);
         match input {
             Input::Wire(msg) => self.nodes[to.index()].handle(msg, &mut out),
             Input::Timer(timer) => self.nodes[to.index()].on_timer(timer, &mut out),
@@ -705,7 +659,7 @@ impl CheckedWorld {
             return false;
         };
         let sc = self.scenario.clone();
-        let mut out = ModelOutbox::at(self.clock_ms);
+        let mut out = Outbox::at(self.clock_ms);
         self.nodes[sc.source.index()].start_stream(
             s.request,
             s.path,

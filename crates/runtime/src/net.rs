@@ -4,9 +4,10 @@
 //! One OS process per peer. Each daemon rebuilds the shared [`World`]
 //! deterministically from `(config, seed)`, runs the same
 //! [`PeerNode`] engine as the in-process cluster, and exchanges
-//! [`spidernet_wire`] frames over per-pair TCP connections, all
-//! multiplexed over one `epoll` poller thread (module `evnet`). The
-//! daemon is Linux-only; [`crate::Cluster`] is the portable path.
+//! [`spidernet_wire`] frames over per-pair TCP connections. The whole
+//! daemon is one thread: an `epoll` loop (module `evnet`) that owns every
+//! connection, the engine, and its model-time event queue. The daemon is
+//! Linux-only; [`crate::Cluster`] is the portable path.
 //!
 //! ## Connection lifecycle
 //!
@@ -29,26 +30,23 @@
 //!
 //! ## Model time
 //!
-//! The content-keyed WAN delay of every message is served by a wall
-//! delay queue before transmission (model ms × `time_scale`), and the
-//! accumulated `at_ms` timestamps make all reported setup metrics pure
-//! functions of message content — a socket deployment reports the same
-//! numbers as the in-process cluster for the same seed.
+//! Every message waits out its content-keyed WAN delay, and every timer
+//! its delay, in the daemon's event queue: the in-process cluster's queue
+//! type, keyed by due model ms and fired when the wall clock over
+//! `time_scale` reaches them. The accumulated `at_ms` timestamps make all
+//! reported setup metrics pure functions of message content — a socket
+//! deployment reports the same numbers as the in-process cluster for the
+//! same seed.
 
-#[cfg(target_os = "linux")]
-use crate::delay::DelayQueue;
-#[cfg(target_os = "linux")]
-use crate::node::{roll_faults, Fault};
 use crate::media::MediaFunction;
-use crate::node::{ClusterConfig, Outbox, PeerNode, SetupResult, StreamReport, Timer, World};
+use crate::node::{ClusterConfig, SetupResult, StreamReport, World};
 use spidernet_sim::trace::TraceEvent;
 use spidernet_util::id::PeerId;
-use spidernet_util::rng::{rng_for_indexed, splitmix64};
+use spidernet_util::rng::splitmix64;
 use spidernet_wire::{
     encode_to_vec, FrameDecoder, WireMsg, WireSetup, WireStats, WireStreamReport, CONTROL_PEER,
     PROTO_VERSION,
 };
-use std::collections::HashMap;
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::process::{Child, Command, Stdio};
@@ -125,7 +123,7 @@ pub(crate) const PEER_DOWN_COOLDOWN: Duration = Duration::from_millis(500);
 /// Dials `to` with capped exponential backoff and performs the
 /// client-side handshake (`Hello` out, `HelloAck` back). `None` after the
 /// attempt budget — the peer is presumed dead for now. Runs on the event
-/// transport's short-lived dial helpers; the connection returned is in
+/// loop's short-lived dial helpers; the connection returned is in
 /// blocking mode.
 pub(crate) fn dial_peer(
     me: PeerId,
@@ -197,7 +195,7 @@ pub(crate) fn dial_peer(
 }
 
 // ---------------------------------------------------------------------
-// The daemon: engine thread + event transport + delay queues.
+// The daemon: one event loop per process (module `evnet`).
 // ---------------------------------------------------------------------
 
 /// Everything a `spidernet-node` process needs to join a deployment.
@@ -211,71 +209,12 @@ pub struct NodeConfig {
     pub ports: Vec<u16>,
 }
 
-/// Where a control connection's replies go: a command back into the
-/// event loop, bound to the connection the request came from.
-pub(crate) type ReplySink = Arc<dyn Fn(WireMsg) + Send + Sync>;
-
-pub(crate) enum EngineInput {
-    /// A frame off a peer connection, or a message this peer sent itself.
-    Wire(WireMsg),
-    /// One of the engine's own timers.
-    Timer(Timer),
-    /// A control frame plus the reply sink of its connection.
-    Ctrl(WireMsg, ReplySink),
-    /// Periodic soft-state refresh: re-advertise this node's component.
-    Announce,
-}
-
-#[cfg(target_os = "linux")]
-struct SocketOutbox {
-    epoch: Instant,
-    scale: f64,
-    outbound: DelayQueue<OutFrame>,
-    timers: DelayQueue<Timer>,
-    pending_setups: HashMap<u64, ReplySink>,
-    pending_reports: HashMap<u64, ReplySink>,
-}
-
-#[cfg(target_os = "linux")]
-struct OutFrame {
-    to: PeerId,
-    msg: WireMsg,
-    /// Already held back by the fault injector; never rolled twice.
-    rolled: bool,
-}
-
-#[cfg(target_os = "linux")]
-impl Outbox for SocketOutbox {
-    fn wire(&mut self, to: PeerId, msg: WireMsg, delay_ms: f64) {
-        self.outbound.push(OutFrame { to, msg, rolled: false }, delay_ms);
-    }
-
-    fn timer(&mut self, timer: Timer, delay_ms: f64) {
-        self.timers.push(timer, delay_ms);
-    }
-
-    fn now_ms(&self) -> f64 {
-        self.epoch.elapsed().as_secs_f64() * 1_000.0 / self.scale
-    }
-
-    fn setup_result(&mut self, result: SetupResult) {
-        if let Some(sink) = self.pending_setups.remove(&result.request) {
-            sink(WireMsg::CtrlComposeResult(setup_to_wire(&result)));
-        }
-    }
-
-    fn stream_report(&mut self, report: StreamReport) {
-        if let Some(sink) = self.pending_reports.remove(&report.session) {
-            sink(WireMsg::CtrlStreamReport(report_to_wire(&report)));
-        }
-    }
-}
-
 /// Runs one peer daemon until a `CtrlShutdown` arrives. Blocks the
-/// calling thread (the engine loop runs here). Settings that fail
-/// [`ClusterConfig::check`] return [`std::io::ErrorKind::InvalidInput`]
-/// before anything binds. The daemon's connections run on Linux `epoll`;
-/// elsewhere this returns [`std::io::ErrorKind::Unsupported`].
+/// calling thread: the daemon's event loop, engine included, runs here.
+/// Settings that fail [`ClusterConfig::check`] return
+/// [`std::io::ErrorKind::InvalidInput`] before anything binds. The loop
+/// runs on Linux `epoll`; elsewhere this returns
+/// [`std::io::ErrorKind::Unsupported`].
 pub fn run_node(cfg: NodeConfig) -> std::io::Result<()> {
     cfg.cluster.check()?;
     #[cfg(target_os = "linux")]
@@ -292,124 +231,9 @@ pub fn run_node(cfg: NodeConfig) -> std::io::Result<()> {
 
 #[cfg(target_os = "linux")]
 fn serve(cfg: NodeConfig) -> std::io::Result<()> {
-    let me = PeerId::from(cfg.index);
-    let world = Arc::new(World::build(cfg.cluster.clone()));
-    let scale = world.cfg.time_scale;
-    let stats = Arc::new(NetStats::default());
-    let ports = Arc::new(cfg.ports.clone());
-    let epoch = Instant::now();
-
     let listener = TcpListener::bind(("127.0.0.1", cfg.ports[cfg.index]))?;
-
-    let (engine_tx, engine_rx) = std::sync::mpsc::channel::<EngineInput>();
-
-    // Timers: local bookkeeping, no faults, straight into the engine.
-    let timers = {
-        let engine = engine_tx.clone();
-        DelayQueue::start(scale, move |timer: Timer| {
-            let _ = engine.send(EngineInput::Timer(timer));
-            None
-        })
-    };
-
-    // The event poller owns the listener and every socket.
-    let net = crate::evnet::EventNet::start(
-        listener,
-        me,
-        ports,
-        stats.clone(),
-        world.clone(),
-        engine_tx.clone(),
-    )?;
-
-    // Outbound: WAN delay already waited out by the queue; apply
-    // sender-side fault injection, then hand survivors to the transport
-    // (or straight to our own inbox for self-sends).
-    let outbound = {
-        let engine = engine_tx.clone();
-        let world = world.clone();
-        let mut rng = rng_for_indexed(world.cfg.seed, "net-faults", cfg.index as u64);
-        DelayQueue::start(scale, move |f: OutFrame| {
-            if !f.rolled {
-                match roll_faults(&world, &f.msg, &mut rng) {
-                    Fault::Drop => return None,
-                    Fault::Delay(ms) => return Some((OutFrame { rolled: true, ..f }, ms)),
-                    Fault::Deliver => {}
-                }
-            }
-            if f.to == me {
-                let _ = engine.send(EngineInput::Wire(f.msg));
-            } else {
-                net.send(f.to, f.msg);
-            }
-            None
-        })
-    };
-
-    // Soft-state refresh: registrations are droppable wire traffic, so
-    // re-announce periodically (the shard dedups) until shutdown.
-    {
-        let engine = engine_tx.clone();
-        std::thread::spawn(move || loop {
-            if engine.send(EngineInput::Announce).is_err() {
-                return;
-            }
-            std::thread::sleep(Duration::from_millis(250));
-        });
-    }
-
-    // The engine loop: sole owner of the protocol state.
-    let mut node = PeerNode::new(me, world.clone(), HashMap::new());
-    let mut out = SocketOutbox {
-        epoch,
-        scale,
-        outbound,
-        timers,
-        pending_setups: HashMap::new(),
-        pending_reports: HashMap::new(),
-    };
-    node.announce(&mut out);
-    for input in engine_rx {
-        match input {
-            EngineInput::Wire(msg) => node.handle(msg, &mut out),
-            EngineInput::Timer(timer) => node.on_timer(timer, &mut out),
-            EngineInput::Announce => node.announce(&mut out),
-            EngineInput::Ctrl(frame, sink) => match frame {
-                WireMsg::CtrlCompose { request, .. } => {
-                    out.pending_setups.insert(request, sink);
-                    if !node.control(frame, &mut out) {
-                        out.pending_setups.remove(&request);
-                    }
-                }
-                WireMsg::CtrlStream { session, .. } => {
-                    out.pending_reports.insert(session, sink);
-                    if !node.control(frame, &mut out) {
-                        out.pending_reports.remove(&session);
-                    }
-                }
-                WireMsg::CtrlStatsRequest => {
-                    let (probes_sent, dht_hops, msgs_dropped) = world.counters();
-                    sink(WireMsg::CtrlStatsReply(WireStats {
-                        peer: me.raw(),
-                        probes_sent,
-                        dht_hops,
-                        msgs_dropped,
-                        store_entries: node.store_entries(),
-                        frames_tx: stats.frames_tx.load(Ordering::Relaxed),
-                        frames_rx: stats.frames_rx.load(Ordering::Relaxed),
-                        bytes_tx: stats.bytes_tx.load(Ordering::Relaxed),
-                        bytes_rx: stats.bytes_rx.load(Ordering::Relaxed),
-                        conns_opened: stats.conns_opened.load(Ordering::Relaxed),
-                        conn_retries: stats.conn_retries.load(Ordering::Relaxed),
-                        decode_errors: stats.decode_errors.load(Ordering::Relaxed),
-                    }));
-                }
-                WireMsg::CtrlShutdown => return Ok(()),
-                _ => {}
-            },
-        }
-    }
-    Ok(())
+    let world = Arc::new(World::build(cfg.cluster));
+    crate::evnet::serve(listener, PeerId::from(cfg.index), Arc::new(cfg.ports), world)
 }
 
 // ---------------------------------------------------------------------
@@ -836,6 +660,10 @@ pub struct MultiDeployOutcome {
     pub frames_delivered: u64,
     /// Every delivered frame matched its transform chain.
     pub all_valid: bool,
+    /// Backup switches summed over every session's stream report. With
+    /// no peer killed, each one is a failover the daemons' own delays
+    /// caused.
+    pub switches: u64,
     /// Per-node counter snapshots after the stream phase.
     pub stats: Vec<WireStats>,
     /// Largest peak RSS (`VmHWM`) among the daemon processes, bytes.
@@ -1040,6 +868,7 @@ fn drive(
         frames_sent: reports.iter().map(|r| r.sent).sum(),
         frames_delivered: reports.iter().map(|r| r.delivered).sum(),
         all_valid: reports.iter().all(|r| r.all_valid),
+        switches: reports.iter().map(|r| r.switches as u64).sum(),
         stats,
         peak_child_rss_bytes,
         setup_fingerprint: setup_fingerprint(&setups),

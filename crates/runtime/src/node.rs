@@ -6,12 +6,13 @@
 //! through [`PeerNode::handle`] (peer frames), [`PeerNode::on_timer`]
 //! (its own timers), and the driver commands ([`PeerNode::compose`],
 //! [`PeerNode::start_stream`], or their control-frame form
-//! [`PeerNode::control`]). It never touches a channel or a socket: every
-//! outbound effect goes through the [`Outbox`] trait, implemented by
-//! [`crate::mc::ModelOutbox`], which captures effects for the model
-//! checker ([`crate::mc`]) and the in-process event loop
-//! ([`crate::cluster`]), and by the socket daemon ([`crate::net`]).
-//! Protocol logic exists exactly once.
+//! [`PeerNode::control`]). It never touches a channel, a clock or a
+//! socket: every call writes its effects into one [`Outbox`]. The
+//! in-process event loop ([`crate::cluster`]) and each socket daemon's
+//! loop ([`crate::net`]) queue its sends and timers on the same
+//! model-time event queue type (`cluster::EventQueue`), and the model
+//! checker ([`crate::mc`]) explores them. Protocol logic exists exactly
+//! once.
 //!
 //! Peers exchange [`WireMsg`] values everywhere — the in-process cluster
 //! hands them over unencoded, the daemon encodes them onto TCP. A frame
@@ -28,7 +29,7 @@
 //! every session-setup metric (discovery, probing, init, total) is
 //! computed from these timestamps — never from a clock. For a fixed seed
 //! the reported metrics are bit-identical across transports and runs.
-//! Elapsed time ([`Outbox::now_ms`]) is read only by the streaming
+//! Elapsed time ([`Outbox::now`]) is read only by the streaming
 //! failover detector: the in-process cluster reports its event clock, a
 //! daemon its wall clock over `time_scale`.
 //!
@@ -336,7 +337,8 @@ pub struct World {
     pub probes_sent: AtomicU64,
     /// Total DHT routing steps.
     pub dht_hops: AtomicU64,
-    /// Droppable messages lost to fault injection.
+    /// Messages lost: droppable messages dropped by fault injection, plus
+    /// media frames a daemon shed to a full outbound queue.
     pub msgs_dropped: AtomicU64,
     /// Deployment-wide event ring. Recorded through a mutex — protocol
     /// events are orders of magnitude rarer than frames, and with the
@@ -407,7 +409,7 @@ impl World {
     }
 }
 
-/// A timer a peer schedules for itself through [`Outbox::timer`]; the
+/// A timer a peer schedules for itself through [`Outbox::timers`]; the
 /// transport hands it back to [`PeerNode::on_timer`] after its delay.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Timer {
@@ -428,28 +430,35 @@ pub enum Timer {
     },
 }
 
-/// The engine's view of a transport: where outbound messages, timers, and
-/// driver results go. Implementations decide what "wire" means (the
-/// cluster's event queue, or a fault-injecting sender queue feeding TCP
-/// connections).
-pub trait Outbox {
-    /// Ships `msg` to peer `to`; the transport must deliver it after
+/// Everything one engine call emitted, captured rather than shipped:
+/// the in-process cluster and a daemon queue its sends and timers as
+/// events, and hand its results to whoever asked; the model checker
+/// ([`crate::mc`]) turns the captures into explorable actions.
+#[derive(Clone, Debug, Default)]
+pub struct Outbox {
+    /// Model ms the call runs at, ms since the deployment started: the
+    /// cluster's event clock, or a daemon's wall clock over `time_scale`.
+    /// Read only by the streaming failover detector.
+    pub now: f64,
+    /// Wire sends `(to, msg, delay_ms)`: `msg` is due at `to` after
     /// `delay_ms` of model time (the content-keyed WAN delay, already
     /// accumulated into the message's `at_ms`).
-    fn wire(&mut self, to: PeerId, msg: WireMsg, delay_ms: f64);
-    /// Schedules `timer` back into this same peer after `delay_ms` of
-    /// model time. Timers are local bookkeeping: never dropped, never
-    /// jittered.
-    fn timer(&mut self, timer: Timer, delay_ms: f64);
-    /// Model time, ms since the deployment started: the cluster's event
-    /// clock, or a daemon's wall clock over `time_scale`. Used only by the
-    /// streaming failover detector.
-    fn now_ms(&self) -> f64;
-    /// Delivers a finished setup result to whoever asked (the cluster's
-    /// caller or a control connection).
-    fn setup_result(&mut self, result: SetupResult);
-    /// Delivers a finished stream report likewise.
-    fn stream_report(&mut self, report: StreamReport);
+    pub sent: Vec<(PeerId, WireMsg, f64)>,
+    /// Timers `(timer, delay_ms)` due back at this same peer. Timers are
+    /// local bookkeeping: never dropped, never jittered.
+    pub timers: Vec<(Timer, f64)>,
+    /// Finished setup results, for the cluster's caller or the control
+    /// connection that asked.
+    pub setups: Vec<SetupResult>,
+    /// Finished stream reports, likewise.
+    pub reports: Vec<StreamReport>,
+}
+
+impl Outbox {
+    /// An empty outbox whose clock reads `now`.
+    pub fn at(now: f64) -> Outbox {
+        Outbox { now, ..Outbox::default() }
+    }
 }
 
 #[derive(Clone)]
@@ -516,7 +525,7 @@ struct StreamJob {
     acked: HashSet<u64>,
     all_valid: bool,
     delivery_digest: u64,
-    /// Model ms ([`Outbox::now_ms`]) of the last sign of progress — the
+    /// Model ms ([`Outbox::now`]) of the last sign of progress — the
     /// failover detector's baseline.
     last_progress_ms: f64,
     switches: u32,
@@ -562,18 +571,18 @@ impl PeerNode {
 
     /// Sends `msg` to `to` with the content-keyed WAN delay, accumulating
     /// the delay into the message's model timestamp.
-    fn send(&mut self, to: PeerId, mut msg: WireMsg, out: &mut impl Outbox) {
+    fn send(&mut self, to: PeerId, mut msg: WireMsg, out: &mut Outbox) {
         let d = self.world.wan.delay_keyed(self.me, to, delay_salt(&msg));
         if let Some(at) = at_ms_mut(&mut msg) {
             *at += d;
         }
-        out.wire(to, msg, d);
+        out.sent.push((to, msg, d));
     }
 
     /// Advertises this peer's own component into the DHT over the wire —
     /// the socket daemon's bootstrap registration. The in-process cluster
     /// doesn't call this (its shards are pre-seeded).
-    pub fn announce(&mut self, out: &mut impl Outbox) {
+    pub fn announce(&mut self, out: &mut Outbox) {
         let f = self.world.functions[self.me.index()];
         let key = function_key(f.name());
         let replica = WireReplica { peer: self.me.raw(), function: f.code() };
@@ -584,7 +593,7 @@ impl PeerNode {
 
     /// Drives the engine with one delivered peer frame. Malformed frames,
     /// handshakes, and control frames are dropped without effect.
-    pub fn handle(&mut self, msg: WireMsg, out: &mut impl Outbox) {
+    pub fn handle(&mut self, msg: WireMsg, out: &mut Outbox) {
         if !well_formed(&msg, self.world.cfg.peers as u64) {
             return;
         }
@@ -646,7 +655,7 @@ impl PeerNode {
                 out,
             ),
             WireMsg::FrameAck { session, seq, valid, digest, at_ms: _ } => {
-                let now = out.now_ms();
+                let now = out.now;
                 if let Some(job) = self.stream_jobs.get_mut(&session) {
                     // Credit each frame seq exactly once: a duplicated ack
                     // must not push `delivered` past `sent` or double-fold
@@ -666,7 +675,7 @@ impl PeerNode {
     }
 
     /// Fires one of this peer's own timers.
-    pub fn on_timer(&mut self, timer: Timer, out: &mut impl Outbox) {
+    pub fn on_timer(&mut self, timer: Timer, out: &mut Outbox) {
         match timer {
             Timer::Collect { request } => self.on_collect(request, out),
             Timer::Stream { session } => self.on_stream_timer(session, out),
@@ -677,7 +686,7 @@ impl PeerNode {
     /// Runs a control command in its wire form: `CtrlCompose` starts a
     /// composition, `CtrlStream` a streaming session. Returns false, having
     /// done nothing, for any other frame or a malformed command.
-    pub fn control(&mut self, cmd: WireMsg, out: &mut impl Outbox) -> bool {
+    pub fn control(&mut self, cmd: WireMsg, out: &mut Outbox) -> bool {
         if !well_formed(&cmd, self.world.cfg.peers as u64) {
             return false;
         }
@@ -721,7 +730,7 @@ impl PeerNode {
         origin: u64,
         hops: u32,
         at_ms: f64,
-        out: &mut impl Outbox,
+        out: &mut Outbox,
     ) {
         self.world.dht_hops.fetch_add(1, Ordering::Relaxed);
         match self.world.pastry.next_hop_from(self.me, NodeId::new(key)) {
@@ -747,7 +756,7 @@ impl PeerNode {
         qos: QosVector,
         res: ResourceVector,
         hops: u32,
-        out: &mut impl Outbox,
+        out: &mut Outbox,
     ) {
         self.world.dht_hops.fetch_add(1, Ordering::Relaxed);
         match self.world.pastry.next_hop_from(self.me, NodeId::new(key)) {
@@ -766,7 +775,7 @@ impl PeerNode {
         }
     }
 
-    fn on_dht_reply(&mut self, query: u64, metas: Vec<WireReplica>, at_ms: f64, out: &mut impl Outbox) {
+    fn on_dht_reply(&mut self, query: u64, metas: Vec<WireReplica>, at_ms: f64, out: &mut Outbox) {
         let request = query / 64;
         let pos = (query % 64) as usize;
         let Some(job) = self.compose_jobs.get_mut(&request) else { return };
@@ -792,7 +801,7 @@ impl PeerNode {
         dest: PeerId,
         chain: Vec<MediaFunction>,
         budget: u32,
-        out: &mut impl Outbox,
+        out: &mut Outbox,
     ) {
         let n = chain.len();
         assert!(n < 63, "query encoding supports chains up to 62 functions");
@@ -814,7 +823,7 @@ impl PeerNode {
         }
     }
 
-    fn start_probing(&mut self, request: u64, out: &mut impl Outbox) {
+    fn start_probing(&mut self, request: u64, out: &mut Outbox) {
         let (dest, chain, lists, budget, failed, discovery_done) = {
             let job = self.compose_jobs.get_mut(&request).expect("caller holds the job");
             // Discovery finishes when the slowest reply lands (model time).
@@ -854,10 +863,10 @@ impl PeerNode {
         );
     }
 
-    fn finish_failure(&mut self, request: u64, out: &mut impl Outbox) {
+    fn finish_failure(&mut self, request: u64, out: &mut Outbox) {
         if let Some(job) = self.compose_jobs.remove(&request) {
             let discovery = job.discovery_done_ms.unwrap_or(0.0);
-            out.setup_result(SetupResult {
+            out.setups.push(SetupResult {
                 request,
                 ok: false,
                 dest: job.dest,
@@ -881,12 +890,12 @@ impl PeerNode {
         backups: Vec<Vec<u64>>,
         selected_ms: f64,
         at_ms: f64,
-        out: &mut impl Outbox,
+        out: &mut Outbox,
     ) {
         let Some(job) = self.compose_jobs.remove(&session) else { return };
         let discovery_end = job.discovery_done_ms.unwrap_or(0.0);
         let ok = !path.is_empty();
-        out.setup_result(SetupResult {
+        out.setups.push(SetupResult {
             request: session,
             ok,
             dest: job.dest,
@@ -904,7 +913,7 @@ impl PeerNode {
 
     /// Fans a probe out to the next chain position's candidates, or ships
     /// a completed probe to the destination.
-    fn spawn_probes(&mut self, probe: WireProbe, out: &mut impl Outbox) {
+    fn spawn_probes(&mut self, probe: WireProbe, out: &mut Outbox) {
         let pos = probe.pos as usize;
         if pos == probe.chain.len() {
             self.world.count_probe(probe.request, pos as u16, probe.budget);
@@ -940,7 +949,7 @@ impl PeerNode {
         }
     }
 
-    fn on_probe(&mut self, probe: WireProbe, out: &mut impl Outbox) {
+    fn on_probe(&mut self, probe: WireProbe, out: &mut Outbox) {
         if probe.pos as usize == probe.chain.len() && probe.dest == self.me.raw() {
             if self.done_requests.contains(&probe.request) {
                 return; // stragglers after selection
@@ -965,14 +974,15 @@ impl PeerNode {
                 // transport queueing pushes wall arrivals well past the
                 // scaled model timestamp, and a tight deadline would
                 // make the collected set scheduling-dependent.
-                out.timer(Timer::Collect { request }, window * self.world.cfg.collect_deadline_slack);
+                let deadline = window * self.world.cfg.collect_deadline_slack;
+                out.timers.push((Timer::Collect { request }, deadline));
             }
             return;
         }
         self.spawn_probes(probe, out);
     }
 
-    fn on_collect(&mut self, request: u64, out: &mut impl Outbox) {
+    fn on_collect(&mut self, request: u64, out: &mut Outbox) {
         let Some(job) = self.dest_jobs.remove(&request) else { return };
         self.done_requests.insert(request);
         if job.probes.is_empty() {
@@ -1062,7 +1072,7 @@ impl PeerNode {
         backups: Vec<Vec<u64>>,
         selected_ms: f64,
         at_ms: f64,
-        out: &mut impl Outbox,
+        out: &mut Outbox,
     ) {
         // Initialize the local component for this session (soft state made
         // firm), then keep walking toward the head of the path.
@@ -1089,7 +1099,7 @@ impl PeerNode {
         frames: u64,
         interval_ms: f64,
         dims: (usize, usize),
-        out: &mut impl Outbox,
+        out: &mut Outbox,
     ) {
         let mut paths = vec![path];
         paths.extend(backups);
@@ -1113,23 +1123,23 @@ impl PeerNode {
                 acked: HashSet::new(),
                 all_valid: true,
                 delivery_digest: 0,
-                last_progress_ms: out.now_ms(),
+                last_progress_ms: out.now,
                 switches: 0,
                 phase: StreamPhase::Sending,
             },
         );
-        out.timer(Timer::Stream { session }, 0.0);
+        out.timers.push((Timer::Stream { session }, 0.0));
         if self.world.cfg.maintenance_period_ms > 0.0 {
-            out.timer(Timer::Maintenance { session }, self.world.cfg.maintenance_period_ms);
+            out.timers.push((Timer::Maintenance { session }, self.world.cfg.maintenance_period_ms));
         }
     }
 
-    fn on_stream_timer(&mut self, session: u64, out: &mut impl Outbox) {
+    fn on_stream_timer(&mut self, session: u64, out: &mut Outbox) {
         let Some(job) = self.stream_jobs.get_mut(&session) else { return };
         match job.phase {
             StreamPhase::Draining => {
                 let job = self.stream_jobs.remove(&session).expect("present");
-                out.stream_report(StreamReport {
+                out.reports.push(StreamReport {
                     session,
                     sent: job.seq,
                     delivered: job.delivered,
@@ -1144,7 +1154,7 @@ impl PeerNode {
                 // Failover: no delivery ack for longer than the timeout
                 // while a backup exists. The baseline resets on switch so
                 // one broken path triggers one switch, not a cascade.
-                let now = out.now_ms();
+                let now = out.now;
                 let candidates: Vec<usize> = (0..job.paths.len())
                     .filter(|&s| s != job.active && !job.consumed[s])
                     .collect();
@@ -1173,7 +1183,7 @@ impl PeerNode {
                 if job.remaining == 0 {
                     job.phase = StreamPhase::Draining;
                     let drain = job.interval_ms * 4.0 + 800.0;
-                    out.timer(Timer::Stream { session }, drain);
+                    out.timers.push((Timer::Stream { session }, drain));
                     return;
                 }
                 job.remaining -= 1;
@@ -1195,14 +1205,14 @@ impl PeerNode {
                 };
                 let interval = job.interval_ms;
                 self.send(first, msg, out);
-                out.timer(Timer::Stream { session }, interval);
+                out.timers.push((Timer::Stream { session }, interval));
             }
         }
     }
 
     /// One maintenance round at the streaming source: probe every backup
     /// path; a backup whose previous probe never returned is marked dead.
-    fn on_maintenance_timer(&mut self, session: u64, out: &mut impl Outbox) {
+    fn on_maintenance_timer(&mut self, session: u64, out: &mut Outbox) {
         let period = self.world.cfg.maintenance_period_ms;
         let Some(job) = self.stream_jobs.get_mut(&session) else { return };
         if matches!(job.phase, StreamPhase::Draining) {
@@ -1234,7 +1244,7 @@ impl PeerNode {
         for (to, msg) in sends {
             self.send(to, msg, out);
         }
-        out.timer(Timer::Maintenance { session }, period);
+        out.timers.push((Timer::Maintenance { session }, period));
     }
 
     /// Forwards a maintenance probe along a backup path; the last hop
@@ -1246,7 +1256,7 @@ impl PeerNode {
         idx: u32,
         origin: u64,
         backup_idx: u32,
-        out: &mut impl Outbox,
+        out: &mut Outbox,
     ) {
         let next = idx as usize + 1;
         if next >= path.len() {
@@ -1270,7 +1280,7 @@ impl PeerNode {
         orig_dims: (usize, usize),
         frame: Frame,
         at_ms: f64,
-        out: &mut impl Outbox,
+        out: &mut Outbox,
     ) {
         if idx >= path.len() {
             // Delivery: verify against the expected transform chain.

@@ -1,10 +1,11 @@
-//! A minimal readiness poller over raw `epoll`, plus an `eventfd` waker.
+//! A minimal readiness poller over raw `epoll`, plus an `eventfd` waker
+//! and a `timerfd` alarm.
 //!
 //! The workspace is dependency-free, so instead of `mio`/`tokio` this
-//! module declares the four syscall wrappers it needs directly; the
-//! symbols live in the platform libc that `std` already links. Linux
-//! only, like the daemon it serves (`net::run_node` reports
-//! `Unsupported` elsewhere).
+//! module declares the syscall wrappers it needs directly; the symbols
+//! live in the platform libc that `std` already links. Linux only, like
+//! the daemon it serves (`net::run_node` reports `Unsupported`
+//! elsewhere).
 //!
 //! Level-triggered semantics throughout: an fd keeps reporting readable/
 //! writable until drained, so the event loop never needs to track
@@ -13,6 +14,7 @@
 
 #![cfg(target_os = "linux")]
 
+use core::ffi::c_long;
 use std::io;
 use std::os::fd::RawFd;
 use std::time::Duration;
@@ -31,6 +33,10 @@ const EPOLLRDHUP: u32 = 0x2000;
 const EFD_CLOEXEC: i32 = 0o2000000;
 const EFD_NONBLOCK: i32 = 0o4000;
 
+const CLOCK_MONOTONIC: i32 = 1;
+const TFD_CLOEXEC: i32 = 0o2000000;
+const TFD_NONBLOCK: i32 = 0o4000;
+
 /// The kernel's `struct epoll_event`; packed on x86-64 (the kernel ABI
 /// packs it there so 32- and 64-bit layouts agree), natural layout on
 /// other architectures.
@@ -42,11 +48,27 @@ struct EpollEvent {
     data: u64,
 }
 
+/// The kernel's `struct timespec`.
+#[repr(C)]
+struct Timespec {
+    tv_sec: c_long,
+    tv_nsec: c_long,
+}
+
+/// The kernel's `struct itimerspec`.
+#[repr(C)]
+struct ITimerSpec {
+    it_interval: Timespec,
+    it_value: Timespec,
+}
+
 extern "C" {
     fn epoll_create1(flags: i32) -> i32;
     fn epoll_ctl(epfd: i32, op: i32, fd: i32, event: *mut EpollEvent) -> i32;
     fn epoll_wait(epfd: i32, events: *mut EpollEvent, maxevents: i32, timeout_ms: i32) -> i32;
     fn eventfd(initval: u32, flags: i32) -> i32;
+    fn timerfd_create(clockid: i32, flags: i32) -> i32;
+    fn timerfd_settime(fd: i32, flags: i32, new: *const ITimerSpec, old: *mut ITimerSpec) -> i32;
     fn close(fd: i32) -> i32;
     fn read(fd: i32, buf: *mut core::ffi::c_void, count: usize) -> isize;
     fn write(fd: i32, buf: *const core::ffi::c_void, count: usize) -> isize;
@@ -160,45 +182,112 @@ impl Drop for Poller {
     }
 }
 
+/// An owned `eventfd` or `timerfd`: both read as one 8-byte counter.
+struct CounterFd(RawFd);
+
+impl CounterFd {
+    fn new(fd: i32) -> io::Result<CounterFd> {
+        if fd < 0 {
+            return Err(io::Error::last_os_error());
+        }
+        Ok(CounterFd(fd))
+    }
+
+    /// Reads the counter, so the fd stops reading as ready.
+    fn drain(&self) {
+        let mut counter: u64 = 0;
+        // SAFETY: `counter` is a live, writable 8-byte buffer, and `self.0`
+        // is an fd this value owns (a failed read changes nothing).
+        unsafe { read(self.0, (&mut counter as *mut u64).cast(), 8) };
+    }
+}
+
+impl Drop for CounterFd {
+    fn drop(&mut self) {
+        // SAFETY: `self.0` is owned by this value and closed only here.
+        unsafe { close(self.0) };
+    }
+}
+
 /// Cross-thread wakeup for a [`Poller`]: an `eventfd` registered like any
 /// connection. Other threads call [`Waker::wake`]; the poller thread sees
 /// its token readable and calls [`Waker::drain`].
 pub struct Waker {
-    fd: RawFd,
+    fd: CounterFd,
 }
 
 impl Waker {
     /// A fresh non-blocking eventfd.
     pub fn new() -> io::Result<Waker> {
-        let fd = unsafe { eventfd(0, EFD_CLOEXEC | EFD_NONBLOCK) };
-        if fd < 0 {
-            return Err(io::Error::last_os_error());
-        }
-        Ok(Waker { fd })
+        // SAFETY: `eventfd` takes no pointers; a negative result is an
+        // error, which `CounterFd::new` returns.
+        Ok(Waker { fd: CounterFd::new(unsafe { eventfd(0, EFD_CLOEXEC | EFD_NONBLOCK) })? })
     }
 
     /// The fd to register with the poller.
     pub fn fd(&self) -> RawFd {
-        self.fd
+        self.fd.0
     }
 
     /// Makes the poller's next (or current) `wait` return. Wakes coalesce:
     /// any number of calls before a drain produce one readable event.
     pub fn wake(&self) {
         let one: u64 = 1;
-        unsafe { write(self.fd, (&one as *const u64).cast(), 8) };
+        // SAFETY: `one` is a live 8-byte buffer, and the fd is owned here.
+        unsafe { write(self.fd.0, (&one as *const u64).cast(), 8) };
     }
 
     /// Consumes pending wakes so the fd stops reading as ready.
     pub fn drain(&self) {
-        let mut counter: u64 = 0;
-        unsafe { read(self.fd, (&mut counter as *mut u64).cast(), 8) };
+        self.fd.drain();
     }
 }
 
-impl Drop for Waker {
-    fn drop(&mut self) {
-        unsafe { close(self.fd) };
+/// A one-shot monotonic alarm for a [`Poller`]: a `timerfd` registered
+/// like the waker. It wakes a `wait` that has no timeout with nanosecond
+/// resolution, where `epoll_wait`'s own timeout counts whole
+/// milliseconds. The poller sees its token readable once it fires;
+/// [`Alarm::drain`] clears that.
+pub struct Alarm {
+    fd: CounterFd,
+}
+
+impl Alarm {
+    /// A fresh, disarmed, non-blocking timerfd.
+    pub fn new() -> io::Result<Alarm> {
+        // SAFETY: `timerfd_create` takes no pointers; a negative result is
+        // an error, which `CounterFd::new` returns.
+        let fd = unsafe { timerfd_create(CLOCK_MONOTONIC, TFD_CLOEXEC | TFD_NONBLOCK) };
+        Ok(Alarm { fd: CounterFd::new(fd)? })
+    }
+
+    /// The fd to register with the poller.
+    pub fn fd(&self) -> RawFd {
+        self.fd.0
+    }
+
+    /// Arms the alarm to fire once, `after` from now, replacing any
+    /// earlier setting. A zero `after` fires at once (as 1 ns: a zero
+    /// setting would disarm the timer).
+    pub fn set(&self, after: Duration) -> io::Result<()> {
+        let after = after.max(Duration::from_nanos(1));
+        let zero = Timespec { tv_sec: 0, tv_nsec: 0 };
+        let value = Timespec {
+            tv_sec: after.as_secs().min(i32::MAX as u64) as c_long,
+            tv_nsec: after.subsec_nanos() as c_long,
+        };
+        let spec = ITimerSpec { it_interval: zero, it_value: value };
+        // SAFETY: `spec` is a live `itimerspec` with `tv_nsec` below 1e9,
+        // the old-value pointer may be null, and the fd is owned here.
+        if unsafe { timerfd_settime(self.fd.0, 0, &spec, std::ptr::null_mut()) } < 0 {
+            return Err(io::Error::last_os_error());
+        }
+        Ok(())
+    }
+
+    /// Consumes a fired alarm so the fd stops reading as ready.
+    pub fn drain(&self) {
+        self.fd.drain();
     }
 }
 
@@ -266,5 +355,21 @@ mod tests {
         poller.wait(&mut events, Some(Duration::from_millis(0))).unwrap();
         assert!(events.iter().all(|e| e.token != 7), "drain cleared readiness");
         t.join().unwrap();
+    }
+
+    #[test]
+    fn alarm_wakes_a_wait_without_timeout_and_drain_clears_it() {
+        let poller = Poller::new().unwrap();
+        let alarm = Alarm::new().unwrap();
+        poller.add(alarm.fd(), 9, true, false).unwrap();
+        let set_at = std::time::Instant::now();
+        alarm.set(Duration::from_micros(300)).unwrap();
+        let mut events = Vec::new();
+        poller.wait(&mut events, None).unwrap();
+        assert!(events.iter().any(|e| e.token == 9 && e.readable), "the alarm woke the wait");
+        assert!(set_at.elapsed() >= Duration::from_micros(300), "fired early");
+        alarm.drain();
+        poller.wait(&mut events, Some(Duration::from_millis(0))).unwrap();
+        assert!(events.iter().all(|e| e.token != 9), "drain cleared readiness");
     }
 }

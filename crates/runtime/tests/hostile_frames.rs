@@ -2,10 +2,9 @@
 //! shape — indices past their lists, mismatched list lengths, peers
 //! outside the deployment, empty or oversized frames, non-finite
 //! timestamps — must be dropped at the engine's entry. None may panic the
-//! engine thread, which would end a `spidernet-node serve` process.
+//! engine, which would end a `spidernet-node serve` process.
 
-use spidernet_runtime::mc::ModelOutbox;
-use spidernet_runtime::{ClusterConfig, MediaFunction, PeerNode, Timer, World};
+use spidernet_runtime::{ClusterConfig, MediaFunction, Outbox, PeerNode, Timer, World};
 use spidernet_util::id::PeerId;
 use spidernet_util::qos::QosVector;
 use spidernet_util::rng::rng_for;
@@ -34,7 +33,7 @@ fn off_the_wire(msg: &WireMsg) -> WireMsg {
 /// Fires every timer `out` captured (a collected probe is only selected
 /// once its collect timer fires, a stream only starts sending on its
 /// first stream timer).
-fn fire_timers(node: &mut PeerNode, out: &mut ModelOutbox) {
+fn fire_timers(node: &mut PeerNode, out: &mut Outbox) {
     let timers: Vec<(Timer, f64)> = std::mem::take(&mut out.timers);
     for (timer, _) in timers {
         node.on_timer(timer, out);
@@ -150,7 +149,7 @@ fn hostile_frames_are_dropped_at_the_engine_entry() {
     {
         let outcome = catch_unwind(AssertUnwindSafe(|| {
             let mut node = PeerNode::new(PeerId::new(ME), world.clone(), HashMap::new());
-            let mut out = ModelOutbox::at(0.0);
+            let mut out = Outbox::at(0.0);
             let accepted = if control {
                 node.control(off_the_wire(msg), &mut out)
             } else {
@@ -189,7 +188,7 @@ fn recorded_traffic() -> Vec<(PeerNode, WireMsg)> {
     let mut streaming = false;
     let mut recorded = Vec::new();
 
-    let mut out = ModelOutbox::at(clock);
+    let mut out = Outbox::at(clock);
     nodes[source.index()].compose(1, dest, chain, 8, &mut out);
     let mut from = source;
     loop {
@@ -200,7 +199,7 @@ fn recorded_traffic() -> Vec<(PeerNode, WireMsg)> {
             timers.push((clock + delay, from, timer));
         }
         setups.append(&mut out.setups);
-        out = ModelOutbox::at(clock);
+        out = Outbox::at(clock);
         if let Some((to, msg)) = wire.pop_front() {
             recorded.push((nodes[to.index()].clone(), msg.clone()));
             nodes[to.index()].handle(msg, &mut out);
@@ -213,7 +212,7 @@ fn recorded_traffic() -> Vec<(PeerNode, WireMsg)> {
         } else if let Some(i) = (0..timers.len()).min_by(|&a, &b| timers[a].0.total_cmp(&timers[b].0)) {
             let (due, peer, timer) = timers.remove(i);
             clock = due;
-            out = ModelOutbox::at(clock);
+            out = Outbox::at(clock);
             nodes[peer.index()].on_timer(timer, &mut out);
             from = peer;
         } else {
@@ -251,7 +250,7 @@ fn mutated_engine_traffic_never_panics() {
         decoded += 1;
         let outcome = catch_unwind(AssertUnwindSafe(|| {
             let mut node = node.clone();
-            let mut out = ModelOutbox::at(0.0);
+            let mut out = Outbox::at(0.0);
             node.handle(mutated.clone(), &mut out);
             fire_timers(&mut node, &mut out);
         }));

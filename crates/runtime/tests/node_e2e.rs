@@ -90,12 +90,16 @@ fn kill_primary_switches_to_backup() {
 
 /// Two deployments with the same seed report the same fingerprint: the
 /// selected path, backups, model-time metrics, and delivered pixels are
-/// all reproducible even though wall-clock scheduling differs.
+/// all reproducible even though wall-clock scheduling differs. The values
+/// are pinned, so a transport change cannot move them unnoticed.
 #[test]
 fn deploy_fingerprint_is_deterministic() {
-    let a = deploy(DeployConfig::standard(8, 1234, node_exe())).expect("first run");
-    let b = deploy(DeployConfig::standard(8, 1234, node_exe())).expect("second run");
+    let a = deploy(DeployConfig::standard(8, 1, node_exe())).expect("first run");
+    let b = deploy(DeployConfig::standard(8, 1, node_exe())).expect("second run");
     assert_eq!(a.fingerprint, b.fingerprint, "same seed, same outcome");
+    assert_eq!(a.fingerprint, 11339128649239922144, "seed 1 fingerprint moved");
+    let c = deploy(DeployConfig::standard(8, 2, node_exe())).expect("seed 2 run");
+    assert_eq!(c.fingerprint, 153586704732107688, "seed 2 fingerprint moved");
 }
 
 /// `deploy` and `deploy_many` run one driver: a single session composes
@@ -152,9 +156,9 @@ fn fault_injection_applies_in_both_transports() {
 /// Out-of-range settings are refused before a daemon binds or the
 /// orchestrator spawns anything: the CLI exits with usage status 2, the
 /// library entry points return `InvalidInput`. Without the check,
-/// `--time-scale inf` reached the delay queue and the daemon panicked at
-/// its first delayed send (its startup registration: peer 0 of 8 has its
-/// function key rooted at another peer), `deploy` asserted on too few
+/// `--time-scale inf` reached the daemon's model-to-wall conversion and
+/// panicked it at its first delayed send (its startup registration: peer
+/// 0 of 8 has its function key rooted at another peer), `deploy` asserted on too few
 /// peers or zero sessions, and a zero budget waited out the timeout.
 #[test]
 fn hostile_settings_are_refused_before_anything_starts() {

@@ -151,7 +151,8 @@ pub struct WireStats {
     pub probes_sent: u64,
     /// DHT routing steps handled.
     pub dht_hops: u64,
-    /// Droppable messages lost to fault injection at this sender.
+    /// Droppable messages lost to fault injection at this sender, plus
+    /// media frames it shed to a full outbound queue.
     pub msgs_dropped: u64,
     /// Replica advertisements stored in this node's DHT shard.
     pub store_entries: u64,
