@@ -22,10 +22,9 @@
 //! contention-inflated end-to-end delay exceeds the request's delay bound
 //! (those queries re-price every hop under stress: the path rows only
 //! store uncongested distances). Goodput sums the fair-share rates actually
-//! delivered. Fair-share recomputes ride the simulator's indexed
-//! [`EventCore`]: every establishment schedules a rate-recalc event, and
-//! each fired event forces the lazy recompute and checks the flow-model
-//! invariants.
+//! delivered. Fair-share recomputes ride the simulator's [`EventQueue`]:
+//! every establishment schedules a rate-recalc event, and each fired event
+//! forces the lazy recompute and checks the flow-model invariants.
 //!
 //! Cells (policy × load) are independent worlds built from the same seed
 //! and fed the identical request stream, fanned out over
@@ -36,7 +35,7 @@ use crate::selection::SelectionPolicy;
 use crate::system::{SpiderNet, SpiderNetConfig};
 use crate::workload::{random_request, PopulationConfig, RequestConfig};
 use spidernet_sim::time::{SimDuration, SimTime};
-use spidernet_sim::EventCore;
+use spidernet_sim::EventQueue;
 use spidernet_util::id::SessionId;
 use spidernet_util::par::par_map_with;
 use spidernet_util::qos::dim;
@@ -152,7 +151,7 @@ pub struct CongestionCell {
     pub offered_mbps: f64,
     /// Mean delivered fraction across admitted sessions.
     pub mean_delivered: f64,
-    /// Rate-recalc events fired through the event core.
+    /// Rate-recalc events fired through the event queue.
     pub recalc_events: u64,
 }
 
@@ -239,11 +238,10 @@ fn run_cell(cfg: &CongestionConfig, policy: SelectionPolicy, load: usize) -> Con
     let mut bcp = cfg.bcp.clone();
     bcp.selection_policy = policy;
 
-    // The event core drives fair-share recomputes: every establishment
+    // The event queue drives fair-share recomputes: every establishment
     // schedules a recalc a short lag later, and each fired event forces
     // the (lazy) recompute and re-checks the flow invariants.
-    let mut core = EventCore::new();
-    let recalc = core.register_handler("flow-recalc");
+    let mut recalcs = EventQueue::default();
     let spacing = SimDuration::from_ms(cfg.arrival_spacing_ms);
     let lag = SimDuration::from_ms(cfg.recalc_lag_ms);
     let mut now = SimTime::ZERO;
@@ -264,12 +262,11 @@ fn run_cell(cfg: &CongestionConfig, policy: SelectionPolicy, load: usize) -> Con
         match established {
             Some(id) => {
                 admitted_ids.push(id);
-                core.schedule(now + lag, recalc, id.raw());
+                recalcs.push((now + lag).as_ms(), ());
             }
             None => rejected += 1,
         }
-        for fired in core.pop_until(now) {
-            debug_assert_eq!(fired.handler, recalc);
+        while recalcs.pop_due(now.as_ms()).is_some() {
             net.state_mut().verify_flow_invariants().expect("flow invariants");
             recalc_events += 1;
         }
@@ -280,7 +277,7 @@ fn run_cell(cfg: &CongestionConfig, policy: SelectionPolicy, load: usize) -> Con
     // Drain the tail of scheduled recalcs, then a final reputation pass.
     now += lag;
     now += lag;
-    for _ in core.pop_until(now) {
+    while recalcs.pop_due(now.as_ms()).is_some() {
         net.state_mut().verify_flow_invariants().expect("flow invariants");
         recalc_events += 1;
     }

@@ -5,12 +5,12 @@
 //! Every driver that steps a world unit by unit — Fig. 8, Fig. 9, the
 //! recovery-latency and overhead studies, the fault lab, the open-loop
 //! load cell and the churn example — steps a [`Scenario`]. A scenario owns
-//! one [`SpiderNet`], an [`EventCore`] of session expiries, a
+//! one [`SpiderNet`], an [`EventQueue`] of session expiries, a
 //! [`FaultPlan`], the [`BcpConfig`] reactive recovery composes under, and
 //! the unit counter. [`Scenario::step`] runs one unit in a fixed order:
 //!
-//! 1. tear down the sessions due by this unit, in the order the event core
-//!    pops them (time, then insertion);
+//! 1. tear down the sessions due by this unit, in the order the queue
+//!    pops them (expiry, then admission);
 //! 2. apply the plan's actions for this unit, in plan order: crashes go
 //!    through [`SpiderNet::fail_peers`] (switch to a backup, else reactive
 //!    BCP, else abandon the session) and record one [`Hit`] per session
@@ -30,8 +30,8 @@ use crate::model::request::CompositionRequest;
 use crate::recovery::FailureOutcome;
 use crate::system::SpiderNet;
 use crate::workload::{random_request, RequestConfig};
-use spidernet_sim::event_core::{EventCore, HandlerId};
 use spidernet_sim::fault::{FaultAction, FaultPlan};
+use spidernet_sim::queue::EventQueue;
 use spidernet_sim::time::{SimDuration, SimTime};
 use spidernet_sim::trace::{TraceBuffer, TraceEvent};
 use spidernet_util::error::Result;
@@ -116,13 +116,16 @@ impl Step {
 pub struct Arrivals<'a> {
     /// The world under test.
     pub net: &'a mut SpiderNet,
-    expiry: &'a mut EventCore,
-    expire: HandlerId,
+    expiry: &'a mut EventQueue<u64>,
+    /// The start of this unit; an expiry before it is due here instead,
+    /// so the session ends at the next unit in admission order.
+    start: SimTime,
 }
 
 impl Arrivals<'_> {
     /// Establishes `outcome` for `req` and schedules its teardown for the
-    /// first unit at or after `expires`.
+    /// first unit at or after `expires` (the next unit if `expires` is
+    /// already past).
     pub fn admit(
         &mut self,
         req: &CompositionRequest,
@@ -130,7 +133,7 @@ impl Arrivals<'_> {
         expires: SimTime,
     ) -> Result<SessionId> {
         let id = self.net.establish(req, outcome)?;
-        self.expiry.schedule(expires, self.expire, id.raw());
+        self.expiry.push(expires.max(self.start).as_ms(), id.raw());
         Ok(id)
     }
 }
@@ -138,8 +141,8 @@ impl Arrivals<'_> {
 /// A world stepped one unit at a time under a fault plan.
 pub struct Scenario {
     net: SpiderNet,
-    expiry: EventCore,
-    expire: HandlerId,
+    /// Session ids, due at their expiry.
+    expiry: EventQueue<u64>,
     plan: FaultPlan,
     bcp: BcpConfig,
     unit: u64,
@@ -151,10 +154,8 @@ pub struct Scenario {
 impl Scenario {
     /// Arms `plan` against `net`; reactive recovery composes under `bcp`.
     pub fn new(net: SpiderNet, plan: FaultPlan, bcp: BcpConfig) -> Scenario {
-        let mut expiry = EventCore::new();
-        let expire = expiry.register_handler("session-expire");
         let storm_rng = rng_for(plan.seed(), "faultlab-storm");
-        Scenario { net, expiry, expire, plan, bcp, unit: 0, storm_rng }
+        Scenario { net, expiry: EventQueue::default(), plan, bcp, unit: 0, storm_rng }
     }
 
     /// Composes (under the scenario's BCP config) and establishes up to
@@ -190,8 +191,9 @@ impl Scenario {
     /// maintenance tick, and a one-second clock advance (module docs).
     pub fn step(&mut self, arrive: impl FnOnce(&mut Arrivals<'_>)) -> Step {
         let mut step = Step { unit: self.unit, ..Step::default() };
-        for fired in self.expiry.pop_until(SimTime::from_secs(self.unit)) {
-            if self.net.teardown(SessionId::new(fired.payload)).is_ok() {
+        let start = SimTime::from_secs(self.unit);
+        while let Some((_, id)) = self.expiry.pop_due(start.as_ms()) {
+            if self.net.teardown(SessionId::new(id)).is_ok() {
                 step.expired += 1;
             }
         }
@@ -203,7 +205,7 @@ impl Scenario {
                 FaultAction::SoftStorm { allocs } => self.soft_storm(allocs, &mut step),
             }
         }
-        arrive(&mut Arrivals { net: &mut self.net, expiry: &mut self.expiry, expire: self.expire });
+        arrive(&mut Arrivals { net: &mut self.net, expiry: &mut self.expiry, start });
         self.net.maintenance_tick();
         step.soft_expired = self.net.advance(SimDuration::from_secs(1)) as u64;
         self.unit += 1;
@@ -363,6 +365,12 @@ mod tests {
         }
     }
 
+    fn admit(a: &mut Arrivals<'_>, rng: &mut Rng, expires: SimTime) -> SessionId {
+        let req = random_request(a.net.overlay(), a.net.registry(), &requests(), rng);
+        let outcome = a.net.compose(&req, &BcpConfig::default()).unwrap();
+        a.admit(&req, outcome, expires).unwrap()
+    }
+
     #[test]
     fn admitted_sessions_expire_at_their_unit_in_admission_order() {
         let mut sc = scenario(FaultPlan::new(1));
@@ -370,9 +378,7 @@ mod tests {
         let mut admitted = Vec::new();
         let step = sc.step(|a| {
             for expires in [3, 2, 3] {
-                let req = random_request(a.net.overlay(), a.net.registry(), &requests(), &mut rng);
-                let outcome = a.net.compose(&req, &BcpConfig::default()).unwrap();
-                admitted.push(a.admit(&req, outcome, SimTime::from_secs(expires)).unwrap());
+                admitted.push(admit(a, &mut rng, SimTime::from_secs(expires)));
             }
         });
         assert_eq!((step.unit, step.expired), (0, 0));
@@ -383,6 +389,30 @@ mod tests {
         assert_eq!(sc.step(|_| {}).expired, 2);
         assert!(sc.net().sessions().is_empty());
         assert_eq!(sc.net().now(), SimTime::from_secs(4), "one second per unit");
+    }
+
+    #[test]
+    fn past_expiry_clamps_to_the_unit_start() {
+        let mut sc = scenario(FaultPlan::new(1));
+        let mut rng = rng_for(1, "scenario-test");
+        let mut admitted = Vec::new();
+        sc.step(|a| admitted.push(admit(a, &mut rng, SimTime::from_secs(2))));
+        // Admitted during unit 1 with an expiry already before its start.
+        let step = sc.step(|a| admitted.push(admit(a, &mut rng, SimTime::from_ms(500.0))));
+        assert_eq!((step.unit, step.expired), (1, 0));
+        assert_eq!(sc.net().sessions().len(), 2, "a past expiry does not end a session at once");
+        assert_eq!(sc.expiry.next_due(), Some(1_000.0), "due at the start of unit 1");
+        assert_eq!(sc.step(|_| {}).expired, 2, "the past and the unit-2 expiries end at unit 2");
+        assert!(sc.net().sessions().is_empty());
+        // Due at the unit start, a past expiry stays behind one admitted
+        // earlier for exactly that start.
+        sc.step(|a| {
+            admitted.push(admit(a, &mut rng, SimTime::from_secs(3)));
+            admitted.push(admit(a, &mut rng, SimTime::from_ms(2_500.0)));
+        });
+        let due: Vec<(f64, u64)> =
+            std::iter::from_fn(|| sc.expiry.pop_due(f64::INFINITY)).collect();
+        assert_eq!(due, vec![(3_000.0, admitted[2].raw()), (3_000.0, admitted[3].raw())]);
     }
 
     #[test]

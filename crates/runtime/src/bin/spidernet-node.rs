@@ -17,7 +17,8 @@
 //! tears the cluster down.
 
 use spidernet_runtime::net::{
-    deploy, deploy_many, run_node, setup_fingerprint, setup_to_wire, DeployConfig, NodeConfig,
+    deploy, deploy_many, run_node, setup_fingerprint, setup_to_wire, DeployConfig,
+    MultiDeployOutcome, NodeConfig,
 };
 use spidernet_runtime::{Cluster, ClusterConfig, NetFaultConfig};
 use spidernet_util::{BenchBlock, BenchReport};
@@ -366,18 +367,41 @@ fn run_deploy_many(
         }
     }
 
-    if !faults_active && outcome.setups_ok != outcome.sessions {
-        eprintln!("deploy: {} sessions failed to compose without faults", outcome.sessions - outcome.setups_ok);
+    if let Err(e) = check_many(&outcome, faults_active, fingerprint_match) {
+        eprintln!("deploy: {e}");
         std::process::exit(1);
+    }
+}
+
+/// The exit rules of `deploy --sessions N`: `Err` names the first one a
+/// run breaks. Without injected faults every session must compose and
+/// every frame must arrive; with or without them some valid frame must
+/// arrive, and the in-process replay (`fingerprint_match`, run only
+/// without faults) must reproduce the socket setups.
+fn check_many(
+    outcome: &MultiDeployOutcome,
+    faults_active: bool,
+    fingerprint_match: Option<bool>,
+) -> Result<(), String> {
+    if !faults_active && outcome.setups_ok != outcome.sessions {
+        let failed = outcome.sessions - outcome.setups_ok;
+        return Err(format!("{failed} sessions failed to compose without faults"));
     }
     if outcome.frames_delivered == 0 || !outcome.all_valid {
-        eprintln!("deploy: streams did not deliver valid frames");
-        std::process::exit(1);
+        return Err("streams did not deliver valid frames".into());
+    }
+    if !faults_active && outcome.frames_delivered < outcome.frames_sent {
+        let dropped: u64 = outcome.stats.iter().map(|s| s.msgs_dropped).sum();
+        return Err(format!(
+            "{} of {} frames lost without faults ({dropped} msgs dropped)",
+            outcome.frames_sent - outcome.frames_delivered,
+            outcome.frames_sent,
+        ));
     }
     if fingerprint_match == Some(false) {
-        eprintln!("deploy: socket and in-process setup fingerprints diverge");
-        std::process::exit(1);
+        return Err("socket and in-process setup fingerprints diverge".into());
     }
+    Ok(())
 }
 
 fn main() {
@@ -386,5 +410,59 @@ fn main() {
         Some("serve") => serve(&args[1..]),
         Some("deploy") => run_deploy(&args[1..]),
         _ => usage(),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use spidernet_wire::WireStats;
+
+    /// 1,000 composed sessions of 20 frames each: `delivered` frames
+    /// arrive valid, and the daemons count the rest as shed.
+    fn outcome(delivered: u64) -> MultiDeployOutcome {
+        let shed = WireStats { msgs_dropped: 20_000 - delivered, ..WireStats::default() };
+        MultiDeployOutcome {
+            sessions: 1_000,
+            setups_ok: 1_000,
+            setup_wall_ms: vec![1.0; 1_000],
+            compose_secs: 1.0,
+            stream_secs: 4.0,
+            frames_sent: 20_000,
+            frames_delivered: delivered,
+            all_valid: true,
+            switches: 0,
+            stats: vec![shed, WireStats::default()],
+            peak_child_rss_bytes: 0,
+            setup_fingerprint: 0,
+            setups: Vec::new(),
+        }
+    }
+
+    #[test]
+    fn lost_frames_fail_a_run_only_without_faults() {
+        let short = outcome(19_453);
+        let err = check_many(&short, false, Some(true)).unwrap_err();
+        assert!(
+            err.contains("547 of 20000 frames lost") && err.contains("547 msgs dropped"),
+            "{err}"
+        );
+        assert_eq!(check_many(&short, true, None), Ok(()), "faults may cost frames");
+        assert_eq!(check_many(&outcome(20_000), false, Some(true)), Ok(()));
+    }
+
+    #[test]
+    fn no_frames_fail_a_run_with_or_without_faults() {
+        assert!(check_many(&outcome(0), false, Some(true)).is_err());
+        assert!(check_many(&outcome(0), true, None).is_err());
+    }
+
+    #[test]
+    fn compose_failures_and_diverging_fingerprints_fail_a_run() {
+        let full = outcome(20_000);
+        assert!(check_many(&full, false, Some(false)).unwrap_err().contains("diverge"));
+        let failed = MultiDeployOutcome { setups_ok: 998, ..outcome(20_000) };
+        assert!(check_many(&failed, false, Some(true)).unwrap_err().starts_with("2 sessions"));
+        assert_eq!(check_many(&failed, true, None), Ok(()), "faults may fail compositions");
     }
 }

@@ -7,9 +7,10 @@
 //! model clock plus its delay. Firing an event sets the clock to its due
 //! time and hands the [`WireMsg`] (unencoded) or the [`Timer`] to its
 //! peer. Each socket daemon ([`crate::net`]) drives the *same* engine
-//! over the same queue type, one per process, reading its clock off the
-//! wall and sending due messages over TCP; a deployment built from the
-//! same [`ClusterConfig`] and seed reports the same setup metrics.
+//! over the same queue type ([`spidernet_sim::EventQueue`]), one per
+//! process, reading its clock off the wall and sending due messages over
+//! TCP; a deployment built from the same [`ClusterConfig`] and seed
+//! reports the same setup metrics.
 //!
 //! Peer failure is modeled by the network dropping all traffic to the
 //! dead peer (its timers included); streaming sources detect the
@@ -27,8 +28,6 @@ use crate::node::{roll_faults, Fault, Outbox, PeerNode, Timer, World};
 use spidernet_util::id::PeerId;
 use spidernet_util::rng::{rng_for, Rng};
 use spidernet_wire::WireMsg;
-use std::cmp::Ordering;
-use std::collections::BinaryHeap;
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::Duration;
 
@@ -43,77 +42,21 @@ pub(crate) enum Body {
     Timer(Timer),
 }
 
-/// One queued event: `body` for peer `to`, due at model ms `due`.
-pub(crate) struct Event {
-    pub(crate) due: f64,
-    /// Push order, which breaks ties between equal due times.
-    seq: u64,
-    pub(crate) to: PeerId,
-    pub(crate) body: Body,
-}
+/// The model-time event queue of [`Body`]s, each for its peer: the
+/// cluster steps every peer through one, and each socket daemon runs its
+/// own. Each owner keeps its own firing policy.
+pub(crate) type EventQueue = spidernet_sim::EventQueue<(PeerId, Body)>;
 
-impl Ord for Event {
-    /// Reversed, so the max-heap pops the earliest due time first.
-    fn cmp(&self, other: &Self) -> Ordering {
-        other.due.total_cmp(&self.due).then_with(|| other.seq.cmp(&self.seq))
+/// Queues what one engine call on `peer` sent (unrolled) and scheduled,
+/// each due its delay after the call's clock (negative delays are due at
+/// once), and leaves the call's results in `out`.
+pub(crate) fn schedule(queue: &mut EventQueue, peer: PeerId, out: &mut Outbox) {
+    let now = out.now;
+    for (to, msg, delay_ms) in out.sent.drain(..) {
+        queue.push(now + delay_ms.max(0.0), (to, Body::Wire { msg, rolled: false }));
     }
-}
-impl PartialOrd for Event {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl PartialEq for Event {
-    fn eq(&self, other: &Self) -> bool {
-        self.cmp(other).is_eq()
-    }
-}
-impl Eq for Event {}
-
-/// The one model-time event queue: the cluster steps every peer through
-/// one, and each socket daemon runs its own. Events pop in due order,
-/// ties in push order. Each owner keeps its own firing policy.
-#[derive(Default)]
-pub(crate) struct EventQueue {
-    heap: BinaryHeap<Event>,
-    /// Events queued so far: the next event's `seq`.
-    pushed: u64,
-}
-
-impl EventQueue {
-    /// Queues `body` for `to`, due `delay_ms` after model ms `at`
-    /// (negative delays are due at once).
-    pub(crate) fn push(&mut self, at: f64, delay_ms: f64, to: PeerId, body: Body) {
-        let seq = self.pushed;
-        self.pushed += 1;
-        self.heap.push(Event { due: at + delay_ms.max(0.0), seq, to, body });
-    }
-
-    /// Queues what one engine call on `peer` sent (unrolled) and
-    /// scheduled, each due its delay after the call's clock, and leaves
-    /// the call's results in `out`.
-    pub(crate) fn schedule(&mut self, peer: PeerId, out: &mut Outbox) {
-        let now = out.now;
-        for (to, msg, delay_ms) in out.sent.drain(..) {
-            self.push(now, delay_ms, to, Body::Wire { msg, rolled: false });
-        }
-        for (timer, delay_ms) in out.timers.drain(..) {
-            self.push(now, delay_ms, peer, Body::Timer(timer));
-        }
-    }
-
-    /// Model ms the earliest event is due at.
-    pub(crate) fn next_due(&self) -> Option<f64> {
-        self.heap.peek().map(|e| e.due)
-    }
-
-    /// Pops the earliest event if it is due by `deadline`.
-    pub(crate) fn pop_due(&mut self, deadline: f64) -> Option<Event> {
-        if self.heap.peek()?.due <= deadline {
-            self.heap.pop()
-        } else {
-            None
-        }
+    for (timer, delay_ms) in out.timers.drain(..) {
+        queue.push(now + delay_ms.max(0.0), (peer, Body::Timer(timer)));
     }
 }
 
@@ -136,7 +79,7 @@ impl Net {
     fn run(&mut self, peer: PeerId, call: impl FnOnce(&mut PeerNode, &mut Outbox)) -> Outbox {
         let mut out = Outbox::at(self.clock);
         call(&mut self.nodes[peer.index()], &mut out);
-        self.queue.schedule(peer, &mut out);
+        schedule(&mut self.queue, peer, &mut out);
         out
     }
 
@@ -145,7 +88,7 @@ impl Net {
     /// a dead peer vanishes before the fault injector sees it; a wire
     /// message is rolled once, then dropped, held back, or delivered.
     fn fire(&mut self, deadline: f64) -> Option<Outbox> {
-        while let Some(Event { due, to, body, .. }) = self.queue.pop_due(deadline) {
+        while let Some((due, (to, body))) = self.queue.pop_due(deadline) {
             self.clock = due;
             if self.dead[to.index()] {
                 continue;
@@ -155,7 +98,8 @@ impl Net {
                     match roll_faults(&self.world, &msg, &mut self.rng) {
                         Fault::Drop => continue,
                         Fault::Delay(ms) => {
-                            self.queue.push(due, ms, to, Body::Wire { msg, rolled: true });
+                            let body = Body::Wire { msg, rolled: true };
+                            self.queue.push(due + ms.max(0.0), (to, body));
                             continue;
                         }
                         Fault::Deliver => self.run(to, |node, out| node.handle(msg, out)),

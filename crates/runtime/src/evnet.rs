@@ -6,9 +6,9 @@
 //! One loop owns the listener, every connection, the [`PeerNode`] and
 //! one event queue of the engine's sends and timers, ordered by due time
 //! in model ms: the in-process cluster's queue type
-//! ([`crate::cluster`]). Model time "now" is the wall time since the loop
-//! started over `time_scale`. Each engine call writes into an
-//! [`Outbox`] at now; its sends and timers are queued at now plus their
+//! ([`spidernet_sim::EventQueue`]). Model time "now" is the wall time
+//! since the loop started over `time_scale`. Each engine call writes into
+//! an [`Outbox`] at now; its sends and timers are queued at now plus their
 //! delays, and its setup results and stream reports go onto the control
 //! connection whose `CtrlCompose`/`CtrlStream` asked for them. A due wire
 //! message is rolled once for injected faults (`node::roll_faults`, on
@@ -57,7 +57,7 @@
 
 #![cfg(target_os = "linux")]
 
-use crate::cluster::{Body, Event, EventQueue};
+use crate::cluster::{schedule, Body, EventQueue};
 use crate::net::{dial_peer, report_to_wire, setup_to_wire, NetStats, PEER_DOWN_COOLDOWN};
 use crate::node::{roll_faults, Fault, Outbox, PeerNode, World};
 use crate::poll::{Alarm, Poller, Waker};
@@ -364,8 +364,8 @@ impl Loop {
                 }
             }
             let now = self.now_ms();
-            while let Some(event) = self.queue.pop_due(now) {
-                self.fire(event);
+            while let Some((due, (to, body))) = self.queue.pop_due(now) {
+                self.fire(due, to, body);
             }
             let wall = Instant::now();
             if wall >= self.next_announce {
@@ -408,7 +408,7 @@ impl Loop {
     fn call(&mut self, call: impl FnOnce(&mut PeerNode, &mut Outbox)) {
         let mut out = Outbox::at(self.now_ms());
         call(&mut self.node, &mut out);
-        self.queue.schedule(self.me, &mut out);
+        schedule(&mut self.queue, self.me, &mut out);
         for s in out.setups {
             if let Some(token) = self.replies.remove(&s.request) {
                 self.reply(token, &WireMsg::CtrlComposeResult(setup_to_wire(&s)));
@@ -425,14 +425,15 @@ impl Loop {
     /// rolled once: dropped, re-queued `rolled` after its extra delay, or
     /// delivered like a rolled one — into this engine when addressed here,
     /// else onto its peer's connection.
-    fn fire(&mut self, Event { due, to, body, .. }: Event) {
+    fn fire(&mut self, due: f64, to: PeerId, body: Body) {
         match body {
             Body::Wire { msg, rolled } => {
                 if !rolled {
                     match roll_faults(&self.world, &msg, &mut self.rng) {
                         Fault::Drop => return,
                         Fault::Delay(ms) => {
-                            self.queue.push(due, ms, to, Body::Wire { msg, rolled: true });
+                            let body = Body::Wire { msg, rolled: true };
+                            self.queue.push(due + ms.max(0.0), (to, body));
                             return;
                         }
                         Fault::Deliver => {}

@@ -18,8 +18,8 @@
 //!   sender-side fault rule both transports apply, and the shared
 //!   deterministic environment ([`node::World`]);
 //! * [`cluster`] — the in-process runtime: every peer's engine stepped by
-//!   one event queue keyed by model time (the queue type each daemon runs
-//!   too); DHT lookups, BCP probes, session setup acks, heartbeats, and
+//!   one event queue keyed by model ms (`spidernet-sim`'s, which each
+//!   daemon runs too); DHT lookups, BCP probes, session setup acks, heartbeats, and
 //!   media frames all travel hop by hop with injected WAN latencies, and
 //!   the caller's thread fires the events;
 //! * [`mc`] — the model-checker adapter: `PeerNode`s over a virtual

@@ -26,14 +26,14 @@
 //! minimized schedule replayable: removing an unrelated action does not
 //! renumber the survivors.
 
-use crate::media::{wire_digest, MediaFunction};
+use crate::media::MediaFunction;
+use crate::net::{report_to_wire, setup_to_wire};
 use crate::node::{
-    delay_salt, mix, probe_digest, ClusterConfig, Outbox, PeerNode, SetupResult, StreamReport,
-    Timer, World,
+    delay_salt, mix, ClusterConfig, Outbox, PeerNode, SetupResult, StreamReport, Timer, World,
 };
 use spidernet_sim::mc::ModelSystem;
 use spidernet_util::id::PeerId;
-use spidernet_wire::WireMsg;
+use spidernet_wire::{encode_to_vec, WireMsg};
 use std::collections::BTreeMap;
 use std::collections::BTreeSet;
 use std::sync::Arc;
@@ -267,79 +267,22 @@ fn timer_name(timer: &Timer) -> &'static str {
     }
 }
 
-/// Full-content digest of a wire message (the delay salt plus everything
-/// it elides: timestamps, payload bits, carried paths).
+/// Full-content digest of a wire message: its encoding, which carries
+/// every field (timestamps, payload bits, carried paths).
 fn msg_digest(msg: &WireMsg) -> u64 {
-    let mut h = mix(0x4d53_4744, delay_salt(msg));
-    match msg {
-        WireMsg::DhtLookup { origin, at_ms, .. } => {
-            h = mix(h, 1);
-            h = mix(h, *origin);
-            h = mix(h, at_ms.to_bits());
-        }
-        WireMsg::DhtReply { metas, at_ms, .. } => {
-            h = mix(h, 2);
-            for m in metas {
-                h = mix(h, m.peer);
-                h = mix(h, m.function as u64);
-            }
-            h = mix(h, at_ms.to_bits());
-        }
-        WireMsg::Register { replica, .. } => {
-            h = mix(h, 3);
-            h = mix(h, replica.peer);
-            h = mix(h, replica.function as u64);
-        }
-        WireMsg::Probe(p) => {
-            h = mix(h, 4);
-            h = probe_digest(h, p);
-        }
-        WireMsg::SetupAck { path, functions, source, backups, selected_ms, at_ms, .. } => {
-            h = mix(h, 5);
-            for &p in path {
-                h = mix(h, p);
-            }
-            for &f in functions {
-                h = mix(h, f as u64);
-            }
-            h = mix(h, *source);
-            for b in backups {
-                h = mix(h, b.len() as u64);
-                for &p in b {
-                    h = mix(h, p);
-                }
-            }
-            h = mix(h, selected_ms.to_bits());
-            h = mix(h, at_ms.to_bits());
-        }
-        WireMsg::StreamFrame { frame, orig_w, orig_h, at_ms, .. } => {
-            h = mix(h, 6);
-            h = mix(h, wire_digest(frame));
-            h = mix(h, frame.seq);
-            h = mix(h, *orig_w as u64);
-            h = mix(h, *orig_h as u64);
-            h = mix(h, at_ms.to_bits());
-        }
-        WireMsg::FrameAck { valid, digest, at_ms, .. } => {
-            h = mix(h, 7);
-            h = mix(h, *valid as u64);
-            h = mix(h, *digest);
-            h = mix(h, at_ms.to_bits());
-        }
-        WireMsg::PathProbe { path, .. } => {
-            h = mix(h, 8);
-            for &p in path {
-                h = mix(h, p);
-            }
-        }
-        WireMsg::PathProbeAck { .. } => h = mix(h, 9),
-        _ => h = mix(h, 99),
-    }
-    h
+    fold_encoding(0x4d53_4744, msg)
 }
 
-/// Digest of a pending timer (kinds continue the wire digest's numbering;
-/// timers carry no delay salt).
+/// Folds `msg`'s wire encoding into `h`, 8 bytes at a time.
+fn fold_encoding(h: u64, msg: &WireMsg) -> u64 {
+    encode_to_vec(msg).chunks(8).fold(h, |h, chunk| {
+        let mut word = [0u8; 8];
+        word[..chunk.len()].copy_from_slice(chunk);
+        mix(h, u64::from_le_bytes(word))
+    })
+}
+
+/// Digest of a pending timer: its kind and id.
 fn timer_digest(timer: &Timer) -> u64 {
     let h = mix(0x4d53_4744, 0);
     match *timer {
@@ -349,39 +292,14 @@ fn timer_digest(timer: &Timer) -> u64 {
     }
 }
 
-fn setup_digest(mut h: u64, s: &SetupResult) -> u64 {
-    h = mix(h, s.request);
-    h = mix(h, s.ok as u64);
-    h = mix(h, s.dest.raw());
-    for p in &s.path {
-        h = mix(h, p.raw());
-    }
-    for f in &s.functions {
-        h = mix(h, f.code() as u64);
-    }
-    for b in &s.backups {
-        h = mix(h, b.len() as u64);
-        for p in b {
-            h = mix(h, p.raw());
-        }
-    }
-    h = mix(h, s.discovery_ms.to_bits());
-    h = mix(h, s.probing_ms.to_bits());
-    h = mix(h, s.init_ms.to_bits());
-    mix(h, s.total_ms.to_bits())
+/// Digest of a setup result, through its control-frame encoding.
+fn setup_digest(h: u64, s: &SetupResult) -> u64 {
+    fold_encoding(h, &WireMsg::CtrlComposeResult(setup_to_wire(s)))
 }
 
-fn report_digest(mut h: u64, r: &StreamReport) -> u64 {
-    h = mix(h, r.session);
-    h = mix(h, r.sent);
-    h = mix(h, r.delivered);
-    h = mix(h, r.all_valid as u64);
-    h = mix(h, r.switches as u64);
-    h = mix(h, r.maintenance_probes);
-    for p in &r.final_path {
-        h = mix(h, p.raw());
-    }
-    mix(h, r.delivery_digest)
+/// Digest of a stream report, through its control-frame encoding.
+fn report_digest(h: u64, r: &StreamReport) -> u64 {
+    fold_encoding(h, &WireMsg::CtrlStreamReport(report_to_wire(r)))
 }
 
 /// N real [`PeerNode`]s plus the virtual network between them, as a

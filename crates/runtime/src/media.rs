@@ -53,24 +53,15 @@ impl Frame {
     /// the per-frame fingerprint carried in delivery acks so two
     /// transports can prove they delivered identical bytes.
     pub fn digest(&self) -> u64 {
-        pixel_digest(self.width as u64, self.height as u64, self.seq, &self.pixels)
+        let mut h = splitmix64(0x4652414d45 ^ (self.width as u64) << 32 ^ self.height as u64);
+        h = splitmix64(h ^ self.seq);
+        for chunk in self.pixels.chunks(8) {
+            let mut word = [0u8; 8];
+            word[..chunk.len()].copy_from_slice(chunk);
+            h = splitmix64(h ^ u64::from_le_bytes(word));
+        }
+        h
     }
-}
-
-/// [`Frame::digest`] of a frame still in wire form.
-pub fn wire_digest(p: &WirePixels) -> u64 {
-    pixel_digest(p.width as u64, p.height as u64, p.seq, &p.pixels)
-}
-
-fn pixel_digest(width: u64, height: u64, seq: u64, pixels: &[u8]) -> u64 {
-    let mut h = splitmix64(0x4652414d45 ^ width << 32 ^ height);
-    h = splitmix64(h ^ seq);
-    for chunk in pixels.chunks(8) {
-        let mut word = [0u8; 8];
-        word[..chunk.len()].copy_from_slice(chunk);
-        h = splitmix64(h ^ u64::from_le_bytes(word));
-    }
-    h
 }
 
 impl From<WirePixels> for Frame {

@@ -32,11 +32,11 @@
 //!
 //! Every message waits out its content-keyed WAN delay, and every timer
 //! its delay, in the daemon's event queue: the in-process cluster's queue
-//! type, keyed by due model ms and fired when the wall clock over
-//! `time_scale` reaches them. The accumulated `at_ms` timestamps make all
-//! reported setup metrics pure functions of message content — a socket
-//! deployment reports the same numbers as the in-process cluster for the
-//! same seed.
+//! type ([`spidernet_sim::EventQueue`]), keyed by due model ms and fired
+//! when the wall clock over `time_scale` reaches them. The accumulated
+//! `at_ms` timestamps make all reported setup metrics pure functions of
+//! message content — a socket deployment reports the same numbers as the
+//! in-process cluster for the same seed.
 
 use crate::media::MediaFunction;
 use crate::node::{ClusterConfig, SetupResult, StreamReport, World};

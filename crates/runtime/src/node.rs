@@ -9,8 +9,8 @@
 //! [`PeerNode::control`]). It never touches a channel, a clock or a
 //! socket: every call writes its effects into one [`Outbox`]. The
 //! in-process event loop ([`crate::cluster`]) and each socket daemon's
-//! loop ([`crate::net`]) queue its sends and timers on the same
-//! model-time event queue type (`cluster::EventQueue`), and the model
+//! loop ([`crate::net`]) queue its sends and timers on the simulator's
+//! one event queue type ([`spidernet_sim::EventQueue`]), and the model
 //! checker ([`crate::mc`]) explores them. Protocol logic exists exactly
 //! once.
 //!

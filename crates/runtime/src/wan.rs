@@ -1,15 +1,16 @@
 //! Wide-area latency model.
 //!
 //! The prototype ran on 102 PlanetLab hosts "distributed across U.S. and
-//! Europe". We assign each peer to a region and draw per-message one-way
-//! delays from measured-RTT-scale ranges: intra-region tens of
+//! Europe". We assign each peer to a region and give each message a
+//! one-way delay from measured-RTT-scale ranges: intra-region tens of
 //! milliseconds, transcontinental ~35–45 ms one-way, transatlantic
-//! ~45–75 ms one-way, plus multiplicative jitter. A daemon's `time_scale`
+//! ~45–75 ms one-way, plus multiplicative jitter keyed by the message's
+//! content ([`WanModel::delay_keyed`]). A daemon's `time_scale`
 //! compresses wall-clock time without changing reported model-time
 //! numbers.
 
 use spidernet_util::id::PeerId;
-use spidernet_util::rng::{rng_for_indexed, splitmix64, Rng};
+use spidernet_util::rng::splitmix64;
 
 /// Deployment region of a peer.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -44,7 +45,7 @@ fn base_delay_ms(a: Region, b: Region) -> f64 {
 pub struct WanModel {
     regions: Vec<Region>,
     /// Multiplicative jitter bound: each message's delay is scaled by a
-    /// factor drawn uniformly from `[1, 1 + jitter]`.
+    /// factor in `[1, 1 + jitter]`, uniform over message keys.
     pub jitter: f64,
     seed: u64,
 }
@@ -80,15 +81,6 @@ impl WanModel {
         base_delay_ms(self.region(a), self.region(b))
     }
 
-    /// One sampled message delay `a → b`, ms (jittered).
-    pub fn sample_ms(&self, a: PeerId, b: PeerId, rng: &mut Rng) -> f64 {
-        let base = self.base_ms(a, b);
-        if base == 0.0 {
-            return 0.0;
-        }
-        base * (1.0 + rng.gen::<f64>() * self.jitter)
-    }
-
     /// Content-keyed message delay `a → b`, ms: the jitter factor is a
     /// pure function of `(seed, a, b, salt)` rather than a draw from a
     /// stateful stream. Two transports (or two runs) delivering the same
@@ -106,11 +98,6 @@ impl WanModel {
         // Top 53 bits → uniform in [0, 1), same construction as Rng's f64.
         let unit = (h >> 11) as f64 * (1.0 / (1u64 << 53) as f64);
         base * (1.0 + unit * self.jitter)
-    }
-
-    /// A deterministic RNG for one peer's message stream.
-    pub fn rng_for_peer(&self, p: PeerId) -> Rng {
-        rng_for_indexed(self.seed, "wan", p.raw())
     }
 }
 
@@ -140,24 +127,6 @@ mod tests {
     }
 
     #[test]
-    fn jitter_bounds_hold() {
-        let m = WanModel::new(4, 0.5, 2);
-        let mut rng = m.rng_for_peer(PeerId::new(0));
-        let base = m.base_ms(PeerId::new(0), PeerId::new(1));
-        for _ in 0..100 {
-            let d = m.sample_ms(PeerId::new(0), PeerId::new(1), &mut rng);
-            assert!(d >= base && d <= base * 1.5 + 1e-9);
-        }
-    }
-
-    #[test]
-    fn self_delay_is_zero_even_with_jitter() {
-        let m = WanModel::new(4, 0.5, 3);
-        let mut rng = m.rng_for_peer(PeerId::new(1));
-        assert_eq!(m.sample_ms(PeerId::new(1), PeerId::new(1), &mut rng), 0.0);
-    }
-
-    #[test]
     fn keyed_delays_are_pure_and_bounded() {
         let m = WanModel::new(6, 0.4, 11);
         let (a, b) = (PeerId::new(0), PeerId::new(1));
@@ -173,18 +142,5 @@ mod tests {
         // Direction matters (one-way paths jitter independently).
         assert_ne!(m.delay_keyed(a, b, 1), m.delay_keyed(b, a, 1));
         assert_eq!(m.delay_keyed(a, a, 9), 0.0);
-    }
-
-    #[test]
-    fn peer_streams_are_deterministic() {
-        let m = WanModel::new(4, 0.3, 4);
-        let mut a = m.rng_for_peer(PeerId::new(2));
-        let mut b = m.rng_for_peer(PeerId::new(2));
-        for _ in 0..10 {
-            assert_eq!(
-                m.sample_ms(PeerId::new(2), PeerId::new(3), &mut a),
-                m.sample_ms(PeerId::new(2), PeerId::new(3), &mut b)
-            );
-        }
     }
 }

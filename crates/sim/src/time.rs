@@ -3,6 +3,14 @@
 //! Stored as integer microseconds so event ordering is total and exactly
 //! reproducible — float timestamps would make heap ordering depend on
 //! accumulated rounding.
+//!
+//! Where `SimTime` meets the simulator's event queue
+//! ([`crate::queue::EventQueue`], keyed by `f64` model ms), callers push
+//! [`SimTime::as_ms`]. That conversion is exact in the integer and
+//! correctly rounded in the division, so an earlier time never gets a
+//! later key, and equal times stay equal (they pop in push order). Below
+//! 2^43 ms (about 278 years) the spacing of `f64` stays under 1 µs, so
+//! distinct microseconds also get distinct keys and pop in time order.
 
 use std::fmt;
 use std::ops::{Add, AddAssign, Sub};

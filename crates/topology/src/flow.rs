@@ -202,12 +202,6 @@ impl FlowNet {
         self.recalcs
     }
 
-    /// Forces rates current (useful before bulk `rate` reads from
-    /// shared-reference contexts is not possible — rates need `&mut`).
-    pub fn refresh(&mut self) {
-        self.recompute_if_dirty();
-    }
-
     fn recompute_if_dirty(&mut self) {
         if !self.dirty {
             return;

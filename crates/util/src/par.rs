@@ -1,15 +1,16 @@
 //! Deterministic fan-out of independent work items across worker threads.
 //!
-//! The experiment drivers hand [`par_map`] a list of *independent* trials
-//! (each carrying its own [`crate::rng::rng_for_trial`] stream) and a
-//! closure; workers pull items off a shared counter and write results back
-//! into the slot matching the item's input index. Output order therefore
+//! The experiment drivers hand [`par_map_with`] a list of *independent*
+//! trials (each carrying its own [`crate::rng::rng_for_trial`] stream) and
+//! a closure; workers pull items off a shared counter and write results
+//! back into the slot matching the item's input index. Output order therefore
 //! equals input order and every item's computation is a pure function of
 //! the item itself — results are bit-identical whatever the thread count,
 //! including the `threads == 1` sequential path.
 //!
 //! Thread count resolution, highest priority first:
-//! 1. an explicit count passed to [`par_map_with`],
+//! 1. an explicit count passed to [`par_map_with`] (drivers pass their
+//!    `threads` option, or [`configured_threads`] when it is unset),
 //! 2. `SPIDERNET_THREADS`,
 //! 3. `RAYON_NUM_THREADS` (honoured for drop-in familiarity),
 //! 4. `std::thread::available_parallelism()`.
@@ -17,7 +18,7 @@
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
-/// The worker count [`par_map`] uses, from the environment or the machine.
+/// The default worker count, from the environment or the machine.
 pub fn configured_threads() -> usize {
     for var in ["SPIDERNET_THREADS", "RAYON_NUM_THREADS"] {
         if let Ok(v) = std::env::var(var) {
@@ -29,17 +30,6 @@ pub fn configured_threads() -> usize {
         }
     }
     std::thread::available_parallelism().map_or(1, |n| n.get())
-}
-
-/// Maps `f` over `items` on [`configured_threads`] workers, preserving
-/// input order in the output.
-pub fn par_map<T, U, F>(items: Vec<T>, f: F) -> Vec<U>
-where
-    T: Send,
-    U: Send,
-    F: Fn(usize, T) -> U + Sync,
-{
-    par_map_with(configured_threads(), items, f)
 }
 
 /// Maps `f` over `items` on exactly `threads` workers (1 = fully
