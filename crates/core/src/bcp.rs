@@ -891,12 +891,15 @@ impl BcpEngine<'_> {
         // Rank the prefiltered pool by the composite next-hop metric —
         // liveness and trust were settled once per composition, so only
         // distance and load are recomputed here, into a per-depth scratch
-        // buffer reused across sibling subtrees.
+        // buffer reused across sibling subtrees. One read of `at_peer`'s
+        // row serves every candidate's delay.
         let mut scored = std::mem::take(&mut st.scratch[pos]);
         scored.clear();
         let mut max_delay: f64 = 0.0;
+        let reads = pool.entries.iter().filter(|e| e.peer != at_peer).count() as u64;
+        let delays = self.paths.delays_from(self.overlay, at_peer, reads);
         for e in &pool.entries {
-            let d = self.paths.delay(self.overlay, at_peer, e.peer);
+            let d = delays.to(e.peer);
             if !d.is_finite() {
                 continue;
             }
@@ -904,9 +907,7 @@ impl BcpEngine<'_> {
             scored.push((d, e.static_score, e.cid, e.peer));
         }
         for s in scored.iter_mut() {
-            let cap = self.state.capacity(s.3);
-            let avail = self.state.available(s.3);
-            let load = if cap.cpu() > 0.0 { 1.0 - avail.cpu() / cap.cpu() } else { 1.0 };
+            let load = self.state.cpu_load(s.3);
             let norm_delay = if max_delay > 0.0 { s.0 / max_delay } else { 0.0 };
             s.1 += W_DELAY * norm_delay + W_LOAD * load;
         }

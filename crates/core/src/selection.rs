@@ -22,8 +22,8 @@ use crate::model::service_graph::{
     RESOURCE_WEIGHTS,
 };
 use crate::paths::PathTable;
-use crate::state::{link_key, OverlayState};
-use spidernet_topology::Overlay;
+use crate::state::OverlayState;
+use spidernet_topology::{Hop, Overlay};
 use spidernet_util::hash::FxHashMap;
 use spidernet_util::id::{ComponentId, PeerId};
 use spidernet_util::qos::{dim, QosVector};
@@ -45,8 +45,8 @@ pub struct GraphEvalScratch {
     demand: Vec<(PeerId, ResourceVector)>,
     /// Per-peer worst failure probability.
     failure: Vec<(PeerId, f64)>,
-    /// Per-overlay-link aggregate bandwidth demand.
-    shared_bw: Vec<((usize, usize), f64)>,
+    /// Per-hop aggregate bandwidth demand.
+    shared_bw: Vec<(Hop, f64)>,
 }
 
 /// The assignment-independent shape of one composition pattern: its
@@ -75,11 +75,11 @@ pub trait Legs {
     /// Overlay-routed delay `from → to`, ms.
     fn delay(&mut self, from: PeerId, to: PeerId) -> f64;
 
-    /// The overlay route `from → to` (`from != to`): passes each overlay
-    /// link on it to `hop` as a normalized `(lo, hi)` peer-index key and
-    /// returns its bandwidth headroom ([`OverlayState::path_available`]),
+    /// The overlay route `from → to` (`from != to`): passes each hop on
+    /// it to `hop` ([`PathTable::route`]) and returns its bandwidth
+    /// headroom, the least [`OverlayState::hop_available`] over its hops,
     /// or `None` when no route exists.
-    fn route(&mut self, from: PeerId, to: PeerId, hop: impl FnMut((usize, usize))) -> Option<f64>;
+    fn route(&mut self, from: PeerId, to: PeerId, hop: impl FnMut(Hop)) -> Option<f64>;
 }
 
 /// [`Legs`] answered by the live path table: every leg is one
@@ -88,14 +88,12 @@ pub struct LiveLegs<'a> {
     overlay: &'a Overlay,
     state: &'a OverlayState,
     paths: &'a mut PathTable,
-    /// Overlay path buffer for [`PathTable::peer_path_into`].
-    path: Vec<PeerId>,
 }
 
 impl<'a> LiveLegs<'a> {
     /// Legs over `overlay` with headroom read from `state`.
     pub fn new(overlay: &'a Overlay, state: &'a OverlayState, paths: &'a mut PathTable) -> Self {
-        LiveLegs { overlay, state, paths, path: Vec::new() }
+        LiveLegs { overlay, state, paths }
     }
 }
 
@@ -104,14 +102,15 @@ impl Legs for LiveLegs<'_> {
         self.paths.delay(self.overlay, from, to)
     }
 
-    fn route(&mut self, from: PeerId, to: PeerId, mut hop: impl FnMut((usize, usize))) -> Option<f64> {
-        if !self.paths.peer_path_into(self.overlay, from, to, &mut self.path) {
-            return None;
-        }
-        for w in self.path.windows(2) {
-            hop(link_key(w[0], w[1]));
-        }
-        Some(self.state.path_available(&self.path))
+    #[inline]
+    fn route(&mut self, from: PeerId, to: PeerId, mut hop: impl FnMut(Hop)) -> Option<f64> {
+        let state = self.state;
+        let mut headroom = f64::INFINITY;
+        let found = self.paths.route(self.overlay, from, to, |h| {
+            headroom = headroom.min(state.hop_available(h));
+            hop(h);
+        });
+        found.then_some(headroom)
     }
 }
 
@@ -235,10 +234,10 @@ pub fn evaluate_with(
             continue;
         }
         let shared_bw = &mut scratch.shared_bw;
-        let route = legs.route(from, to, |key| {
-            match shared_bw.iter_mut().find(|(k, _)| *k == key) {
+        let route = legs.route(from, to, |hop| {
+            match shared_bw.iter_mut().find(|(h, _)| *h == hop) {
                 Some((_, b)) => *b += bw,
-                None => shared_bw.push((key, bw)),
+                None => shared_bw.push((hop, bw)),
             }
         });
         match route {
@@ -249,8 +248,8 @@ pub fn evaluate_with(
             }
         }
     }
-    for &((a, b), need) in scratch.shared_bw.iter() {
-        let avail = state.link_available(a.into(), b.into());
+    for &(hop, need) in scratch.shared_bw.iter() {
+        let avail = state.hop_available(hop);
         if avail + 1e-12 < need {
             fits = false;
         }
@@ -354,8 +353,8 @@ pub fn merge_branches(
 /// any SSSP row it lacks) over the pairs it is given — the
 /// optimal baseline passes those its patterns' service links can join —
 /// then shared read-only across worker threads: no `&mut` anywhere.
-/// Every route's overlay-link keys sit back to back in one arena, so a
-/// leg is a delay, a headroom and a range. Values are the exact bits the
+/// Every route's hops sit back to back in one arena, so a leg is a delay,
+/// a headroom and a range. Values are the exact bits the
 /// live query path returns, so [`evaluate_with`] over the table matches
 /// [`evaluate`] bit-for-bit as long as the overlay state is not mutated
 /// in between.
@@ -364,15 +363,15 @@ pub fn merge_branches(
 #[derive(Clone, Debug, Default)]
 pub struct LegTable {
     legs: FxHashMap<(PeerId, PeerId), Leg>,
-    /// Normalized overlay-link keys of every route, back to back.
-    hops: Vec<(usize, usize)>,
+    /// The hops of every route, back to back.
+    hops: Vec<Hop>,
 }
 
 /// One memoized `from → to` leg of a [`LegTable`].
 #[derive(Clone, Debug)]
 struct Leg {
     delay: f64,
-    /// The route's headroom and its `hops[lo..hi]` link-key range; `None`
+    /// The route's headroom and its `hops[lo..hi]` hop range; `None`
     /// when it does not exist (or `from == to`, which no caller routes).
     route: Option<(f64, usize, usize)>,
 }
@@ -387,15 +386,18 @@ impl LegTable {
     ) -> Self {
         let mut table = LegTable::default();
         table.legs.reserve(pairs.len());
-        let mut path = Vec::new();
         for &(a, b) in pairs {
             let Entry::Vacant(slot) = table.legs.entry((a, b)) else { continue };
             let delay = paths.delay(overlay, a, b);
-            let route = (a != b && paths.peer_path_into(overlay, a, b, &mut path)).then(|| {
-                let lo = table.hops.len();
-                table.hops.extend(path.windows(2).map(|w| link_key(w[0], w[1])));
-                (state.path_available(&path), lo, table.hops.len())
-            });
+            let lo = table.hops.len();
+            let mut headroom = f64::INFINITY;
+            let hops = &mut table.hops;
+            let found = a != b
+                && paths.route(overlay, a, b, |h| {
+                    headroom = headroom.min(state.hop_available(h));
+                    hops.push(h);
+                });
+            let route = found.then_some((headroom, lo, table.hops.len()));
             slot.insert(Leg { delay, route });
         }
         table
@@ -411,7 +413,7 @@ impl Legs for &LegTable {
         self.leg(from, to).delay
     }
 
-    fn route(&mut self, from: PeerId, to: PeerId, hop: impl FnMut((usize, usize))) -> Option<f64> {
+    fn route(&mut self, from: PeerId, to: PeerId, hop: impl FnMut(Hop)) -> Option<f64> {
         let (headroom, lo, hi) = self.leg(from, to).route?;
         self.hops[lo..hi].iter().copied().for_each(hop);
         Some(headroom)

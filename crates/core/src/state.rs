@@ -18,12 +18,11 @@
 use spidernet_sim::time::SimTime;
 use spidernet_sim::trace::{TraceBuffer, TraceEvent};
 use spidernet_topology::flow::{FlowKey, FlowNet, LinkId};
-use spidernet_topology::Overlay;
+use spidernet_topology::{EdgeId, Hop, Overlay};
 use spidernet_util::arena::{SlotArena, SlotKey};
 use spidernet_util::error::{Error, Result};
 use spidernet_util::id::PeerId;
 use spidernet_util::res::ResourceVector;
-use spidernet_util::hash::FxHashMap;
 use std::collections::BTreeMap;
 
 /// Token identifying one soft reservation.
@@ -40,10 +39,10 @@ pub struct SoftToken(u64);
 pub struct SessionAllocation {
     /// Per-peer end-system resources held.
     pub peers: Vec<(PeerId, ResourceVector)>,
-    /// Per-overlay-link bandwidth held (canonical link keys). Empty in
-    /// flow mode, where streams share links elastically instead of
-    /// reserving hard bandwidth.
-    pub links: Vec<((usize, usize), f64)>,
+    /// Bandwidth held on each hop crossed. Empty in flow mode, where
+    /// streams share links elastically instead of reserving hard
+    /// bandwidth.
+    pub links: Vec<(Hop, f64)>,
     /// Flow handles, one per stream, when the shared-bandwidth flow
     /// model is enabled ([`OverlayState::enable_flow_model`]).
     pub flows: Vec<FlowKey>,
@@ -70,14 +69,13 @@ struct AccessLinks {
     committed: Vec<f64>,
 }
 
-/// Shared-bandwidth (flow) mode books: the [`FlowNet`] plus the mapping
-/// from canonical overlay-link keys (geo: `(i, i)` access links) to flow
-/// links, and per-peer incident-link lists for headroom queries.
+/// Shared-bandwidth (flow) mode books: the [`FlowNet`] plus the flow
+/// link of every overlay link, by [`EdgeId`] (geo: of every peer's access
+/// link, by peer).
 #[derive(Clone)]
 struct FlowBook {
     net: FlowNet,
-    link_ids: FxHashMap<(usize, usize), LinkId>,
-    incident: Vec<Vec<LinkId>>,
+    flow_links: Vec<LinkId>,
 }
 
 /// The overlay's live resource state.
@@ -87,8 +85,14 @@ pub struct OverlayState {
     soft: Vec<ResourceVector>,
     committed: Vec<ResourceVector>,
     alive: Vec<bool>,
-    link_capacity: FxHashMap<(usize, usize), f64>,
-    link_committed: FxHashMap<(usize, usize), f64>,
+    // The overlay graph's links by `EdgeId`: `(lo, hi)` endpoints,
+    // capacity and hard-reserved bandwidth. Empty on a geometric overlay.
+    link_ends: Vec<(u32, u32)>,
+    link_capacity: Vec<f64>,
+    link_committed: Vec<f64>,
+    // Each peer's links as `(neighbor, link)`, to map a path step to the
+    // link it crosses. Empty on a geometric overlay.
+    incident: Vec<Vec<(u32, EdgeId)>>,
     access: Option<AccessLinks>,
     // `Some` once `enable_flow_model` switches bandwidth to elastic
     // max-min fair sharing; `None` keeps the paper's hard reservations.
@@ -105,26 +109,26 @@ pub struct OverlayState {
     watermark_crossings: u64,
 }
 
-/// The normalized `(lo, hi)` peer-index key of the undirected overlay
-/// link `{a, b}`.
-pub(crate) fn link_key(a: PeerId, b: PeerId) -> (usize, usize) {
-    let (x, y) = (a.index(), b.index());
-    if x <= y {
-        (x, y)
-    } else {
-        (y, x)
-    }
-}
-
 impl OverlayState {
     /// Initializes state from an overlay: every peer gets
     /// `peer_capacity`, every overlay link its topology capacity.
     pub fn new(overlay: &Overlay, peer_capacity: ResourceVector) -> Self {
         let n = overlay.peer_count();
-        let mut link_capacity = FxHashMap::default();
-        for (a, b, e) in overlay.graph().edges() {
-            link_capacity.insert((a, b), e.capacity_mbps);
-        }
+        let g = overlay.graph();
+        let ids = 0..g.edge_count() as EdgeId;
+        let link_ends = ids
+            .clone()
+            .map(|id| {
+                let (a, b) = g.endpoints(id);
+                (a.min(b) as u32, a.max(b) as u32)
+            })
+            .collect();
+        let link_capacity = ids.map(|id| g.edge_attrs(id).capacity_mbps).collect();
+        let incident = if overlay.is_geo() {
+            Vec::new()
+        } else {
+            (0..n).map(|v| g.neighbor_edges(v).map(|(u, id, _)| (u as u32, id)).collect()).collect()
+        };
         let access = overlay.is_geo().then(|| AccessLinks {
             capacity: (0..n)
                 .map(|i| overlay.access_capacity(PeerId::from(i)).unwrap_or(0.0))
@@ -136,8 +140,10 @@ impl OverlayState {
             soft: vec![ResourceVector::ZERO; n],
             committed: vec![ResourceVector::ZERO; n],
             alive: vec![true; n],
+            link_ends,
             link_capacity,
-            link_committed: FxHashMap::default(),
+            link_committed: vec![0.0; g.edge_count()],
+            incident,
             access,
             flows: None,
             soft_allocs: SlotArena::new(),
@@ -169,6 +175,26 @@ impl OverlayState {
             return 1.0;
         }
         (self.soft[i].cpu() + self.committed[i].cpu()) / cap
+    }
+
+    /// `1 − available/capacity` on a peer's CPU, the load term of BCP's
+    /// next-hop ranking (1.0 for a zero-capacity peer): the CPU terms of
+    /// [`OverlayState::capacity`] and [`OverlayState::available`], read as
+    /// scalars.
+    #[inline]
+    pub fn cpu_load(&self, peer: PeerId) -> f64 {
+        let i = peer.index();
+        let cap = self.capacity[i].cpu();
+        let avail = if self.alive[i] {
+            ((cap - self.soft[i].cpu()).max(0.0) - self.committed[i].cpu()).max(0.0)
+        } else {
+            0.0
+        };
+        if cap > 0.0 {
+            1.0 - avail / cap
+        } else {
+            1.0
+        }
     }
 
     // Records a watermark crossing if `peer`'s utilization moved from one
@@ -339,41 +365,59 @@ impl OverlayState {
 
     // --- link bandwidth ------------------------------------------------
 
-    /// Available bandwidth on the direct overlay link `{a, b}`, Mbit/s.
-    /// Zero if the link does not exist or either endpoint is dead. In geo
-    /// mode every pair is "linked" and the figure is the tighter of the
-    /// two endpoints' free access-link bandwidth.
-    pub fn link_available(&self, a: PeerId, b: PeerId) -> f64 {
-        if !self.alive[a.index()] || !self.alive[b.index()] {
-            return 0.0;
+    /// The hop a path step `a → b` crosses: the overlay link `{a, b}`, or
+    /// on a geometric overlay the direct hop; `None` if `a` and `b` are not
+    /// linked.
+    fn hop_between(&self, a: PeerId, b: PeerId) -> Option<Hop> {
+        if self.access.is_some() {
+            return Some(Hop::direct(a, b));
         }
-        if self.flows.is_some() {
-            // Flow mode: streams are elastic, so bandwidth never gates
-            // admission or evaluation — report the static capacity and
-            // let contention show up in delivered rate instead.
-            if let Some(acc) = &self.access {
-                return acc.capacity[a.index()].min(acc.capacity[b.index()]).max(0.0);
-            }
-            return self.link_capacity.get(&link_key(a, b)).copied().unwrap_or(0.0);
-        }
-        if let Some(acc) = &self.access {
-            let fa = (acc.capacity[a.index()] - acc.committed[a.index()]).max(0.0);
-            let fb = (acc.capacity[b.index()] - acc.committed[b.index()]).max(0.0);
-            return fa.min(fb);
-        }
-        let key = link_key(a, b);
-        let cap = self.link_capacity.get(&key).copied().unwrap_or(0.0);
-        let used = self.link_committed.get(&key).copied().unwrap_or(0.0);
-        (cap - used).max(0.0)
+        let to = b.index();
+        self.incident.get(a.index())?.iter().find(|&&(n, _)| n as usize == to).map(|&(_, id)| Hop::Link(id))
     }
 
-    /// Bottleneck available bandwidth along a peer path (consecutive pairs
-    /// must be overlay links).
-    pub fn path_available(&self, path: &[PeerId]) -> f64 {
-        if path.len() < 2 {
-            return f64::INFINITY;
+    /// Available bandwidth on the direct overlay link `{a, b}`, Mbit/s
+    /// ([`OverlayState::hop_available`]). Zero if the link does not exist.
+    /// In geo mode every pair is linked.
+    pub fn link_available(&self, a: PeerId, b: PeerId) -> f64 {
+        self.hop_between(a, b).map_or(0.0, |hop| self.hop_available(hop))
+    }
+
+    /// Available bandwidth on one route hop, Mbit/s: zero if either
+    /// endpoint is dead. A link offers its capacity less its committed
+    /// bandwidth; a geometric overlay's direct hop the tighter of its two
+    /// endpoints' free access-link bandwidth. In flow mode streams are
+    /// elastic, so bandwidth never gates admission or evaluation: a hop
+    /// offers its static capacity, and contention shows up in delivered
+    /// rate instead.
+    #[inline]
+    pub fn hop_available(&self, hop: Hop) -> f64 {
+        match hop {
+            Hop::Link(id) => {
+                let i = id as usize;
+                let (a, b) = self.link_ends[i];
+                if !self.alive[a as usize] || !self.alive[b as usize] {
+                    return 0.0;
+                }
+                if self.flows.is_some() {
+                    return self.link_capacity[i];
+                }
+                (self.link_capacity[i] - self.link_committed[i]).max(0.0)
+            }
+            Hop::Direct(a, b) => {
+                let (a, b) = (a as usize, b as usize);
+                if !self.alive[a] || !self.alive[b] {
+                    return 0.0;
+                }
+                let acc = self.access.as_ref().expect("direct hops are a geometric overlay's");
+                if self.flows.is_some() {
+                    return acc.capacity[a].min(acc.capacity[b]).max(0.0);
+                }
+                let fa = (acc.capacity[a] - acc.committed[a]).max(0.0);
+                let fb = (acc.capacity[b] - acc.committed[b]).max(0.0);
+                fa.min(fb)
+            }
         }
-        path.windows(2).map(|w| self.link_available(w[0], w[1])).fold(f64::INFINITY, f64::min)
     }
 
     // --- shared-bandwidth (flow) mode -----------------------------------
@@ -391,32 +435,25 @@ impl OverlayState {
         if self.flows.is_some() {
             return;
         }
-        let n = self.capacity.len();
         let mut net = FlowNet::new();
-        let mut link_ids = FxHashMap::default();
-        let mut incident = vec![Vec::new(); n];
-        if let Some(acc) = &self.access {
-            // Geo mode: one flow link per peer access pipe, keyed (i, i).
-            for (i, links) in incident.iter_mut().enumerate() {
-                let id = net.add_link(acc.capacity[i].max(0.0));
-                link_ids.insert((i, i), id);
-                links.push(id);
+        let flow_links = match &self.access {
+            // Geo mode: one flow link per peer access pipe.
+            Some(acc) => acc.capacity.iter().map(|&c| net.add_link(c.max(0.0))).collect(),
+            None => {
+                // Flow links are added in ascending `(lo, hi)` order, so
+                // their numbering (and every downstream float fold) does
+                // not depend on the order the overlay numbered its links.
+                let mut order: Vec<EdgeId> = (0..self.link_ends.len() as EdgeId).collect();
+                order.sort_unstable_by_key(|&id| self.link_ends[id as usize]);
+                let mut by_id: Vec<(EdgeId, LinkId)> = order
+                    .into_iter()
+                    .map(|id| (id, net.add_link(self.link_capacity[id as usize])))
+                    .collect();
+                by_id.sort_unstable_by_key(|&(id, _)| id);
+                by_id.into_iter().map(|(_, flow)| flow).collect()
             }
-        } else {
-            // Sorted key order so the link-id assignment (and therefore
-            // every downstream float fold) is hash-order independent.
-            let mut keys: Vec<(usize, usize)> = self.link_capacity.keys().copied().collect();
-            keys.sort_unstable();
-            for key in keys {
-                let id = net.add_link(self.link_capacity[&key]);
-                link_ids.insert(key, id);
-                incident[key.0].push(id);
-                if key.1 != key.0 {
-                    incident[key.1].push(id);
-                }
-            }
-        }
-        self.flows = Some(FlowBook { net, link_ids, incident });
+        };
+        self.flows = Some(FlowBook { net, flow_links });
     }
 
     /// Whether the shared-bandwidth flow model is active.
@@ -467,24 +504,19 @@ impl OverlayState {
         alloc.flows.iter().filter_map(|&k| book.net.demand(k)).sum()
     }
 
-    /// Utilization ρ ∈ [0, 1] of the flow link(s) behind overlay hop
-    /// `{a, b}` (geo: the worse of the two endpoints' access pipes).
-    /// 0 when the flow model is off or the hop is unknown. Feeds
-    /// contention-aware delay queries (`PathTable::contended_delay`).
-    pub fn link_stress(&mut self, a: PeerId, b: PeerId) -> f64 {
-        let geo = self.access.is_some();
+    /// Utilization ρ ∈ [0, 1] of the flow link(s) behind a route hop
+    /// (geo: the worse of the two endpoints' access pipes). 0 when the
+    /// flow model is off. Feeds contention-aware delay queries
+    /// (`PathTable::contended_delay`).
+    pub fn link_stress(&mut self, hop: Hop) -> f64 {
         let Some(book) = &mut self.flows else { return 0.0 };
-        let keys: [(usize, usize); 2] = if geo {
-            [(a.index(), a.index()), (b.index(), b.index())]
-        } else {
-            let k = link_key(a, b);
-            [k, k]
+        let links = match hop {
+            Hop::Link(id) => [id as usize; 2],
+            Hop::Direct(a, b) => [a as usize, b as usize],
         };
         let mut stress = 0.0f64;
-        for key in keys {
-            if let Some(&id) = book.link_ids.get(&key) {
-                stress = stress.max(1.0 - book.net.link_headroom(id));
-            }
+        for i in links {
+            stress = stress.max(1.0 - book.net.link_headroom(book.flow_links[i]));
         }
         stress
     }
@@ -501,9 +533,12 @@ impl OverlayState {
         }
         match &mut self.flows {
             Some(book) => {
+                if self.access.is_some() {
+                    return book.net.link_headroom(book.flow_links[i]).min(1.0);
+                }
                 let mut h = 1.0f64;
-                for &id in &book.incident[i] {
-                    h = h.min(book.net.link_headroom(id));
+                for &(_, id) in &self.incident[i] {
+                    h = h.min(book.net.link_headroom(book.flow_links[id as usize]));
                 }
                 h
             }
@@ -530,7 +565,8 @@ impl OverlayState {
 
     /// Atomically commits a session's demand: per-peer resources and
     /// per-link bandwidth (links given as peer paths with their demanded
-    /// rate). On any shortfall nothing is taken.
+    /// rate). On any shortfall, or a path step that crosses no overlay
+    /// link, nothing is taken.
     pub fn commit(
         &mut self,
         peer_demand: &[(PeerId, ResourceVector)],
@@ -542,67 +578,81 @@ impl OverlayState {
                 return Err(Error::AdmissionRejected { peer: p.raw() });
             }
         }
+        // Aggregate per-hop bandwidth (paths may share links), each hop's
+        // demand summed in path order.
+        let mut per_hop: Vec<(Hop, f64)> = Vec::new();
+        for (path, bw) in link_demand {
+            for w in path.windows(2) {
+                let hop = self.hop_between(w[0], w[1]).ok_or_else(|| {
+                    Error::Network(format!("path step {} -> {} crosses no overlay link", w[0], w[1]))
+                })?;
+                match per_hop.iter_mut().find(|(h, _)| *h == hop) {
+                    Some((_, need)) => *need += bw,
+                    None => per_hop.push((hop, *bw)),
+                }
+            }
+        }
+        let mut alloc = SessionAllocation::default();
         if self.flows.is_some() {
             // Flow mode: streams are elastic — no link feasibility gate
             // and no hard bandwidth bookkeeping. Each demanded path
             // becomes one flow over its links; contention shows up as a
             // delivered fraction below 1, not as a rejection.
-            let mut alloc = SessionAllocation::default();
-            for &(p, res) in peer_demand {
-                let before = self.cpu_utilization(p);
-                self.committed[p.index()] = self.committed[p.index()].add(&res);
-                self.note_watermark(p, before);
-                alloc.peers.push((p, res));
-            }
-            let geo = self.access.is_some();
-            let book = self.flows.as_mut().expect("checked above");
+            self.take_peers(peer_demand, &mut alloc);
             let mut links: Vec<LinkId> = Vec::new();
             for (path, bw) in link_demand {
                 if path.len() < 2 {
                     continue; // same-peer stream: no network links
                 }
                 links.clear();
-                if geo {
+                let book = self.flows.as_ref().expect("checked above");
+                if self.access.is_some() {
                     let (s, d) = (path[0].index(), path[path.len() - 1].index());
-                    if let Some(&id) = book.link_ids.get(&(s, s)) {
-                        links.push(id);
-                    }
+                    links.push(book.flow_links[s]);
                     if d != s {
-                        if let Some(&id) = book.link_ids.get(&(d, d)) {
-                            links.push(id);
-                        }
+                        links.push(book.flow_links[d]);
                     }
                 } else {
                     for w in path.windows(2) {
-                        if let Some(&id) = book.link_ids.get(&link_key(w[0], w[1])) {
-                            links.push(id);
+                        if let Some(Hop::Link(id)) = self.hop_between(w[0], w[1]) {
+                            links.push(book.flow_links[id as usize]);
                         }
                     }
                 }
+                let book = self.flows.as_mut().expect("checked above");
                 alloc.flows.push(book.net.add_flow(&links, *bw));
             }
             return Ok(alloc);
         }
-        // Aggregate per-link bandwidth (paths may share links). Key-ordered
-        // so the allocation's link list and the committed-bandwidth float
-        // folds are independent of hash order.
-        let mut per_link: BTreeMap<(usize, usize), f64> = BTreeMap::new();
-        for (path, bw) in link_demand {
-            for w in path.windows(2) {
-                *per_link.entry(link_key(w[0], w[1])).or_insert(0.0) += bw;
+        // A link must cover its own demand. A geometric overlay's hop
+        // charges both endpoints' access links, so feasibility aggregates
+        // per endpoint (two hops sharing an endpoint draw from the same
+        // access pipe); its hops are sorted first, so those float folds do
+        // not depend on the order paths name their hops.
+        if self.access.is_some() {
+            per_hop.sort_unstable_by_key(|&(hop, _)| hop);
+        }
+        let mut per_peer: BTreeMap<usize, f64> = BTreeMap::new();
+        for &(hop, need) in &per_hop {
+            match hop {
+                Hop::Link(id) => {
+                    let free = self.link_capacity[id as usize] - self.link_committed[id as usize];
+                    if free < need - 1e-12 {
+                        let (a, b) = self.link_ends[id as usize];
+                        return Err(Error::Network(format!(
+                            "link ({a}, {b}) lacks {need} Mbps ({free} free)"
+                        )));
+                    }
+                }
+                Hop::Direct(a, b) => {
+                    *per_peer.entry(a as usize).or_insert(0.0) += need;
+                    if b != a {
+                        *per_peer.entry(b as usize).or_insert(0.0) += need;
+                    }
+                }
             }
         }
         if let Some(acc) = &self.access {
-            // Geo mode: each link charges both endpoints' access links, so
-            // feasibility needs per-endpoint aggregation (two links sharing
-            // an endpoint draw from the same access pipe).
-            let mut per_peer: BTreeMap<usize, f64> = BTreeMap::new();
-            for (&(a, b), &need) in &per_link {
-                *per_peer.entry(a).or_insert(0.0) += need;
-                if b != a {
-                    *per_peer.entry(b).or_insert(0.0) += need;
-                }
-            }
             for (&i, &need) in &per_peer {
                 let free = acc.capacity[i] - acc.committed[i];
                 if free < need - 1e-12 {
@@ -611,38 +661,33 @@ impl OverlayState {
                     )));
                 }
             }
-        } else {
-            for (&key, &need) in &per_link {
-                let cap = self.link_capacity.get(&key).copied().unwrap_or(0.0);
-                let used = self.link_committed.get(&key).copied().unwrap_or(0.0);
-                if cap - used < need - 1e-12 {
-                    return Err(Error::Network(format!(
-                        "link {key:?} lacks {need} Mbps ({} free)",
-                        cap - used
-                    )));
+        }
+        // Take everything.
+        self.take_peers(peer_demand, &mut alloc);
+        for &(hop, need) in &per_hop {
+            match hop {
+                Hop::Link(id) => self.link_committed[id as usize] += need,
+                Hop::Direct(a, b) => {
+                    let acc = self.access.as_mut().expect("direct hops are a geometric overlay's");
+                    acc.committed[a as usize] += need;
+                    if b != a {
+                        acc.committed[b as usize] += need;
+                    }
                 }
             }
         }
-        // Take everything.
-        let mut alloc = SessionAllocation::default();
+        alloc.links = per_hop;
+        Ok(alloc)
+    }
+
+    // Commits every peer demand, recording it in `alloc`.
+    fn take_peers(&mut self, peer_demand: &[(PeerId, ResourceVector)], alloc: &mut SessionAllocation) {
         for &(p, res) in peer_demand {
             let before = self.cpu_utilization(p);
             self.committed[p.index()] = self.committed[p.index()].add(&res);
             self.note_watermark(p, before);
             alloc.peers.push((p, res));
         }
-        for (key, need) in per_link {
-            if let Some(acc) = &mut self.access {
-                acc.committed[key.0] += need;
-                if key.1 != key.0 {
-                    acc.committed[key.1] += need;
-                }
-            } else {
-                *self.link_committed.entry(key).or_insert(0.0) += need;
-            }
-            alloc.links.push((key, need));
-        }
-        Ok(alloc)
     }
 
     /// Releases a committed allocation at session teardown.
@@ -652,14 +697,20 @@ impl OverlayState {
             self.committed[p.index()] = self.committed[p.index()].saturating_sub(&res);
             self.note_watermark(p, before);
         }
-        for &(key, bw) in &alloc.links {
-            if let Some(acc) = &mut self.access {
-                acc.committed[key.0] = (acc.committed[key.0] - bw).max(0.0);
-                if key.1 != key.0 {
-                    acc.committed[key.1] = (acc.committed[key.1] - bw).max(0.0);
+        for &(hop, bw) in &alloc.links {
+            match hop {
+                Hop::Link(id) => {
+                    let used = &mut self.link_committed[id as usize];
+                    *used = (*used - bw).max(0.0);
                 }
-            } else if let Some(used) = self.link_committed.get_mut(&key) {
-                *used = (*used - bw).max(0.0);
+                Hop::Direct(a, b) => {
+                    let acc = self.access.as_mut().expect("direct hops are a geometric overlay's");
+                    let (a, b) = (a as usize, b as usize);
+                    acc.committed[a] = (acc.committed[a] - bw).max(0.0);
+                    if b != a {
+                        acc.committed[b] = (acc.committed[b] - bw).max(0.0);
+                    }
+                }
             }
         }
         if let Some(book) = &mut self.flows {
@@ -921,7 +972,8 @@ mod tests {
         // ...but each only receives its max-min fair share.
         let f1 = s.delivered_fraction(&s1);
         assert!((f1 - 0.5 / 0.8).abs() < 1e-9, "fair share fraction: {f1}");
-        assert!(s.link_stress(pa, pb) > 1.0 - 1e-9, "saturated link must read ρ≈1");
+        let hop = Hop::Link(ov.graph().edge_id(a, b).unwrap());
+        assert!(s.link_stress(hop) > 1.0 - 1e-9, "saturated link must read ρ≈1");
         assert!(s.verify_flow_invariants().is_ok());
         // Evaluation still sees static capacity: admission never gates.
         assert!((s.link_available(pa, pb) - e.capacity_mbps).abs() < 1e-9);
@@ -972,14 +1024,25 @@ mod tests {
     }
 
     #[test]
-    fn path_available_is_bottleneck() {
+    fn commit_refuses_a_step_that_crosses_no_link() {
+        // A demand over a non-adjacent pair names no overlay link: however
+        // small, it must not commit a phantom link, and the refused commit
+        // takes nothing, the peer demand included.
         let ov = overlay();
-        let s = OverlayState::new(&ov, ResourceVector::new(1.0, 256.0));
-        // A single-node "path" has infinite bandwidth (no links used).
-        assert!(s.path_available(&[PeerId::new(0)]).is_infinite());
-        let (a, b, e) = ov.graph().edges().next().unwrap();
-        let got = s.path_available(&[PeerId::from(a), PeerId::from(b)]);
-        assert!((got - e.capacity_mbps).abs() < 1e-9);
+        assert!(!ov.graph().has_edge(0, 1), "the fixture must not link peers 0 and 1");
+        let (p0, p1) = (PeerId::new(0), PeerId::new(1));
+        for flow_model in [false, true] {
+            for bw in [0.0, 1e-13, 1.0] {
+                let mut s = OverlayState::new(&ov, ResourceVector::new(1.0, 256.0));
+                if flow_model {
+                    s.enable_flow_model();
+                }
+                let got = s.commit(&[(p0, ResourceVector::new(0.2, 8.0))], &[(vec![p0, p1], bw)]);
+                assert!(matches!(got, Err(Error::Network(_))), "flow {flow_model}, {bw} Mbps: {got:?}");
+                assert_eq!(s.available(p0), s.capacity(p0), "flow {flow_model}, {bw} Mbps");
+                assert_eq!(s.flow_count(), 0);
+            }
+        }
     }
 
     #[test]

@@ -838,7 +838,7 @@ impl SpiderNet {
         route.push(s.request.dest);
         let mut total = 0.0;
         for w in route.windows(2) {
-            total += paths.contended_delay(overlay, w[0], w[1], |a, b| state.link_stress(a, b));
+            total += paths.contended_delay(overlay, w[0], w[1], |hop| state.link_stress(hop));
         }
         Some(total)
     }

@@ -9,8 +9,8 @@
 //! * [`graph`] — the weighted undirected graph both layers share;
 //! * [`inet`] — a degree-based power-law Internet generator standing in for
 //!   Inet-3.0 (see DESIGN.md §2 for the substitution argument);
-//! * [`routing`] — Dijkstra single-source shortest paths and a cached
-//!   multi-source oracle;
+//! * [`routing`] — Dijkstra single-source shortest paths, recording each
+//!   node's tree edge by id;
 //! * [`overlay`] — peer selection and overlay construction, with per-link
 //!   latency/capacity derived from the underlying IP paths;
 //! * [`flow`] — the shared-bandwidth contention model: active streams as
@@ -26,7 +26,7 @@ pub mod overlay;
 pub mod routing;
 
 pub use flow::{FlowKey, FlowNet, LinkId};
-pub use graph::{EdgeAttrs, Graph, NodeIndex};
+pub use graph::{EdgeAttrs, EdgeId, Graph, NodeIndex};
 pub use inet::{generate_power_law, InetConfig};
-pub use overlay::{Overlay, OverlayConfig, OverlayLink};
-pub use routing::{dijkstra, PathResult, RoutingOracle};
+pub use overlay::{Hop, Overlay, OverlayConfig, OverlayLink};
+pub use routing::{dijkstra, PathResult};

@@ -8,14 +8,33 @@
 //! link's delay is the IP shortest-path delay between the two peers' hosts
 //! and its capacity is the bottleneck capacity of that IP path.
 
-use crate::graph::{EdgeAttrs, Graph, NodeIndex};
-use crate::routing::{dijkstra, PathResult, RoutingOracle};
+use crate::graph::{EdgeAttrs, EdgeId, Graph, NodeIndex};
+use crate::routing::dijkstra;
 use spidernet_util::rng::SliceRandom;
 use spidernet_util::id::PeerId;
 use spidernet_util::rng::rng_for;
 
 /// Attributes of one overlay link: same shape as an IP link.
 pub type OverlayLink = EdgeAttrs;
+
+/// One hop of an overlay route, as bandwidth is charged on it.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
+pub enum Hop {
+    /// A link of the overlay graph, by id.
+    Link(EdgeId),
+    /// A geometric overlay's direct hop, as its `(lo, hi)` peer indices:
+    /// it is charged at both endpoints' access links.
+    Direct(u32, u32),
+}
+
+impl Hop {
+    /// The direct hop `{a, b}` of a geometric overlay.
+    pub fn direct(a: PeerId, b: PeerId) -> Hop {
+        let index = |p: PeerId| u32::try_from(p.raw()).expect("peer indices fit in u32");
+        let (x, y) = (index(a), index(b));
+        Hop::Direct(x.min(y), x.max(y))
+    }
+}
 
 /// Overlay construction parameters: a topologically-aware mesh where each
 /// peer links to its `neighbors` nearest peers by IP latency (Ratnasamy et
@@ -98,7 +117,7 @@ impl Overlay {
     /// Builds an overlay over `ip` per `cfg`, seeded by `(seed, "overlay")`.
     ///
     /// Runs one IP-layer Dijkstra per peer to derive overlay link delays and
-    /// bottleneck capacities.
+    /// bottleneck capacities, holding one peer's row at a time.
     pub fn build(ip: &Graph, cfg: &OverlayConfig, seed: u64) -> Overlay {
         assert!(cfg.peers >= 2, "an overlay needs at least two peers");
         assert!(cfg.peers <= ip.node_count(), "more peers than IP nodes");
@@ -109,31 +128,26 @@ impl Overlay {
         all.shuffle(&mut rng);
         let ip_hosts: Vec<NodeIndex> = all.into_iter().take(cfg.peers).collect();
 
-        // One SSSP per peer host.
-        let sssp: Vec<PathResult> = ip_hosts.iter().map(|&h| dijkstra(ip, h)).collect();
-
         let mut graph = Graph::with_nodes(cfg.peers);
-        let connect = |graph: &mut Graph, a: usize, b: usize| {
-            if a == b || graph.has_edge(a, b) {
-                return;
-            }
-            let delay = sssp[a].delay_to(ip_hosts[b]);
-            let cap = sssp[a].bottleneck_capacity_to(ip, ip_hosts[b]).unwrap_or(0.0);
-            graph.add_edge(a, b, EdgeAttrs::new(delay, cap));
-        };
-
         assert!(cfg.neighbors >= 1, "mesh needs at least one neighbor");
-        #[allow(clippy::needless_range_loop)] // `a` indexes both sssp and graph
         for a in 0..cfg.peers {
+            // One SSSP per peer host, dropped once the peer's links are
+            // made: a link takes the bits of the row of the peer that
+            // creates it.
+            let sssp = dijkstra(ip, ip_hosts[a]);
             let mut others: Vec<usize> = (0..cfg.peers).filter(|&b| b != a).collect();
             others.sort_by(|&x, &y| {
-                sssp[a]
-                    .delay_to(ip_hosts[x])
-                    .partial_cmp(&sssp[a].delay_to(ip_hosts[y]))
+                sssp.delay_to(ip_hosts[x])
+                    .partial_cmp(&sssp.delay_to(ip_hosts[y]))
                     .expect("finite delays")
             });
             for &b in others.iter().take(cfg.neighbors) {
-                connect(&mut graph, a, b);
+                if graph.has_edge(a, b) {
+                    continue;
+                }
+                let delay = sssp.delay_to(ip_hosts[b]);
+                let cap = sssp.bottleneck_capacity_to(ip, ip_hosts[b]).unwrap_or(0.0);
+                graph.add_edge(a, b, EdgeAttrs::new(delay, cap));
             }
         }
 
@@ -228,33 +242,14 @@ impl Overlay {
         self.graph.edge(a.index(), b.index())
     }
 
-    /// A routing oracle over the overlay graph (application-level routing:
-    /// messages travel along overlay links, shortest-delay paths).
-    pub fn routing(&self) -> RoutingOracle<'_> {
-        RoutingOracle::new(&self.graph)
-    }
-
     /// Overlay-routed delay between two peers (shortest overlay path; on
-    /// a geometric overlay, the O(1) coordinate delay).
-    /// Convenience wrapper; for bulk queries use [`Overlay::routing`].
+    /// a geometric overlay, the O(1) coordinate delay). Runs one Dijkstra
+    /// per call; bulk callers read per-source rows instead.
     pub fn route_delay(&self, a: PeerId, b: PeerId) -> f64 {
         if let Some(d) = self.direct_delay(a, b) {
             return d;
         }
         dijkstra(&self.graph, a.index()).delay_to(b.index())
-    }
-
-    /// Bottleneck capacity of the overlay path `a → b`: the paper's
-    /// `ba_{℘_j}` term, the bandwidth available on the underlying overlay
-    /// network path. `None` if no overlay path exists. On a geometric
-    /// overlay the bottleneck is the tighter of the two access links.
-    pub fn route_bottleneck(&self, a: PeerId, b: PeerId) -> Option<f64> {
-        if self.is_geo() {
-            let ca = self.access_capacity(a)?;
-            let cb = self.access_capacity(b)?;
-            return Some(ca.min(cb));
-        }
-        dijkstra(&self.graph, a.index()).bottleneck_capacity_to(&self.graph, b.index())
     }
 }
 
@@ -287,11 +282,10 @@ mod tests {
     fn overlay_link_delay_matches_ip_shortest_path() {
         let ip = ip_graph();
         let o = Overlay::build(&ip, &OverlayConfig { peers: 40, neighbors: 3 }, 2);
-        let mut oracle = RoutingOracle::new(&ip);
         for (a, b, e) in o.graph().edges() {
             let ha = o.ip_host(PeerId::from(a));
             let hb = o.ip_host(PeerId::from(b));
-            let expect = oracle.delay(ha, hb);
+            let expect = dijkstra(&ip, ha).delay_to(hb);
             assert!((e.delay_ms - expect).abs() < 1e-9, "link {a}-{b}");
         }
     }
@@ -316,7 +310,6 @@ mod tests {
         if let Some(l) = o.link(a, b) {
             assert!(d <= l.delay_ms + 1e-9);
         }
-        assert!(o.route_bottleneck(a, b).unwrap() > 0.0);
     }
 
     #[test]
@@ -350,15 +343,11 @@ mod tests {
             }
             assert_eq!(o.route_delay(pa, pb).to_bits(), d.to_bits());
         }
-        let cap = o.route_bottleneck(PeerId::new(0), PeerId::new(1)).unwrap();
         let (lo, hi) = cfg.access_mbps;
-        assert!(cap >= lo && cap <= hi);
-        assert_eq!(
-            cap,
-            o.access_capacity(PeerId::new(0))
-                .unwrap()
-                .min(o.access_capacity(PeerId::new(1)).unwrap())
-        );
+        for p in [0u64, 1, 499] {
+            let cap = o.access_capacity(PeerId::new(p)).unwrap();
+            assert!(cap >= lo && cap <= hi);
+        }
     }
 
     #[test]

@@ -2,22 +2,33 @@
 //!
 //! The paper's simulator "performs IP-layer and overlay-layer data routing
 //! using shortest path routing". This module provides a binary-heap Dijkstra
-//! over link delay, path extraction with bottleneck-capacity tracking, and a
-//! cached per-source oracle so the overlay builder can run one SSSP per peer
-//! instead of an all-pairs pass over the 10,000-node IP graph.
+//! over link delay that records the shortest-path tree as it relaxes edges:
+//! each node's predecessor and the [`EdgeId`] of the tree edge into it, so
+//! a path is walked as edge ids without a node buffer or an edge lookup.
 
-use crate::graph::{Graph, NodeIndex};
+use crate::graph::{EdgeId, Graph, NodeIndex};
 use std::cmp::Ordering;
-use spidernet_util::hash::FxHashMap;
-use std::collections::hash_map::Entry;
 use std::collections::BinaryHeap;
 
-/// Result of a single-source Dijkstra run.
+/// `u32::MAX`: no predecessor and no tree edge (the source, and nodes the
+/// source cannot reach).
+const NONE: u32 = u32::MAX;
+
+/// A node's place in the shortest-path tree: its predecessor and the id of
+/// the tree edge into it.
+#[derive(Clone, Copy, Debug)]
+struct TreeLink {
+    prev: u32,
+    edge: EdgeId,
+}
+
+/// Result of a single-source Dijkstra run: 16 bytes per node (a
+/// distance, a predecessor and a tree-edge id).
 #[derive(Clone, Debug)]
 pub struct PathResult {
     source: NodeIndex,
     dist: Vec<f64>,
-    prev: Vec<Option<NodeIndex>>,
+    tree: Vec<TreeLink>,
 }
 
 impl PathResult {
@@ -40,7 +51,7 @@ impl PathResult {
         }
         let mut path = vec![v];
         let mut cur = v;
-        while let Some(p) = self.prev[cur] {
+        while let Some(p) = self.prev_of(cur) {
             path.push(p);
             cur = p;
         }
@@ -50,24 +61,41 @@ impl PathResult {
     }
 
     /// Predecessor of `v` on its shortest path from the source, or `None`
-    /// for the source itself (and for unreachable nodes). Lets callers
-    /// walk a path into a reused buffer instead of allocating via
-    /// [`PathResult::path_to`].
+    /// for the source itself (and for unreachable nodes).
     pub fn prev_of(&self, v: NodeIndex) -> Option<NodeIndex> {
-        self.prev[v]
+        let prev = self.tree[v].prev;
+        (prev != NONE).then_some(prev as usize)
+    }
+
+    /// Id of the tree edge into `v`, or `None` for the source itself (and
+    /// for unreachable nodes).
+    pub fn edge_into(&self, v: NodeIndex) -> Option<EdgeId> {
+        let edge = self.tree[v].edge;
+        (edge != NONE).then_some(edge)
+    }
+
+    /// Passes the id of every edge on the shortest path `source → v` to
+    /// `edge`, from `v` back to the source. Returns `false`, passing
+    /// nothing, if `v` is unreachable.
+    #[inline]
+    pub fn walk_to(&self, v: NodeIndex, mut edge: impl FnMut(EdgeId)) -> bool {
+        if self.dist[v].is_infinite() {
+            return false;
+        }
+        let mut link = self.tree[v];
+        while link.edge != NONE {
+            edge(link.edge);
+            link = self.tree[link.prev as usize];
+        }
+        true
     }
 
     /// Bottleneck capacity (min link capacity) along the shortest path to
     /// `v`. `None` if unreachable; the trivial path to the source itself has
     /// infinite bottleneck.
     pub fn bottleneck_capacity_to(&self, g: &Graph, v: NodeIndex) -> Option<f64> {
-        let path = self.path_to(v)?;
         let mut cap = f64::INFINITY;
-        for w in path.windows(2) {
-            let e = g.edge(w[0], w[1]).expect("path edges exist");
-            cap = cap.min(e.capacity_mbps);
-        }
-        Some(cap)
+        self.walk_to(v, |id| cap = cap.min(g.edge_attrs(id).capacity_mbps)).then_some(cap)
     }
 }
 
@@ -94,7 +122,7 @@ impl PartialOrd for HeapItem {
 pub fn dijkstra(g: &Graph, source: NodeIndex) -> PathResult {
     let n = g.node_count();
     let mut dist = vec![f64::INFINITY; n];
-    let mut prev = vec![None; n];
+    let mut tree = vec![TreeLink { prev: NONE, edge: NONE }; n];
     let mut heap = BinaryHeap::with_capacity(n);
     dist[source] = 0.0;
     heap.push(HeapItem { dist: 0.0, node: source });
@@ -103,56 +131,17 @@ pub fn dijkstra(g: &Graph, source: NodeIndex) -> PathResult {
         if d > dist[v] {
             continue; // stale entry
         }
-        for (u, e) in g.neighbors(v) {
+        for (u, edge, e) in g.neighbor_edges(v) {
             let nd = d + e.delay_ms;
             if nd < dist[u] {
                 dist[u] = nd;
-                prev[u] = Some(v);
+                // `v` has an edge, so it fits in u32 (`Graph::add_edge`).
+                tree[u] = TreeLink { prev: v as u32, edge };
                 heap.push(HeapItem { dist: nd, node: u });
             }
         }
     }
-    PathResult { source, dist, prev }
-}
-
-/// Caches one [`PathResult`] per queried source.
-///
-/// The overlay builder queries delays from each of the 1,000 peers; caching
-/// turns that into exactly one Dijkstra per peer regardless of how many
-/// destination lookups follow.
-pub struct RoutingOracle<'g> {
-    graph: &'g Graph,
-    cache: FxHashMap<NodeIndex, PathResult>,
-}
-
-impl<'g> RoutingOracle<'g> {
-    /// Creates an oracle over `graph`.
-    pub fn new(graph: &'g Graph) -> Self {
-        RoutingOracle { graph, cache: FxHashMap::default() }
-    }
-
-    /// The underlying graph.
-    pub fn graph(&self) -> &Graph {
-        self.graph
-    }
-
-    /// The SSSP result from `source`, computing it on first use.
-    pub fn from(&mut self, source: NodeIndex) -> &PathResult {
-        match self.cache.entry(source) {
-            Entry::Occupied(o) => o.into_mut(),
-            Entry::Vacant(v) => v.insert(dijkstra(self.graph, source)),
-        }
-    }
-
-    /// Shortest-path delay between two nodes.
-    pub fn delay(&mut self, a: NodeIndex, b: NodeIndex) -> f64 {
-        self.from(a).delay_to(b)
-    }
-
-    /// Number of cached sources (for tests/diagnostics).
-    pub fn cached_sources(&self) -> usize {
-        self.cache.len()
-    }
+    PathResult { source, dist, tree }
 }
 
 #[cfg(test)]
@@ -260,13 +249,32 @@ mod tests {
     }
 
     #[test]
-    fn oracle_caches_per_source() {
-        let g = diamond();
-        let mut oracle = RoutingOracle::new(&g);
-        assert_eq!(oracle.delay(0, 3), 5.0);
-        assert_eq!(oracle.delay(0, 2), 2.0);
-        assert_eq!(oracle.cached_sources(), 1);
-        assert_eq!(oracle.delay(3, 0), 5.0); // symmetric in an undirected graph
-        assert_eq!(oracle.cached_sources(), 2);
+    fn tree_edges_are_the_graph_edges_into_each_node() {
+        use crate::inet::{generate_power_law, InetConfig};
+        let mut g = generate_power_law(&InetConfig { nodes: 200, ..InetConfig::default() }, 7);
+        let iso = g.add_node();
+        for src in [0, 57, 199] {
+            let r = dijkstra(&g, src);
+            assert_eq!((r.prev_of(src), r.edge_into(src)), (None, None), "source");
+            assert_eq!((r.prev_of(iso), r.edge_into(iso)), (None, None), "unreachable");
+            assert!(!r.walk_to(iso, |_| panic!("an unreachable node has no path")));
+            let mut reached = 0;
+            for v in (0..g.node_count()).filter(|&v| v != src && r.delay_to(v).is_finite()) {
+                let prev = r.prev_of(v).expect("a reachable node has a predecessor");
+                assert_eq!(r.edge_into(v), g.edge_id(prev, v), "node {v}");
+                let hop = g.edge(prev, v).unwrap().delay_ms;
+                assert_eq!((r.delay_to(prev) + hop).to_bits(), r.delay_to(v).to_bits());
+                // The walk passes the path's edges from `v` back to the source.
+                let path = r.path_to(v).unwrap();
+                let mut expect: Vec<EdgeId> =
+                    path.windows(2).map(|w| g.edge_id(w[0], w[1]).unwrap()).collect();
+                expect.reverse();
+                let mut walked = Vec::new();
+                assert!(r.walk_to(v, |id| walked.push(id)));
+                assert_eq!(walked, expect, "node {v}");
+                reached += 1;
+            }
+            assert_eq!(reached, g.node_count() - 2, "the power-law graph is connected");
+        }
     }
 }
