@@ -195,7 +195,7 @@ fn head_to_head(cli: &Cli) -> HeadToHead {
     for p in 0..peers {
         if p % 40 < 39 {
             base.state_mut()
-                .commit(&[(PeerId::from(p), ResourceVector::new(0.75, 1.0))], &[])
+                .commit(&[(PeerId::from(p), ResourceVector::new(0.75, 1.0))], &Default::default())
                 .expect("background load fits fresh capacity");
             loaded += 1;
         }

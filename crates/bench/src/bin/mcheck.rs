@@ -36,11 +36,12 @@
 //! minimized replayable schedules.
 
 use spidernet_bench::{arg_value, flag_present, json_spec, BenchBlock, BenchReport};
-use spidernet_core::state::{OverlayState, SoftToken};
+use spidernet_core::state::{LinkDemand, OverlayState, SoftToken};
 use spidernet_runtime::mc::{CheckedWorld, McScenario, NetModel};
 use spidernet_sim::mc::{explore, random_walks, violations_to_json, ModelSystem};
 use spidernet_sim::{McConfig, McReport, SimTime, TraceBuffer};
 use spidernet_topology::overlay::{GeoConfig, Overlay};
+use spidernet_topology::Hop;
 use spidernet_util::id::PeerId;
 use spidernet_util::res::ResourceVector;
 use spidernet_wire::negotiate;
@@ -440,11 +441,9 @@ impl ModelSystem for FlowOrder {
                     return false;
                 }
                 let (s, d) = FLOW_STREAMS[i];
-                let route = vec![PeerId::new(s), PeerId::new(d)];
-                match self
-                    .state
-                    .commit(&[(PeerId::new(d), FLOW_RES)], &[(route, FLOW_BW)])
-                {
+                let mut route = LinkDemand::default();
+                route.push_stream([Hop::direct(PeerId::new(s), PeerId::new(d))], FLOW_BW);
+                match self.state.commit(&[(PeerId::new(d), FLOW_RES)], &route) {
                     Ok(alloc) => {
                         self.committed[i] = Some(alloc);
                         true

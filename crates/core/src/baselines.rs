@@ -22,6 +22,7 @@ use spidernet_util::par::par_map_with;
 use spidernet_util::qos::dim;
 use spidernet_util::res::ResourceVector;
 use spidernet_util::rng::Rng;
+use std::sync::Arc;
 
 /// Result of a baseline composition.
 #[derive(Clone, Debug)]
@@ -170,7 +171,9 @@ pub fn optimal_naive(
     // Validate that every required function has replicas before enumerating.
     replica_sets(ctx, req)?;
 
-    for pattern in req.function_graph.patterns() {
+    for pattern in req.function_graph.patterns().iter() {
+        // One shared copy of the pattern for every enumerated graph.
+        let pattern = Arc::new(pattern.clone());
         // Replica sets follow the *pattern's* node order.
         let sets: Vec<Vec<ComponentId>> =
             pattern.functions().iter().map(|&f| ctx.reg.replicas(f).to_vec()).collect();
@@ -186,7 +189,7 @@ pub fn optimal_naive(
             }
             examined += 1;
             let assignment: Vec<ComponentId> = (0..n).map(|i| sets[i][idx[i]]).collect();
-            let graph = ServiceGraph::new(req.source, req.dest, pattern.clone(), assignment);
+            let graph = ServiceGraph::new(req.source, req.dest, Arc::clone(&pattern), assignment);
             let eval = evaluate(&graph, req, ctx.reg, ctx.overlay, ctx.state, ctx.paths);
             if is_qualified(&eval, req) {
                 qualified.push((graph, eval));
@@ -240,7 +243,8 @@ fn leg_cost(mut legs: &LegTable, from: PeerId, to: PeerId, bw: f64) -> f64 {
 
 /// Per-pattern precomputation for the branch-and-bound walk.
 struct PatternPlan {
-    pattern: FunctionGraph,
+    /// The pattern, shared by every qualified graph built over it.
+    pattern: Arc<FunctionGraph>,
     shape: PatternShape,
     /// Replica sets in pattern-node order.
     sets: Vec<Vec<ComponentId>>,
@@ -267,7 +271,7 @@ struct PatternPlan {
 
 impl PatternPlan {
     fn build(
-        pattern: FunctionGraph,
+        pattern: Arc<FunctionGraph>,
         reg: &Registry,
         req: &CompositionRequest,
         state: &OverlayState,
@@ -729,14 +733,14 @@ pub fn optimal_with(
     // read-only by workers. Peer liveness and availability are read from
     // `ctx.state`, which this call holds immutably throughout.
     let mut pairs = Vec::new();
-    for pattern in &patterns {
+    for pattern in patterns.iter() {
         service_link_pairs(req.source, req.dest, pattern, ctx.reg, &mut pairs);
     }
     let legs = LegTable::build(ctx.overlay, ctx.state, ctx.paths, &pairs);
 
     let plans: Vec<PatternPlan> = patterns
-        .into_iter()
-        .map(|p| PatternPlan::build(p, ctx.reg, req, ctx.state, &legs))
+        .iter()
+        .map(|p| PatternPlan::build(Arc::new(p.clone()), ctx.reg, req, ctx.state, &legs))
         .collect();
 
     let qos_slack: Vec<f64> =
@@ -826,8 +830,8 @@ pub fn optimal_with(
         examined += out.examined;
         pruned += out.pruned;
         for (assignment, eval) in out.qualified {
-            let graph =
-                ServiceGraph::new(req.source, req.dest, plans[out.pattern].pattern.clone(), assignment);
+            let pattern = Arc::clone(&plans[out.pattern].pattern);
+            let graph = ServiceGraph::new(req.source, req.dest, pattern, assignment);
             qualified.push((graph, eval));
         }
     }
@@ -863,7 +867,7 @@ pub fn random(
         .collect();
     // Random/static use the original function graph order (they do not
     // explore commutations).
-    let pattern = req.function_graph.patterns().into_iter().next().expect("≥1 pattern");
+    let pattern = req.function_graph.patterns()[0].clone();
     let graph = ServiceGraph::new(req.source, req.dest, pattern, assignment);
     let eval = evaluate(&graph, req, ctx.reg, ctx.overlay, ctx.state, ctx.paths);
     Ok(BaselineOutcome {
@@ -882,7 +886,7 @@ pub fn static_(ctx: &mut BaselineContext<'_>, req: &CompositionRequest) -> Resul
     req.validate()?;
     let sets = replica_sets(ctx, req)?;
     let assignment: Vec<ComponentId> = sets.iter().map(|s| s[0]).collect();
-    let pattern = req.function_graph.patterns().into_iter().next().expect("≥1 pattern");
+    let pattern = req.function_graph.patterns()[0].clone();
     let graph = ServiceGraph::new(req.source, req.dest, pattern, assignment);
     let eval = evaluate(&graph, req, ctx.reg, ctx.overlay, ctx.state, ctx.paths);
     Ok(BaselineOutcome {
@@ -1138,7 +1142,8 @@ mod tests {
         for f in 0..3 {
             for &c in &w.reg.replicas(FunctionId::new(f))[..3] {
                 let peer = w.reg.get(c).peer;
-                w.state.commit(&[(peer, ResourceVector::new(0.6, 128.0))], &[]).unwrap();
+                let demand = [(peer, ResourceVector::new(0.6, 128.0))];
+                w.state.commit(&demand, &Default::default()).unwrap();
             }
         }
         let req = request(3);

@@ -22,6 +22,7 @@
 //! graph plus the remaining qualified graphs for backup selection.
 
 use crate::model::component::Registry;
+use crate::model::function_graph::FunctionGraph;
 use crate::model::request::CompositionRequest;
 use crate::model::service_graph::{GraphEval, ServiceGraph};
 use crate::paths::PathTable;
@@ -194,6 +195,9 @@ impl BcpConfigBuilder {
     /// would silently corrupt protocol behaviour rather than merely
     /// perform badly.
     pub fn try_build(self) -> Result<BcpConfig> {
+        if self.cfg.merge_cap == 0 {
+            return Err(Error::InvalidConfig("merge cap must be ≥ 1".into()));
+        }
         if !self.cfg.shed_utilization.is_finite()
             || self.cfg.shed_utilization <= 0.0
             || self.cfg.shed_utilization > 1.0
@@ -253,12 +257,6 @@ pub struct CompositionOutcome {
     pub qualified_pool: Vec<(ServiceGraph, GraphEval)>,
     /// Protocol accounting.
     pub stats: BcpStats,
-}
-
-/// A probe that reached the destination.
-struct BranchProbe {
-    assign: Vec<(usize, ComponentId)>,
-    latency_ms: f64,
 }
 
 /// One live, unshed replica of a function, prefiltered once per
@@ -402,13 +400,40 @@ impl ComposeCache {
 }
 
 /// Reusable per-worker scratch for the compose hot path: the graph
-/// evaluation workspace plus the probe walk's assignment/undo/ranking
-/// buffers. A standing world serving thousands of requests hands the same
-/// scratch to every compose so the steady state allocates nothing.
+/// evaluation workspace, the probe walk's assignment/undo/ranking
+/// buffers, and the per-compose books — the discovered pools, this
+/// request's soft reservations, the pattern's shape, its complete probes
+/// and their merged assignments. A standing world serving thousands of
+/// requests hands the same scratch to every compose, so a compose
+/// allocates little beyond what its outcome keeps (each qualified
+/// candidate's assignment and QoS vector, one shared pattern, the candidate
+/// list): the QoS vector of a candidate that fails to qualify, and what
+/// discovery does on a compose-cache miss. `tests/alloc_budget.rs` pins
+/// the count.
 #[derive(Default)]
 pub struct ComposeScratch {
     eval: GraphEvalScratch,
+    walk: WalkBuffers,
+    /// Each requested function's qualified pool.
+    pools: FxHashMap<FunctionId, Arc<FunctionPool>>,
+    /// Components this request holds a soft reservation on, per pattern.
+    reserved: FxHashSet<ComponentId>,
+    /// Those reservations.
+    tokens: Vec<SoftToken>,
+    /// The shape of the pattern being probed.
+    shape: PatternShape,
+    /// Each branch's complete probes, `(node, component)` pairs back to
+    /// back, one branch length per probe.
+    per_branch: Vec<Vec<(usize, ComponentId)>>,
+    /// The pattern's merged assignments, one pattern length each.
+    merged: Vec<ComponentId>,
+}
+
+/// The probe walk's in-place buffers, reused across branches.
+#[derive(Default)]
+struct WalkBuffers {
     assign: Vec<(usize, ComponentId)>,
+    qos: QosVector,
     qos_undo: Vec<f64>,
     depth: Vec<Vec<(f64, f64, ComponentId, PeerId)>>,
 }
@@ -422,10 +447,9 @@ impl Clone for ComposeScratch {
 }
 
 /// In-place state of one branch probe walk. Each hop pushes its
-/// contribution and undoes it on backtrack; only probes that reach the
-/// destination clone their assignment, where the frontier-stack
-/// formulation cloned the full accumulator state per spawned child.
-struct ProbeState {
+/// contribution and undoes it on backtrack; a probe that reaches the
+/// destination appends its assignment to the branch's complete probes.
+struct ProbeState<'s> {
     /// Partial assignment `(node, component)` along the current walk.
     assign: Vec<(usize, ComponentId)>,
     /// Accumulated QoS of the walk, mutated in place.
@@ -437,8 +461,11 @@ struct ProbeState {
     /// Per-depth candidate scratch `(delay, score, component, peer)`,
     /// reused across sibling subtrees.
     scratch: Vec<Vec<(f64, f64, ComponentId, PeerId)>>,
-    /// Probes that reached the destination.
-    complete: Vec<BranchProbe>,
+    /// Assignments of the probes that reached the destination, back to
+    /// back.
+    complete: &'s mut Vec<(usize, ComponentId)>,
+    /// The latest arrival at the destination, ms.
+    latest_ms: f64,
 }
 
 /// Borrowed world context for one BCP execution.
@@ -487,31 +514,29 @@ fn build_pool(
 ) -> FunctionPool {
     let mut shed = 0u64;
     let mut shed_peer = None;
-    let entries = metas
-        .iter()
-        .filter_map(|m| {
-            let comp = reg.get(m.component);
-            if !state.is_alive(comp.peer) {
-                return None;
-            }
-            if cfg.shed_utilization < 1.0 && state.cpu_utilization(comp.peer) >= cfg.shed_utilization
-            {
-                shed += 1;
-                shed_peer.get_or_insert(comp.peer);
-                return None; // ψ-saturated hosts are shed, not probed
-            }
-            // Unweighted, the term is +0.0 whatever the trust: skip the walk
-            // over every observer of the host.
-            let trust_term = if cfg.weighs_trust() {
-                let trust = trust.map(|t| t.aggregate_trust(comp.peer)).unwrap_or(0.5);
-                cfg.w_trust * (1.0 - trust)
-            } else {
-                0.0
-            };
-            let static_score = W_FAILURE * comp.failure_prob + trust_term;
-            Some(PoolEntry { cid: m.component, peer: comp.peer, static_score })
-        })
-        .collect();
+    let mut entries = Vec::with_capacity(metas.len());
+    entries.extend(metas.iter().filter_map(|m| {
+        let comp = reg.get(m.component);
+        if !state.is_alive(comp.peer) {
+            return None;
+        }
+        if cfg.shed_utilization < 1.0 && state.cpu_utilization(comp.peer) >= cfg.shed_utilization
+        {
+            shed += 1;
+            shed_peer.get_or_insert(comp.peer);
+            return None; // ψ-saturated hosts are shed, not probed
+        }
+        // Unweighted, the term is +0.0 whatever the trust: skip the walk
+        // over every observer of the host.
+        let trust_term = if cfg.weighs_trust() {
+            let trust = trust.map(|t| t.aggregate_trust(comp.peer)).unwrap_or(0.5);
+            cfg.w_trust * (1.0 - trust)
+        } else {
+            0.0
+        };
+        let static_score = W_FAILURE * comp.failure_prob + trust_term;
+        Some(PoolEntry { cid: m.component, peer: comp.peer, static_score })
+    }));
     FunctionPool { raw_len: metas.len(), entries, shed, shed_peer }
 }
 
@@ -528,8 +553,34 @@ impl BcpEngine<'_> {
         if cfg.budget == 0 {
             return Err(Error::InvalidConfig("probing budget must be ≥ 1".into()));
         }
+        if cfg.merge_cap == 0 {
+            return Err(Error::InvalidConfig("merge cap must be ≥ 1".into()));
+        }
+        // One scratch bundle for the whole compose (reused across composes
+        // when the caller supplies one): per-request map/Vec churn costs
+        // more than the protocol arithmetic itself.
+        let mut owned = None;
+        let mut lent = self.scratch.take();
+        let arena = match lent.as_deref_mut() {
+            Some(arena) => arena,
+            None => owned.insert(ComposeScratch::default()),
+        };
+        let out = self.compose_in(req, cfg, arena);
+        arena.pools.clear();
+        self.scratch = lent;
+        out
+    }
+
+    /// [`BcpEngine::compose`] over `arena`'s buffers.
+    fn compose_in(
+        &mut self,
+        req: &CompositionRequest,
+        cfg: &BcpConfig,
+        arena: &mut ComposeScratch,
+    ) -> Result<CompositionOutcome> {
         let mut stats = BcpStats::default();
-        let mut tokens: Vec<SoftToken> = Vec::new();
+        let ComposeScratch { eval, walk, pools, reserved, tokens, shape, per_branch, merged } =
+            arena;
 
         // --- Discovery phase: resolve replica lists into pools ---------
         // Each distinct function costs one DHT lookup plus one pool
@@ -538,7 +589,7 @@ impl BcpEngine<'_> {
         // only distance and load). With a cache attached, both are
         // memoized across composes; hits replay the recorded DHT cost so
         // the per-request stats cannot tell the modes apart.
-        let mut pools: FxHashMap<FunctionId, Arc<FunctionPool>> = FxHashMap::default();
+        pools.clear();
         let mut discovery_ms: f64 = 0.0;
         for &f in req.function_graph.functions() {
             if pools.contains_key(&f) {
@@ -570,10 +621,10 @@ impl BcpEngine<'_> {
                 None => {
                     let reg = self.reg;
                     let name = reg.catalog().name(f);
+                    let directory = self.directory;
                     let mut transport =
                         |a: PeerId, b: PeerId| self.paths.delay(self.overlay, a, b);
-                    let (metas, route) = self
-                        .directory
+                    let (metas, route) = directory
                         .lookup(self.pastry, req.source, name, &mut transport, &mut self.obs.trace)
                         .ok_or_else(|| Error::Network("source is not a DHT member".into()))?;
                     let messages = route.hops() as u64 + 1; // query hops + reply
@@ -587,7 +638,7 @@ impl BcpEngine<'_> {
                     if metas.is_empty() {
                         return Err(Error::UnknownFunction(name.to_owned()));
                     }
-                    let pool = match self.cache.as_deref_mut() {
+                    match self.cache.as_deref_mut() {
                         Some(cache) => {
                             cache.lookups.insert(
                                 (req.source, f),
@@ -600,18 +651,15 @@ impl BcpEngine<'_> {
                                 Some(pool) => Arc::clone(pool),
                                 None => {
                                     let pool = Arc::new(build_pool(
-                                        self.reg, self.state, self.trust, &metas, cfg,
+                                        self.reg, self.state, self.trust, metas, cfg,
                                     ));
                                     cache.pools.insert(f, Arc::clone(&pool));
                                     pool
                                 }
                             }
                         }
-                        None => {
-                            Arc::new(build_pool(self.reg, self.state, self.trust, &metas, cfg))
-                        }
-                    };
-                    pool
+                        None => Arc::new(build_pool(self.reg, self.state, self.trust, metas, cfg)),
+                    }
                 }
             };
             if pool.shed > 0 {
@@ -634,50 +682,43 @@ impl BcpEngine<'_> {
         let patterns = req.function_graph.patterns();
         let per_pattern_budget = (cfg.budget / patterns.len() as u32).max(1);
         let mut candidates: Vec<(ServiceGraph, GraphEval)> = Vec::new();
-        // One scratch bundle for the whole compose (reused across composes
-        // when the caller supplies one): the merged-candidate loop is the
-        // hot spot, and per-candidate map/Vec churn there costs more than
-        // the evaluation arithmetic itself.
-        let mut fallback = ComposeScratch::default();
-        let mut arena_opt = self.scratch.take();
-        let arena: &mut ComposeScratch = match arena_opt.as_deref_mut() {
-            Some(a) => a,
-            None => &mut fallback,
-        };
-
-        for pattern in &patterns {
-            let shape = PatternShape::new(pattern);
-            let per_branch_budget = (per_pattern_budget / shape.branches.len() as u32).max(1);
-            let mut per_branch: Vec<Vec<Vec<(usize, ComponentId)>>> = Vec::new();
+        for pattern in patterns.iter() {
+            shape.refill(pattern);
+            let branches = shape.branches.len();
+            let per_branch_budget = (per_pattern_budget / branches as u32).max(1);
+            if per_branch.len() < branches {
+                per_branch.resize_with(branches, Vec::new);
+            }
             let mut probing_ms: f64 = 0.0;
             // Soft reservations are per *expected session*, not per probe:
             // a peer recognizes repeat probes of the same request for the
             // same component and shares the reservation (paper §4.2 step
             // 2.1 reserves for "the expected application session").
-            let mut reserved: FxHashSet<ComponentId> = FxHashSet::default();
-            for branch in &shape.branches {
-                let probes = self.probe_branch(
+            reserved.clear();
+            for (branch, complete) in shape.branches.iter().zip(per_branch.iter_mut()) {
+                complete.clear();
+                let latest_ms = self.probe_branch(
                     req,
                     cfg,
                     pattern,
                     branch,
                     per_branch_budget,
-                    &pools,
+                    pools,
                     &mut stats,
-                    &mut tokens,
-                    &mut reserved,
-                    &mut *arena,
+                    tokens,
+                    reserved,
+                    walk,
+                    complete,
                 );
-                for p in &probes {
-                    probing_ms = probing_ms.max(p.latency_ms);
-                }
-                per_branch.push(probes.into_iter().map(|p| p.assign).collect());
+                probing_ms = probing_ms.max(latest_ms);
             }
             stats.probing_ms = stats.probing_ms.max(probing_ms);
 
             // Destination-side merge into complete service graphs.
-            let merged = merge_branches(pattern, &shape.branches, &per_branch, cfg.merge_cap);
-            stats.candidates_examined += merged.len() as u64;
+            let probes = &per_branch[..branches];
+            merge_branches(pattern, &shape.branches, probes, cfg.merge_cap, merged);
+            let n = pattern.len();
+            stats.candidates_examined += (merged.len() / n) as u64;
 
             // Release this request's own reservations before evaluating so
             // availability reflects *other* traffic only (sequential
@@ -687,23 +728,32 @@ impl BcpEngine<'_> {
                 self.state.release_soft(t, &mut self.obs.trace);
             }
 
+            candidates.reserve(merged.len() / n);
             let state = &*self.state;
             let mut legs = LiveLegs::new(self.overlay, state, self.paths);
-            for assignment in merged {
+            // One shared copy of the pattern for all of its qualified
+            // candidates, made on the first.
+            let mut shared: Option<Arc<FunctionGraph>> = None;
+            for assignment in merged.chunks_exact(n) {
                 let eval = evaluate_with(
                     req.source,
                     req.dest,
-                    &assignment,
-                    &shape,
+                    assignment,
+                    shape,
                     req,
                     self.reg,
                     state,
                     &mut legs,
-                    &mut arena.eval,
+                    eval,
                 );
                 if is_qualified(&eval, req) {
-                    let graph =
-                        ServiceGraph::new(req.source, req.dest, pattern.clone(), assignment);
+                    let pattern = shared.get_or_insert_with(|| Arc::new(pattern.clone()));
+                    let graph = ServiceGraph::new(
+                        req.source,
+                        req.dest,
+                        Arc::clone(pattern),
+                        assignment.to_vec(),
+                    );
                     candidates.push((graph, eval));
                 }
             }
@@ -714,7 +764,6 @@ impl BcpEngine<'_> {
         for t in tokens.drain(..) {
             self.state.release_soft(t, &mut self.obs.trace);
         }
-        self.scratch = arena_opt;
 
         let selected = match cfg.selection_policy {
             SelectionPolicy::Paper => select_best(candidates),
@@ -770,34 +819,44 @@ impl BcpEngine<'_> {
         }
     }
 
-    /// Probes one branch path of one pattern; returns complete branch
-    /// probes. The walk is depth-first with in-place push/undo state:
-    /// leaves the engine (resource state aside — soft reservations are the
-    /// protocol's job) exactly as it found it.
+    /// Probes one branch path of one pattern, appending the assignment of
+    /// every probe that reaches the destination to `complete`; returns the
+    /// latest arrival, ms (0 when none arrives). The walk is depth-first
+    /// with in-place push/undo state: leaves the engine (resource state
+    /// aside — soft reservations are the protocol's job) exactly as it
+    /// found it.
     #[allow(clippy::too_many_arguments)]
     fn probe_branch(
         &mut self,
         req: &CompositionRequest,
         cfg: &BcpConfig,
-        pattern: &crate::model::function_graph::FunctionGraph,
+        pattern: &FunctionGraph,
         branch: &[usize],
         budget: u32,
         pools: &FxHashMap<FunctionId, Arc<FunctionPool>>,
         stats: &mut BcpStats,
         tokens: &mut Vec<SoftToken>,
         reserved: &mut FxHashSet<ComponentId>,
-        arena: &mut ComposeScratch,
-    ) -> Vec<BranchProbe> {
-        let mut depth = std::mem::take(&mut arena.depth);
+        walk: &mut WalkBuffers,
+        complete: &mut Vec<(usize, ComponentId)>,
+    ) -> f64 {
+        let mut depth = std::mem::take(&mut walk.depth);
         while depth.len() < branch.len() {
             depth.push(Vec::new());
         }
+        let mut qos = std::mem::take(&mut walk.qos);
+        if qos.dims() == req.qos_req.dims() {
+            qos.values_mut().fill(0.0);
+        } else {
+            qos = QosVector::zeros(req.qos_req.dims());
+        }
         let mut st = ProbeState {
-            assign: std::mem::take(&mut arena.assign),
-            qos: QosVector::zeros(req.qos_req.dims()),
-            qos_undo: std::mem::take(&mut arena.qos_undo),
+            assign: std::mem::take(&mut walk.assign),
+            qos,
+            qos_undo: std::mem::take(&mut walk.qos_undo),
             scratch: depth,
-            complete: Vec::new(),
+            complete,
+            latest_ms: 0.0,
         };
         st.assign.clear();
         st.qos_undo.clear();
@@ -813,11 +872,12 @@ impl BcpEngine<'_> {
             st.qos.values().iter().all(|&v| v == 0.0),
             "probe QoS accumulator not restored"
         );
-        let ProbeState { assign, qos_undo, scratch, complete, .. } = st;
-        arena.assign = assign;
-        arena.qos_undo = qos_undo;
-        arena.depth = scratch;
-        complete
+        let ProbeState { assign, qos, qos_undo, scratch, latest_ms, .. } = st;
+        walk.assign = assign;
+        walk.qos = qos;
+        walk.qos_undo = qos_undo;
+        walk.depth = scratch;
+        latest_ms
     }
 
     /// One hop of the depth-first branch walk: at `at_peer` having assigned
@@ -827,7 +887,7 @@ impl BcpEngine<'_> {
         &mut self,
         req: &CompositionRequest,
         cfg: &BcpConfig,
-        pattern: &crate::model::function_graph::FunctionGraph,
+        pattern: &FunctionGraph,
         branch: &[usize],
         pools: &FxHashMap<FunctionId, Arc<FunctionPool>>,
         stats: &mut BcpStats,
@@ -853,10 +913,8 @@ impl BcpEngine<'_> {
             st.qos.values_mut()[dim::DELAY_MS] += tail;
             if req.qos_req.is_satisfied_by(&st.qos) {
                 stats.complete_probes += 1;
-                st.complete.push(BranchProbe {
-                    assign: st.assign.clone(),
-                    latency_ms: latency_ms + tail,
-                });
+                st.complete.extend_from_slice(&st.assign);
+                st.latest_ms = st.latest_ms.max(latency_ms + tail);
             } else {
                 stats.dropped_qos += 1;
                 self.obs.trace.record(TraceEvent::ProbeDropped {
@@ -1267,6 +1325,22 @@ mod tests {
     }
 
     #[test]
+    fn zero_merge_cap_is_invalid_config() {
+        // A zero cap merged one candidate per pattern anyway: its bound
+        // was checked only after the first merged assignment.
+        assert!(matches!(
+            BcpConfig::builder().merge_cap(0).try_build(),
+            Err(Error::InvalidConfig(_))
+        ));
+        assert!(BcpConfig::builder().merge_cap(1).try_build().is_ok());
+        let mut w = world(1, 5);
+        let cfg = BcpConfig { merge_cap: 0, ..BcpConfig::default() };
+        let err = engine(&mut w).compose(&request(1), &cfg);
+        assert!(matches!(err, Err(Error::InvalidConfig(_))), "got {err:?}");
+        assert_eq!(w.state.soft_count(), 0);
+    }
+
+    #[test]
     fn quota_policies_bound_fanout() {
         assert_eq!(QuotaPolicy::Uniform(3).quota(100), 3);
         assert_eq!(QuotaPolicy::Uniform(0).quota(100), 1); // floor at 1
@@ -1355,19 +1429,21 @@ mod tests {
                         (f, Arc::new(pool))
                     })
                     .collect();
-                let pattern = req.function_graph.patterns().remove(0);
+                let pattern = req.function_graph.patterns()[0].clone();
                 let branch = pattern.branch_paths().remove(0);
                 let mut stats = BcpStats::default();
                 let mut tokens = Vec::new();
                 let mut reserved = FxHashSet::default();
-                let mut arena = ComposeScratch::default();
+                let mut walk = WalkBuffers::default();
+                let mut complete = Vec::new();
                 // probe_branch's debug_asserts check ProbeState restoration
                 // (assignment stack, undo stack, QoS accumulator) on every
                 // exit path, including QoS and admission drops.
                 let _ = e.probe_branch(
                     &req, &cfg, &pattern, &branch, cfg.budget, &pools, &mut stats, &mut tokens,
-                    &mut reserved, &mut arena,
+                    &mut reserved, &mut walk, &mut complete,
                 );
+                assert_eq!(complete.len() as u64, stats.complete_probes * branch.len() as u64);
                 // Releasing the walk's reservations must restore resource
                 // state exactly.
                 for t in tokens.drain(..) {

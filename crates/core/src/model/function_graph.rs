@@ -17,6 +17,7 @@
 
 use spidernet_util::error::{Error, Result};
 use spidernet_util::id::FunctionId;
+use std::borrow::Cow;
 use std::collections::BTreeSet;
 
 /// A function graph over dependency and commutation links.
@@ -131,29 +132,29 @@ impl FunctionGraph {
     }
 
     /// A topological order of the dependency DAG, or `None` if cyclic.
+    /// Kahn's algorithm over one buffer: the queue it pops from is the
+    /// order it returns, and each node's newly freed successors join it
+    /// sorted, so the order is deterministic.
     pub fn topo_order(&self) -> Option<Vec<usize>> {
         let n = self.len();
         let mut indeg = vec![0usize; n];
         for &(_, b) in &self.deps {
             indeg[b] += 1;
         }
-        let mut queue: Vec<usize> = (0..n).filter(|&i| indeg[i] == 0).collect();
-        queue.sort_unstable(); // deterministic order
-        let mut order = Vec::with_capacity(n);
+        let mut order: Vec<usize> = Vec::with_capacity(n);
+        order.extend((0..n).filter(|&i| indeg[i] == 0));
         let mut head = 0;
-        while head < queue.len() {
-            let v = queue[head];
+        while head < order.len() {
+            let v = order[head];
             head += 1;
-            order.push(v);
-            let mut newly: Vec<usize> = Vec::new();
+            let freed = order.len();
             for s in self.successors(v) {
                 indeg[s] -= 1;
                 if indeg[s] == 0 {
-                    newly.push(s);
+                    order.push(s);
                 }
             }
-            newly.sort_unstable();
-            queue.extend(newly);
+            order[freed..].sort_unstable();
         }
         (order.len() == n).then_some(order)
     }
@@ -196,29 +197,76 @@ impl FunctionGraph {
     /// path (paper §4.3); a linear graph has exactly one.
     pub fn branch_paths(&self) -> Vec<Vec<usize>> {
         let mut paths = Vec::new();
-        let mut stack: Vec<Vec<usize>> = self.entry_nodes().into_iter().map(|e| vec![e]).collect();
-        while let Some(path) = stack.pop() {
-            let last = *path.last().expect("paths start non-empty");
-            let succ: Vec<usize> = self.successors(last).collect();
-            if succ.is_empty() {
-                paths.push(path);
-            } else {
-                for s in succ {
-                    let mut p = path.clone();
-                    p.push(s);
-                    stack.push(p);
-                }
-            }
-        }
-        paths.sort();
+        self.branch_paths_into(&mut paths);
         paths
+    }
+
+    /// [`FunctionGraph::branch_paths`] written into `paths`, reusing its
+    /// buffers: each path is built in the slot it ends in, a sibling
+    /// starting from a copy of the prefix it shares with the path before.
+    pub(crate) fn branch_paths_into(&self, paths: &mut Vec<Vec<usize>>) {
+        let mut done = 0;
+        for entry in (0..self.len()).filter(|&i| self.predecessors(i).next().is_none()) {
+            let slot = path_slot(paths, done);
+            slot.clear();
+            slot.push(entry);
+            self.extend_branch(paths, &mut done, 1);
+        }
+        paths.truncate(done);
+        paths.sort_unstable();
+    }
+
+    /// Completes every branch path extending the prefix `paths[*done][..len]`
+    /// into `paths[*done..]`, advancing `*done` past each completed path.
+    fn extend_branch(&self, paths: &mut Vec<Vec<usize>>, done: &mut usize, len: usize) {
+        let last = paths[*done][len - 1];
+        let mut sibling = false;
+        for s in self.successors(last) {
+            if sibling {
+                // The previous successor's paths are complete; the last of
+                // them still holds the shared prefix.
+                path_slot(paths, *done);
+                let (head, tail) = paths.split_at_mut(*done);
+                tail[0].clear();
+                tail[0].extend_from_slice(&head[*done - 1][..len]);
+            }
+            sibling = true;
+            let slot = &mut paths[*done];
+            slot.truncate(len);
+            slot.push(s);
+            self.extend_branch(paths, done, len + 1);
+        }
+        if !sibling {
+            *done += 1;
+        }
+    }
+
+    /// The number of branch paths, counted without building them.
+    pub(crate) fn branch_count(&self) -> usize {
+        (0..self.len())
+            .filter(|&i| self.predecessors(i).next().is_none())
+            .map(|entry| self.paths_from(entry))
+            .sum()
+    }
+
+    /// Dependency paths from node `v` to an exit node.
+    fn paths_from(&self, v: usize) -> usize {
+        let mut successors = self.successors(v).peekable();
+        if successors.peek().is_none() {
+            return 1;
+        }
+        successors.map(|s| self.paths_from(s)).sum()
     }
 
     /// Enumerates composition patterns: for each subset of commutation
     /// links, swap the two functions' positions and keep the result if the
     /// dependency relation stays acyclic. Patterns are deduplicated; the
-    /// original graph is always first.
-    pub fn patterns(&self) -> Vec<FunctionGraph> {
+    /// original graph is always first. A graph with no commutation link is
+    /// its own only pattern and is returned as is, borrowed.
+    pub fn patterns(&self) -> Cow<'_, [FunctionGraph]> {
+        if self.commutations.is_empty() {
+            return Cow::Borrowed(std::slice::from_ref(self));
+        }
         let k = self.commutations.len();
         let mut out: Vec<FunctionGraph> = Vec::new();
         let mut seen: BTreeSet<Vec<FunctionId>> = BTreeSet::new();
@@ -248,8 +296,16 @@ impl FunctionGraph {
                 }
             }
         }
-        out
+        Cow::Owned(out)
     }
+}
+
+/// Slot `i` of `paths`, pushed empty when `paths` is shorter.
+fn path_slot(paths: &mut Vec<Vec<usize>>, i: usize) -> &mut Vec<usize> {
+    if paths.len() == i {
+        paths.push(Vec::new());
+    }
+    &mut paths[i]
 }
 
 #[cfg(test)]
@@ -316,6 +372,35 @@ mod tests {
         assert!(!g.is_linear());
         let paths = g.branch_paths();
         assert_eq!(paths, vec![vec![0, 1, 3], vec![0, 2, 3]]);
+    }
+
+    #[test]
+    fn branch_paths_reuse_their_buffers_and_count_without_building() {
+        // Two entries into a fork whose second arm forks again: six paths.
+        let g = FunctionGraph::new(
+            (0..7).map(fid).collect(),
+            vec![(0, 2), (1, 2), (2, 3), (2, 4), (4, 5), (4, 6)],
+            vec![],
+        )
+        .unwrap();
+        let want = vec![
+            vec![0, 2, 3],
+            vec![0, 2, 4, 5],
+            vec![0, 2, 4, 6],
+            vec![1, 2, 3],
+            vec![1, 2, 4, 5],
+            vec![1, 2, 4, 6],
+        ];
+        assert_eq!(g.branch_count(), 6);
+        let diamond = diamond_with_commutation();
+        let diamond_paths = diamond.branch_paths();
+        // One buffer through a shorter, a longer and a shorter graph again.
+        let mut paths = vec![vec![9; 8]; 3];
+        for (graph, want) in [(&diamond, &diamond_paths), (&g, &want), (&diamond, &diamond_paths)] {
+            graph.branch_paths_into(&mut paths);
+            assert_eq!(&paths, want);
+            assert_eq!(graph.branch_count(), want.len());
+        }
     }
 
     #[test]

@@ -6,6 +6,7 @@ use crate::model::function_graph::FunctionGraph;
 use spidernet_util::id::{ComponentId, PeerId};
 use spidernet_util::res::ResourceKind;
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 /// One endpoint of a service link.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -59,8 +60,9 @@ pub struct ServiceGraph {
     pub source: PeerId,
     /// The application receiver.
     pub dest: PeerId,
-    /// The composition pattern (commutation-free function DAG).
-    pub pattern: FunctionGraph,
+    /// The composition pattern (commutation-free function DAG), shared by
+    /// every candidate graph a composition builds over it.
+    pub pattern: Arc<FunctionGraph>,
     /// One component per pattern node.
     pub assignment: Vec<ComponentId>,
 }
@@ -71,9 +73,10 @@ impl ServiceGraph {
     pub fn new(
         source: PeerId,
         dest: PeerId,
-        pattern: FunctionGraph,
+        pattern: impl Into<Arc<FunctionGraph>>,
         assignment: Vec<ComponentId>,
     ) -> Self {
+        let pattern = pattern.into();
         assert_eq!(pattern.len(), assignment.len(), "assignment/pattern size mismatch");
         ServiceGraph { source, dest, pattern, assignment }
     }
@@ -107,7 +110,7 @@ impl ServiceGraph {
     /// All service links: source → entry nodes, dependency edges, exit
     /// nodes → destination.
     pub fn service_links(&self) -> Vec<ServiceLink> {
-        pattern_service_links(&self.pattern)
+        pattern_service_links(&self.pattern).collect()
     }
 
     /// Resolves a link end to its peer.
@@ -130,21 +133,6 @@ impl ServiceGraph {
         }
     }
 
-    /// Aggregates per-peer end-system resource demand: components of the
-    /// same graph hosted on one peer add up.
-    pub fn per_peer_demand(
-        &self,
-        reg: &Registry,
-    ) -> BTreeMap<PeerId, spidernet_util::res::ResourceVector> {
-        let mut demand: BTreeMap<PeerId, spidernet_util::res::ResourceVector> = BTreeMap::new();
-        for &c in &self.assignment {
-            let comp = reg.get(c);
-            let entry = demand.entry(comp.peer).or_default();
-            *entry = entry.add(&comp.resources);
-        }
-        demand
-    }
-
     /// Combined failure probability assuming independent peer failures:
     /// `F = 1 − Π_j (1 − p_j)` over the distinct peers in the graph, each
     /// taken at its worst component failure probability.
@@ -164,20 +152,21 @@ impl ServiceGraph {
 /// The service links induced by a pattern alone: source → entry nodes,
 /// dependency edges, exit nodes → destination. Equal to
 /// [`ServiceGraph::service_links`] for any graph over the pattern, which
-/// lets hot evaluation loops compute the link set once per pattern rather
-/// than once per candidate assignment.
-pub fn pattern_service_links(pattern: &FunctionGraph) -> Vec<ServiceLink> {
-    let mut links = Vec::with_capacity(pattern.deps().len() + 2);
-    for e in pattern.entry_nodes() {
-        links.push(ServiceLink { from: LinkEnd::Source, to: LinkEnd::Node(e) });
-    }
-    for &(a, b) in pattern.deps() {
-        links.push(ServiceLink { from: LinkEnd::Node(a), to: LinkEnd::Node(b) });
-    }
-    for x in pattern.exit_nodes() {
-        links.push(ServiceLink { from: LinkEnd::Node(x), to: LinkEnd::Dest });
-    }
-    links
+/// lets hot evaluation loops walk the link set once per pattern rather
+/// than once per candidate assignment, without collecting it.
+pub fn pattern_service_links(pattern: &FunctionGraph) -> impl Iterator<Item = ServiceLink> + '_ {
+    let nodes = 0..pattern.len();
+    let entries = nodes.clone().filter(|&i| pattern.predecessors(i).next().is_none());
+    let exits = nodes.filter(|&i| pattern.successors(i).next().is_none());
+    entries
+        .map(|e| ServiceLink { from: LinkEnd::Source, to: LinkEnd::Node(e) })
+        .chain(
+            pattern
+                .deps()
+                .iter()
+                .map(|&(a, b)| ServiceLink { from: LinkEnd::Node(a), to: LinkEnd::Node(b) }),
+        )
+        .chain(exits.map(|x| ServiceLink { from: LinkEnd::Node(x), to: LinkEnd::Dest }))
 }
 
 #[cfg(test)]
@@ -242,23 +231,6 @@ mod tests {
         let links = g.service_links();
         assert_eq!(g.link_bandwidth(&links[0], &reg, 1.5), 1.5); // source rate
         assert_eq!(g.link_bandwidth(&links[1], &reg, 1.5), 2.0); // component output
-    }
-
-    #[test]
-    fn per_peer_demand_aggregates_colocated_components() {
-        let reg = registry();
-        // Components 1 (peer 1) and 3 (peer 1) colocated.
-        let g = ServiceGraph::new(
-            PeerId::new(10),
-            PeerId::new(11),
-            FunctionGraph::linear(2),
-            vec![ComponentId::new(1), ComponentId::new(3)],
-        );
-        let demand = g.per_peer_demand(&reg);
-        assert_eq!(demand.len(), 1);
-        let d = demand[&PeerId::new(1)];
-        assert!((d.cpu() - 0.2).abs() < 1e-12);
-        assert!((d.memory() - 32.0).abs() < 1e-12);
     }
 
     #[test]

@@ -394,7 +394,8 @@ mod tests {
         assert!(pt.route(&ov, PeerId::new(4), PeerId::new(4), |_| panic!("a self-route crosses no hop")));
         let path = pt.peer_path(&ov, PeerId::new(0), PeerId::new(17)).unwrap();
         assert!(path.len() > 2, "the committed route must cross several links");
-        state.commit(&[], &[(path, 7.5)]).unwrap();
+        let demand = state.path_demand(&[(path, 7.5)]).unwrap();
+        state.commit(&[], &demand).unwrap();
         check(&mut pt, &state, &|x, y| state.link_available(x, y));
         state.fail_peer(PeerId::new(3));
         check(&mut pt, &state, &|x, y| state.link_available(x, y));

@@ -19,7 +19,7 @@
 
 use crate::model::component::Registry;
 use crate::model::request::CompositionRequest;
-use crate::model::service_graph::{GraphEval, ServiceGraph};
+use crate::model::service_graph::{pattern_service_links, GraphEval, ServiceGraph};
 use crate::paths::PathTable;
 use crate::selection::{evaluate, Candidate};
 use crate::state::{OverlayState, SessionAllocation};
@@ -141,13 +141,15 @@ pub fn select_backups(
             .then_with(|| a.cmp(b))
     });
 
-    let mut selected: Vec<usize> = Vec::new();
+    let mut selected: Vec<usize> = Vec::with_capacity(gamma.min(pool.len()));
     // Subsets of growing size; within one size, lexicographic over the
     // bottleneck-first ordering (so the most failure-prone components are
-    // covered first).
+    // covered first). One index buffer steps through every subset.
+    let mut subset: Vec<usize> = Vec::with_capacity(max_subset_size.min(comps.len()));
     'outer: for size in 1..=max_subset_size.min(comps.len()) {
-        for subset_idx in combinations(comps.len(), size) {
-            let subset: Vec<ComponentId> = subset_idx.iter().map(|&i| comps[i]).collect();
+        subset.clear();
+        subset.extend(0..size);
+        loop {
             // The best backup for this subset: excludes every subset
             // component, maximizes overlap with the primary; ties broken
             // by lower ψ (pool is cost-ordered, stable max keeps first).
@@ -156,7 +158,7 @@ pub fn select_backups(
                 if selected.contains(&pi) {
                     continue;
                 }
-                if subset.iter().any(|c| g.contains_component(*c)) {
+                if subset.iter().any(|&i| g.contains_component(comps[i])) {
                     continue;
                 }
                 let ov = g.overlap(primary);
@@ -169,6 +171,9 @@ pub fn select_backups(
                 if selected.len() >= gamma {
                     break 'outer;
                 }
+            }
+            if !next_subset(&mut subset, comps.len()) {
+                break;
             }
         }
     }
@@ -185,67 +190,52 @@ pub fn select_backups(
     selected
 }
 
-/// All k-subsets of `0..n` in lexicographic order. Sizes are tiny here
-/// (function graphs have a handful of nodes, k ≤ max_subset_size).
-fn combinations(n: usize, k: usize) -> Vec<Vec<usize>> {
-    let mut out = Vec::new();
-    if k == 0 || k > n {
-        return out;
+/// Steps `idx`, a k-subset of `0..n` as ascending indices, to the next
+/// k-subset in lexicographic order; `false` after the last. Sizes are tiny
+/// here (function graphs have a handful of nodes, k ≤ max_subset_size).
+fn next_subset(idx: &mut [usize], n: usize) -> bool {
+    let k = idx.len();
+    // The rightmost index that can still advance.
+    let Some(i) = (0..k).rev().find(|&i| idx[i] < i + n - k) else {
+        return false;
+    };
+    idx[i] += 1;
+    for j in (i + 1)..k {
+        idx[j] = idx[j - 1] + 1;
     }
-    let mut idx: Vec<usize> = (0..k).collect();
-    loop {
-        out.push(idx.clone());
-        // Find the rightmost index that can advance.
-        let mut i = k;
-        while i > 0 {
-            i -= 1;
-            if idx[i] < i + n - k {
-                idx[i] += 1;
-                for j in (i + 1)..k {
-                    idx[j] = idx[j - 1] + 1;
-                }
-                break;
-            }
-            if i == 0 {
-                return out;
-            }
-        }
-    }
+    true
 }
 
 /// The backup-promotion step shared by establishment, backup switchover
 /// and reactive re-establishment: sizes the backup set by Eq. 2 (γ, with
 /// `C = 1 + pool.len()`), picks it by §5.2, and splits `pool` into
-/// `(backups, rest)`, both in pool order.
+/// `(backups, rest)`, both in pool order; `rest` keeps `pool`'s buffer.
 fn promote_backups(
     primary: &ServiceGraph,
     eval: &GraphEval,
     req: &CompositionRequest,
     u: f64,
-    pool: Vec<Candidate>,
+    mut pool: Vec<Candidate>,
     reg: &Registry,
 ) -> (Vec<Candidate>, Vec<Candidate>) {
     let gamma = backup_count(eval, req, u, 1 + pool.len());
-    let chosen = select_backups(primary, &pool, gamma, reg, MAX_SUBSET_SIZE);
-    let mut backups = Vec::with_capacity(chosen.len());
-    let mut rest = Vec::new();
-    for (i, entry) in pool.into_iter().enumerate() {
-        if chosen.contains(&i) {
-            backups.push(entry);
-        } else {
-            rest.push(entry);
-        }
-    }
-    (backups, rest)
+    let mut chosen = select_backups(primary, &pool, gamma, reg, MAX_SUBSET_SIZE);
+    // Lift the chosen graphs out from the back, so every index still
+    // names its graph, then restore pool order.
+    chosen.sort_unstable_by(|a, b| b.cmp(a));
+    let mut backups: Vec<Candidate> = chosen.iter().map(|&i| pool.remove(i)).collect();
+    backups.reverse();
+    (backups, pool)
 }
 
 /// Per-peer end-system demand of a session (commit shape).
 pub type PeerDemand = Vec<(PeerId, ResourceVector)>;
-/// Per-service-link bandwidth demand over overlay peer paths.
-pub type LinkDemand = Vec<(Vec<PeerId>, f64)>;
+/// Per-stream bandwidth demand over overlay routes (commit shape).
+pub use crate::state::LinkDemand;
 
 /// Builds the commit-shape demands of a service graph: per-peer resources
-/// plus per-service-link bandwidth over overlay paths.
+/// (summed in assignment order, ascending peer) plus each service link's
+/// bandwidth over its overlay route, walked hop by hop in path order.
 pub fn session_demands(
     graph: &ServiceGraph,
     req: &CompositionRequest,
@@ -253,19 +243,24 @@ pub fn session_demands(
     overlay: &Overlay,
     paths: &mut PathTable,
 ) -> (PeerDemand, LinkDemand) {
-    let peer_demand: Vec<(PeerId, ResourceVector)> =
-        graph.per_peer_demand(reg).into_iter().collect();
-    let mut link_demand = Vec::new();
-    for link in graph.service_links() {
+    let mut peer_demand: PeerDemand = Vec::with_capacity(graph.assignment.len());
+    for &c in &graph.assignment {
+        let comp = reg.get(c);
+        match peer_demand.iter_mut().find(|(p, _)| *p == comp.peer) {
+            Some((_, need)) => *need = need.add(&comp.resources),
+            None => peer_demand.push((comp.peer, ResourceVector::ZERO.add(&comp.resources))),
+        }
+    }
+    peer_demand.sort_unstable_by_key(|&(p, _)| p);
+    let mut link_demand = LinkDemand::default();
+    for link in pattern_service_links(&graph.pattern) {
         let from = graph.peer_of_end(link.from, reg);
         let to = graph.peer_of_end(link.to, reg);
         let bw = graph.link_bandwidth(&link, reg, req.bandwidth_mbps);
         if from == to || bw <= 0.0 {
             continue;
         }
-        if let Some(path) = paths.peer_path(overlay, from, to) {
-            link_demand.push((path, bw));
-        }
+        link_demand.push_route(overlay, paths, from, to, bw);
     }
     (peer_demand, link_demand)
 }
@@ -901,14 +896,37 @@ mod tests {
 
     #[test]
     fn combinations_enumerate_k_subsets() {
-        assert_eq!(combinations(4, 1), vec![vec![0], vec![1], vec![2], vec![3]]);
+        let subsets = |n: usize, k: usize| {
+            let mut idx: Vec<usize> = (0..k).collect();
+            let mut out = vec![idx.clone()];
+            while next_subset(&mut idx, n) {
+                out.push(idx.clone());
+            }
+            out
+        };
+        assert_eq!(subsets(4, 1), vec![vec![0], vec![1], vec![2], vec![3]]);
         assert_eq!(
-            combinations(4, 2),
+            subsets(4, 2),
             vec![vec![0, 1], vec![0, 2], vec![0, 3], vec![1, 2], vec![1, 3], vec![2, 3]]
         );
-        assert_eq!(combinations(3, 3), vec![vec![0, 1, 2]]);
-        assert!(combinations(2, 3).is_empty());
-        assert!(combinations(3, 0).is_empty());
+        assert_eq!(subsets(3, 3), vec![vec![0, 1, 2]]);
+        assert_eq!(subsets(5, 3).len(), 10);
+    }
+
+    #[test]
+    fn session_demands_aggregate_colocated_components() {
+        let w = world();
+        let mut paths = PathTable::new();
+        let req = request();
+        // c0 and c2 share peer 2; c1 sits alone on peer 4.
+        let reg = custom_registry(&[(2, 0, 0.01), (4, 0, 0.01), (2, 1, 0.01)]);
+        let (peers, _) =
+            session_demands(&graph_of(&req, &[0, 2]), &req, &reg, &w.overlay, &mut paths);
+        assert_eq!(peers, vec![(PeerId::new(2), ResourceVector::new(0.4, 64.0))]);
+        let (peers, _) =
+            session_demands(&graph_of(&req, &[1, 2]), &req, &reg, &w.overlay, &mut paths);
+        let one = ResourceVector::new(0.2, 32.0);
+        assert_eq!(peers, vec![(PeerId::new(2), one), (PeerId::new(4), one)], "ascending peer");
     }
 
     #[test]

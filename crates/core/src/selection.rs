@@ -52,7 +52,7 @@ pub struct GraphEvalScratch {
 /// The assignment-independent shape of one composition pattern: its
 /// branch paths and service-link list, computed once per pattern instead
 /// of once per candidate graph.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct PatternShape {
     /// Entry→exit branch paths, as [`FunctionGraph::branch_paths`] yields
     /// them.
@@ -65,7 +65,16 @@ pub struct PatternShape {
 impl PatternShape {
     /// Precomputes the shape of `pattern`.
     pub fn new(pattern: &FunctionGraph) -> Self {
-        PatternShape { branches: pattern.branch_paths(), links: pattern_service_links(pattern) }
+        let mut shape = PatternShape::default();
+        shape.refill(pattern);
+        shape
+    }
+
+    /// Recomputes the shape for `pattern` in place, reusing its buffers.
+    pub(crate) fn refill(&mut self, pattern: &FunctionGraph) {
+        pattern.branch_paths_into(&mut self.branches);
+        self.links.clear();
+        self.links.extend(pattern_service_links(pattern));
     }
 }
 
@@ -144,8 +153,8 @@ pub fn evaluate(
 /// [`evaluate`] of the assignment `assignment` over a pattern of shape
 /// `shape`, reading overlay legs from `legs` and reusing caller-owned
 /// scratch. Taking the assignment directly lets hot loops price every
-/// candidate *before* paying for a [`ServiceGraph`] (pattern clone +
-/// assignment move) — only qualified candidates get one. No per-call
+/// candidate *before* paying for a [`ServiceGraph`] (a copy of the
+/// assignment) — only qualified candidates get one. No per-call
 /// allocation beyond the returned QoS vector.
 ///
 /// Every float aggregation keeps one fixed order: per-peer sums
@@ -297,53 +306,78 @@ pub fn is_qualified(eval: &GraphEval, req: &CompositionRequest) -> bool {
 /// (paper §4.3: "we need to first merge the branches into complete service
 /// graphs").
 ///
-/// `per_branch[i]` holds candidate assignments for branch path
-/// `branch_paths[i]`, each as `(node index, component)` pairs. Two branch
-/// candidates combine only if they agree on every shared node (e.g. the
-/// fork and join functions of a DAG). At most `cap` complete assignments
-/// are produced (cartesian growth guard).
+/// `per_branch[i]` holds the candidate assignments for branch path
+/// `branch_paths[i]` back to back, each as `branch_paths[i].len()`
+/// `(node index, component)` pairs. Two branch candidates combine only if
+/// they agree on every shared node (e.g. the fork and join functions of a
+/// DAG). At most `cap` complete assignments are produced (cartesian growth
+/// guard), written to `out` back to back, `pattern.len()` components each
+/// in node order.
 pub fn merge_branches(
     pattern: &FunctionGraph,
     branch_paths: &[Vec<usize>],
-    per_branch: &[Vec<Vec<(usize, ComponentId)>>],
+    per_branch: &[Vec<(usize, ComponentId)>],
     cap: usize,
-) -> Vec<Vec<ComponentId>> {
+    out: &mut Vec<ComponentId>,
+) {
     assert_eq!(branch_paths.len(), per_branch.len());
+    out.clear();
     let n = pattern.len();
-    // Partial assignment: per-node Option<ComponentId>.
-    let mut partials: Vec<Vec<Option<ComponentId>>> = vec![vec![None; n]];
-    for candidates in per_branch {
-        let mut next: Vec<Vec<Option<ComponentId>>> = Vec::new();
-        'outer: for partial in &partials {
-            for cand in candidates {
-                let mut merged = partial.clone();
-                let mut ok = true;
-                for &(node, comp) in cand {
-                    match merged[node] {
-                        Some(existing) if existing != comp => {
-                            ok = false;
-                            break;
-                        }
-                        _ => merged[node] = Some(comp),
-                    }
+    if cap == 0 {
+        return;
+    }
+    if let ([path], [candidates]) = (branch_paths, per_branch) {
+        if path.len() == n {
+            // A lone branch path through every node: each candidate is
+            // already complete, and nothing can disagree.
+            for candidate in candidates.chunks_exact(n).take(cap) {
+                let base = out.len();
+                out.resize(base + n, ComponentId::new(0));
+                for &(node, comp) in candidate {
+                    out[base + node] = comp;
                 }
-                if ok {
-                    next.push(merged);
-                    if next.len() >= cap {
-                        break 'outer;
+            }
+            return;
+        }
+    }
+    // Partial assignments, `n` per-node slots each, back to back.
+    let mut partials: Vec<Option<ComponentId>> = vec![None; n];
+    let mut next: Vec<Option<ComponentId>> = Vec::new();
+    for (path, candidates) in branch_paths.iter().zip(per_branch) {
+        next.clear();
+        let mut merged = 0;
+        'outer: for partial in partials.chunks_exact(n) {
+            for candidate in candidates.chunks_exact(path.len()) {
+                let base = next.len();
+                next.extend_from_slice(partial);
+                let slots = &mut next[base..];
+                let agrees = candidate.iter().all(|&(node, comp)| match slots[node] {
+                    Some(existing) if existing != comp => false,
+                    _ => {
+                        slots[node] = Some(comp);
+                        true
                     }
+                });
+                if !agrees {
+                    next.truncate(base);
+                    continue;
+                }
+                merged += 1;
+                if merged >= cap {
+                    break 'outer;
                 }
             }
         }
-        partials = next;
+        std::mem::swap(&mut partials, &mut next);
         if partials.is_empty() {
-            return Vec::new();
+            return;
         }
     }
-    partials
-        .into_iter()
-        .filter_map(|p| p.into_iter().collect::<Option<Vec<ComponentId>>>())
-        .collect()
+    for partial in partials.chunks_exact(n) {
+        if partial.iter().all(Option::is_some) {
+            out.extend(partial.iter().flatten());
+        }
+    }
 }
 
 /// Immutable per-request snapshot of the overlay legs a candidate
@@ -455,7 +489,9 @@ pub fn select_best(qualified: Vec<Candidate>) -> Option<(ServiceGraph, GraphEval
 /// better) instead of ψ. The runner-up pool is returned in score order
 /// so backup selection degrades gracefully under the same policy.
 /// NaN scores sort last via `total_cmp`; exact ties break on the
-/// assignment, keeping every policy deterministic.
+/// assignment, keeping every policy deterministic. `score` must give a
+/// candidate the same value every time it is asked: the pool is sorted in
+/// place, scoring candidates as the sort compares them.
 pub fn select_best_by(
     mut qualified: Vec<Candidate>,
     mut score: impl FnMut(&ServiceGraph, &GraphEval) -> f64,
@@ -463,14 +499,13 @@ pub fn select_best_by(
     if qualified.is_empty() {
         return None;
     }
-    let mut scored: Vec<(f64, Candidate)> =
-        qualified.drain(..).map(|c| (score(&c.0, &c.1), c)).collect();
-    scored.sort_by(|a, b| {
-        a.0.total_cmp(&b.0).then_with(|| a.1 .0.assignment.cmp(&b.1 .0.assignment))
+    qualified.sort_by(|a, b| {
+        score(&a.0, &a.1)
+            .total_cmp(&score(&b.0, &b.1))
+            .then_with(|| a.0.assignment.cmp(&b.0.assignment))
     });
-    let mut it = scored.into_iter().map(|(_, c)| c);
-    let (best, eval) = it.next().expect("non-empty");
-    Some((best, eval, it.collect()))
+    let (best, eval) = qualified.remove(0);
+    Some((best, eval, qualified))
 }
 
 #[cfg(test)]
@@ -587,10 +622,24 @@ mod tests {
         let before = evaluate(&g, &req, &w.reg, &w.overlay, &w.state, &mut w.paths);
         // Load peer 1 heavily (committed elsewhere).
         w.state
-            .commit(&[(PeerId::new(1), ResourceVector::new(0.7, 200.0))], &[])
+            .commit(&[(PeerId::new(1), ResourceVector::new(0.7, 200.0))], &Default::default())
             .unwrap();
         let after = evaluate(&g, &req, &w.reg, &w.overlay, &w.state, &mut w.paths);
         assert!(after.cost > before.cost, "ψ must grow with load");
+    }
+
+    /// [`merge_branches`] over one `Vec` per branch candidate, returning one
+    /// `Vec` per merged assignment.
+    fn merge(
+        pattern: &FunctionGraph,
+        branches: &[Vec<usize>],
+        per_branch: &[Vec<Vec<(usize, ComponentId)>>],
+        cap: usize,
+    ) -> Vec<Vec<ComponentId>> {
+        let flat: Vec<Vec<(usize, ComponentId)>> = per_branch.iter().map(|c| c.concat()).collect();
+        let mut out = Vec::new();
+        merge_branches(pattern, branches, &flat, cap, &mut out);
+        out.chunks(pattern.len()).map(<[ComponentId]>::to_vec).collect()
     }
 
     #[test]
@@ -601,7 +650,7 @@ mod tests {
             vec![(0, ComponentId::new(0)), (1, ComponentId::new(1))],
             vec![(0, ComponentId::new(2)), (1, ComponentId::new(3))],
         ]];
-        let merged = merge_branches(&pattern, &branches, &per_branch, 100);
+        let merged = merge(&pattern, &branches, &per_branch, 100);
         assert_eq!(merged.len(), 2);
         assert_eq!(merged[0], vec![ComponentId::new(0), ComponentId::new(1)]);
     }
@@ -627,7 +676,7 @@ mod tests {
                 vec![(0, c(99)), (2, c(12)), (3, c(13))], // disagrees on node 0
             ],
         ];
-        let merged = merge_branches(&pattern, &branches, &per_branch, 100);
+        let merged = merge(&pattern, &branches, &per_branch, 100);
         assert_eq!(merged.len(), 1);
         assert_eq!(merged[0], vec![c(10), c(11), c(12), c(13)]);
     }
@@ -638,15 +687,16 @@ mod tests {
         let branches = pattern.branch_paths();
         let cands: Vec<Vec<(usize, ComponentId)>> =
             (0..50).map(|i| vec![(0, ComponentId::new(i))]).collect();
-        let merged = merge_branches(&pattern, &branches, &[cands], 7);
+        let merged = merge(&pattern, &branches, std::slice::from_ref(&cands), 7);
         assert_eq!(merged.len(), 7);
+        assert!(merge(&pattern, &branches, &[cands], 0).is_empty(), "cap 0 merges nothing");
     }
 
     #[test]
     fn merge_with_no_candidates_is_empty() {
         let pattern = FunctionGraph::linear(2);
         let branches = pattern.branch_paths();
-        let merged = merge_branches(&pattern, &branches, &[vec![]], 10);
+        let merged = merge(&pattern, &branches, &[vec![]], 10);
         assert!(merged.is_empty());
     }
 

@@ -15,6 +15,7 @@
 //! reservations explicitly at selection time, and the expiry clock handles
 //! probes that die mid-flight.
 
+use crate::paths::PathTable;
 use spidernet_sim::time::SimTime;
 use spidernet_sim::trace::{TraceBuffer, TraceEvent};
 use spidernet_topology::flow::{FlowKey, FlowNet, LinkId};
@@ -46,6 +47,59 @@ pub struct SessionAllocation {
     /// Flow handles, one per stream, when the shared-bandwidth flow
     /// model is enabled ([`OverlayState::enable_flow_model`]).
     pub flows: Vec<FlowKey>,
+}
+
+/// A session's bandwidth demand for [`OverlayState::commit`]: streams over
+/// overlay routes, each a run of hops in path order with the rate it
+/// carries.
+#[derive(Clone, Debug, Default, PartialEq)]
+pub struct LinkDemand {
+    /// Every stream's hops, back to back.
+    hops: Vec<Hop>,
+    /// Each stream's end in `hops` and its rate, Mbit/s.
+    streams: Vec<(usize, f64)>,
+}
+
+impl LinkDemand {
+    /// Appends a stream carrying `bw` Mbit/s over `hops`, given in path
+    /// order.
+    pub fn push_stream(&mut self, hops: impl IntoIterator<Item = Hop>, bw: f64) {
+        self.hops.extend(hops);
+        self.streams.push((self.hops.len(), bw));
+    }
+
+    /// Appends a stream carrying `bw` Mbit/s over the overlay route
+    /// `from → to` ([`PathTable::route`]), its hops in path order. Returns
+    /// `false`, appending nothing, when the pair has no route.
+    pub(crate) fn push_route(
+        &mut self,
+        overlay: &Overlay,
+        paths: &mut PathTable,
+        from: PeerId,
+        to: PeerId,
+        bw: f64,
+    ) -> bool {
+        let start = self.hops.len();
+        let hops = &mut self.hops;
+        if !paths.route(overlay, from, to, |hop| hops.push(hop)) {
+            self.hops.truncate(start);
+            return false;
+        }
+        // The walk runs from `to` back to `from`.
+        self.hops[start..].reverse();
+        self.streams.push((self.hops.len(), bw));
+        true
+    }
+
+    /// Each stream's hops, in path order, with its rate.
+    fn streams(&self) -> impl Iterator<Item = (&[Hop], f64)> + '_ {
+        let mut start = 0;
+        self.streams.iter().map(move |&(end, bw)| {
+            let hops = &self.hops[start..end];
+            start = end;
+            (hops, bw)
+        })
+    }
 }
 
 #[derive(Clone)]
@@ -564,13 +618,12 @@ impl OverlayState {
     // --- committed (session-time) allocations ---------------------------
 
     /// Atomically commits a session's demand: per-peer resources and
-    /// per-link bandwidth (links given as peer paths with their demanded
-    /// rate). On any shortfall, or a path step that crosses no overlay
-    /// link, nothing is taken.
+    /// per-stream bandwidth over overlay routes. On any shortfall nothing
+    /// is taken.
     pub fn commit(
         &mut self,
         peer_demand: &[(PeerId, ResourceVector)],
-        link_demand: &[(Vec<PeerId>, f64)],
+        link_demand: &LinkDemand,
     ) -> Result<SessionAllocation> {
         // Feasibility pass.
         for &(p, res) in peer_demand {
@@ -578,57 +631,53 @@ impl OverlayState {
                 return Err(Error::AdmissionRejected { peer: p.raw() });
             }
         }
-        // Aggregate per-hop bandwidth (paths may share links), each hop's
-        // demand summed in path order.
-        let mut per_hop: Vec<(Hop, f64)> = Vec::new();
-        for (path, bw) in link_demand {
-            for w in path.windows(2) {
-                let hop = self.hop_between(w[0], w[1]).ok_or_else(|| {
-                    Error::Network(format!("path step {} -> {} crosses no overlay link", w[0], w[1]))
-                })?;
-                match per_hop.iter_mut().find(|(h, _)| *h == hop) {
-                    Some((_, need)) => *need += bw,
-                    None => per_hop.push((hop, *bw)),
-                }
-            }
-        }
-        let mut alloc = SessionAllocation::default();
-        if self.flows.is_some() {
+        let mut alloc = SessionAllocation {
+            peers: Vec::with_capacity(peer_demand.len()),
+            ..SessionAllocation::default()
+        };
+        if let Some(book) = &mut self.flows {
             // Flow mode: streams are elastic — no link feasibility gate
-            // and no hard bandwidth bookkeeping. Each demanded path
-            // becomes one flow over its links; contention shows up as a
-            // delivered fraction below 1, not as a rejection.
-            self.take_peers(peer_demand, &mut alloc);
+            // and no hard bandwidth bookkeeping. Each stream that crosses
+            // the network becomes one flow over its links; contention
+            // shows up as a delivered fraction below 1, not as a rejection.
             let mut links: Vec<LinkId> = Vec::new();
-            for (path, bw) in link_demand {
-                if path.len() < 2 {
+            for (hops, bw) in link_demand.streams() {
+                if hops.is_empty() {
                     continue; // same-peer stream: no network links
                 }
                 links.clear();
-                let book = self.flows.as_ref().expect("checked above");
-                if self.access.is_some() {
-                    let (s, d) = (path[0].index(), path[path.len() - 1].index());
-                    links.push(book.flow_links[s]);
-                    if d != s {
-                        links.push(book.flow_links[d]);
-                    }
-                } else {
-                    for w in path.windows(2) {
-                        if let Some(Hop::Link(id)) = self.hop_between(w[0], w[1]) {
-                            links.push(book.flow_links[id as usize]);
+                for &hop in hops {
+                    match hop {
+                        Hop::Link(id) => links.push(book.flow_links[id as usize]),
+                        Hop::Direct(a, b) => {
+                            links.push(book.flow_links[a as usize]);
+                            if b != a {
+                                links.push(book.flow_links[b as usize]);
+                            }
                         }
                     }
                 }
-                let book = self.flows.as_mut().expect("checked above");
-                alloc.flows.push(book.net.add_flow(&links, *bw));
+                alloc.flows.push(book.net.add_flow(&links, bw));
             }
+            self.take_peers(peer_demand, &mut alloc);
             return Ok(alloc);
+        }
+        // Aggregate per-hop bandwidth (routes may share links), each hop's
+        // demand summed in stream order.
+        let mut per_hop: Vec<(Hop, f64)> = Vec::with_capacity(link_demand.hops.len());
+        for (hops, bw) in link_demand.streams() {
+            for &hop in hops {
+                match per_hop.iter_mut().find(|(h, _)| *h == hop) {
+                    Some((_, need)) => *need += bw,
+                    None => per_hop.push((hop, bw)),
+                }
+            }
         }
         // A link must cover its own demand. A geometric overlay's hop
         // charges both endpoints' access links, so feasibility aggregates
         // per endpoint (two hops sharing an endpoint draw from the same
         // access pipe); its hops are sorted first, so those float folds do
-        // not depend on the order paths name their hops.
+        // not depend on the order routes name their hops.
         if self.access.is_some() {
             per_hop.sort_unstable_by_key(|&(hop, _)| hop);
         }
@@ -718,6 +767,25 @@ impl OverlayState {
                 book.net.remove_flow(k);
             }
         }
+    }
+}
+
+#[cfg(test)]
+impl OverlayState {
+    /// The link demand of streams given as overlay peer paths, refusing a
+    /// path step that crosses no overlay link.
+    pub(crate) fn path_demand(&self, paths: &[(Vec<PeerId>, f64)]) -> Result<LinkDemand> {
+        let mut demand = LinkDemand::default();
+        for (path, bw) in paths {
+            let hops = path.windows(2).map(|w| {
+                let (a, b) = (w[0], w[1]);
+                self.hop_between(a, b).ok_or_else(|| {
+                    Error::Network(format!("path step {a} -> {b} crosses no overlay link"))
+                })
+            });
+            demand.push_stream(hops.collect::<Result<Vec<Hop>>>()?, *bw);
+        }
+        Ok(demand)
     }
 }
 
@@ -914,7 +982,7 @@ mod tests {
         let alloc = s
             .commit(
                 &[(pa, ResourceVector::new(0.2, 64.0))],
-                &[(vec![pa, pb], 10.0)],
+                &s.path_demand(&[(vec![pa, pb], 10.0)]).unwrap(),
             )
             .unwrap();
         assert!((s.available(pa).cpu() - 0.8).abs() < 1e-12);
@@ -937,7 +1005,7 @@ mod tests {
                 (pa, ResourceVector::new(0.2, 64.0)),
                 (pb, ResourceVector::new(5.0, 64.0)),
             ],
-            &[],
+            &LinkDemand::default(),
         );
         assert!(err.is_err());
         assert_eq!(s.available(pa), s.capacity(pa));
@@ -949,7 +1017,7 @@ mod tests {
         let mut s = OverlayState::new(&ov, ResourceVector::new(1.0, 256.0));
         let (a, b, e) = ov.graph().edges().next().unwrap();
         let (pa, pb) = (PeerId::from(a), PeerId::from(b));
-        let err = s.commit(&[], &[(vec![pa, pb], e.capacity_mbps + 1.0)]);
+        let err = s.commit(&[], &s.path_demand(&[(vec![pa, pb], e.capacity_mbps + 1.0)]).unwrap());
         assert!(err.is_err());
         assert!((s.link_available(pa, pb) - e.capacity_mbps).abs() < 1e-9);
     }
@@ -965,8 +1033,8 @@ mod tests {
         // Two streams that together exceed the link are both admitted —
         // hard reservations would reject the second one...
         let big = e.capacity_mbps * 0.8;
-        let s1 = s.commit(&[], &[(vec![pa, pb], big)]).unwrap();
-        let s2 = s.commit(&[], &[(vec![pa, pb], big)]).unwrap();
+        let s1 = s.commit(&[], &s.path_demand(&[(vec![pa, pb], big)]).unwrap()).unwrap();
+        let s2 = s.commit(&[], &s.path_demand(&[(vec![pa, pb], big)]).unwrap()).unwrap();
         assert!(s1.links.is_empty(), "flow mode holds no hard link reservations");
         assert_eq!(s.flow_count(), 2);
         // ...but each only receives its max-min fair share.
@@ -997,8 +1065,8 @@ mod tests {
         let (pa, pb, pc) = (PeerId::new(0), PeerId::new(1), PeerId::new(2));
         let cap_a = ov.access_capacity(pa).unwrap();
         // Two full-pipe streams out of pa share its access link.
-        let a1 = s.commit(&[], &[(vec![pa, pb], cap_a)]).unwrap();
-        let a2 = s.commit(&[], &[(vec![pa, pc], cap_a)]).unwrap();
+        let a1 = s.commit(&[], &s.path_demand(&[(vec![pa, pb], cap_a)]).unwrap()).unwrap();
+        let a2 = s.commit(&[], &s.path_demand(&[(vec![pa, pc], cap_a)]).unwrap()).unwrap();
         let f = s.delivered_fraction(&a1);
         assert!(f < 1.0 - 1e-9, "shared access pipe must degrade delivery: {f}");
         assert!(s.verify_flow_invariants().is_ok());
@@ -1017,17 +1085,18 @@ mod tests {
         let (pa, pb) = (PeerId::from(a), PeerId::from(b));
         // Two branch paths over the same link: demands add.
         let alloc = s
-            .commit(&[], &[(vec![pa, pb], 10.0), (vec![pa, pb], 5.0)])
+            .commit(&[], &s.path_demand(&[(vec![pa, pb], 10.0), (vec![pa, pb], 5.0)]).unwrap())
             .unwrap();
         assert!((s.link_available(pa, pb) - (e.capacity_mbps - 15.0)).abs() < 1e-9);
         s.release(&alloc);
     }
 
     #[test]
-    fn commit_refuses_a_step_that_crosses_no_link() {
+    fn path_demand_refuses_a_step_that_crosses_no_link() {
         // A demand over a non-adjacent pair names no overlay link: however
-        // small, it must not commit a phantom link, and the refused commit
-        // takes nothing, the peer demand included.
+        // small, it has no hop to charge, so no link demand (and no
+        // phantom link) comes of it, in either bandwidth mode. A geometric
+        // overlay links every pair directly.
         let ov = overlay();
         assert!(!ov.graph().has_edge(0, 1), "the fixture must not link peers 0 and 1");
         let (p0, p1) = (PeerId::new(0), PeerId::new(1));
@@ -1037,11 +1106,47 @@ mod tests {
                 if flow_model {
                     s.enable_flow_model();
                 }
-                let got = s.commit(&[(p0, ResourceVector::new(0.2, 8.0))], &[(vec![p0, p1], bw)]);
-                assert!(matches!(got, Err(Error::Network(_))), "flow {flow_model}, {bw} Mbps: {got:?}");
-                assert_eq!(s.available(p0), s.capacity(p0), "flow {flow_model}, {bw} Mbps");
-                assert_eq!(s.flow_count(), 0);
+                let got = s.path_demand(&[(vec![p0, p1], bw)]);
+                assert!(
+                    matches!(got, Err(Error::Network(_))),
+                    "flow {flow_model}, {bw} Mbps: {got:?}"
+                );
             }
+        }
+        use spidernet_topology::overlay::GeoConfig;
+        let geo = Overlay::build_geo(&GeoConfig { peers: 16, ..GeoConfig::default() }, 5);
+        let s = OverlayState::new(&geo, ResourceVector::new(1.0, 256.0));
+        assert_eq!(
+            s.path_demand(&[(vec![p0, p1], 1.0)]).unwrap().hops,
+            vec![Hop::direct(p0, p1)]
+        );
+    }
+
+    #[test]
+    fn commit_takes_routes_in_path_order() {
+        // A stream's route is walked from its far end back; the demand
+        // keeps it in path order, so a commit folds per-hop sums and
+        // reports hops in first-crossed order, exactly as over the peer
+        // path, and two streams over one link add up.
+        let ov = overlay();
+        let mut paths = PathTable::new();
+        let (a, b) = (PeerId::new(0), PeerId::new(17));
+        let path = paths.peer_path(&ov, a, b).unwrap();
+        assert!(path.len() > 2, "the route must cross several links");
+        let mut s = OverlayState::new(&ov, ResourceVector::new(1.0, 256.0));
+        let mut demand = LinkDemand::default();
+        assert!(demand.push_route(&ov, &mut paths, a, b, 2.5));
+        assert!(demand.push_route(&ov, &mut paths, a, b, 1.5));
+        assert_eq!(demand, s.path_demand(&[(path.clone(), 2.5), (path.clone(), 1.5)]).unwrap());
+        let alloc = s.commit(&[], &demand).unwrap();
+        let want: Vec<(Hop, f64)> = path
+            .windows(2)
+            .map(|w| (Hop::Link(ov.graph().edge_id(w[0].index(), w[1].index()).unwrap()), 4.0))
+            .collect();
+        assert_eq!(alloc.links, want);
+        s.release(&alloc);
+        for w in path.windows(2) {
+            assert_eq!(s.link_available(w[0], w[1]), ov.link(w[0], w[1]).unwrap().capacity_mbps);
         }
     }
 
@@ -1077,14 +1182,15 @@ mod tests {
         assert!(free_a > 0.0, "geo mode links every pair through access capacity");
         // Two sessions through pa draw from the same access pipe.
         let bw = 4.0;
-        let alloc = s.commit(&[], &[(vec![pa, pb], bw), (vec![pa, pc], bw)]).unwrap();
+        let demand = s.path_demand(&[(vec![pa, pb], bw), (vec![pa, pc], bw)]).unwrap();
+        let alloc = s.commit(&[], &demand).unwrap();
         let after = s.link_available(pa, pb);
         let expected = (ov.access_capacity(pa).unwrap() - 2.0 * bw)
             .min(ov.access_capacity(pb).unwrap() - bw);
         assert!((after - expected.max(0.0)).abs() < 1e-9);
         // Saturating the access link is rejected atomically.
         let huge = ov.access_capacity(pa).unwrap() + 1.0;
-        assert!(s.commit(&[], &[(vec![pa, pb], huge)]).is_err());
+        assert!(s.commit(&[], &s.path_demand(&[(vec![pa, pb], huge)]).unwrap()).is_err());
         s.release(&alloc);
         let restored = s.link_available(pa, pb);
         let cap = ov.access_capacity(pa).unwrap().min(ov.access_capacity(pb).unwrap());
@@ -1120,7 +1226,8 @@ mod tests {
         s.release_soft(tok, &mut TraceBuffer::new());
         assert_eq!(s.watermark_crossings(), 2);
         // Committed load counts toward utilization too.
-        let alloc = s.commit(&[(p, ResourceVector::new(0.7, 8.0))], &[]).unwrap();
+        let alloc =
+            s.commit(&[(p, ResourceVector::new(0.7, 8.0))], &LinkDemand::default()).unwrap();
         assert_eq!(s.watermark_crossings(), 3);
         s.release(&alloc);
         assert_eq!(s.watermark_crossings(), 4);

@@ -458,7 +458,7 @@ impl SpiderNet {
         );
         self.obs.metrics.observe(
             self.obs.counters.graph_branches,
-            req.function_graph.branch_paths().len() as f64,
+            req.function_graph.branch_count() as f64,
         );
         let result = match &opts.strategy {
             CompositionStrategy::Bcp(cfg) => {
@@ -689,10 +689,9 @@ impl SpiderNet {
     /// positive trust feedback from the session's source).
     pub fn teardown(&mut self, id: SessionId) -> Result<()> {
         if let Some(s) = self.sessions.session(id) {
-            let observer = s.request.source;
-            let hosts: Vec<PeerId> =
-                s.primary.components().iter().map(|&c| self.reg.get(c).peer).collect();
-            self.trust.record_session_outcome(observer, hosts, Experience::Positive);
+            let reg = &self.reg;
+            let hosts = s.primary.components().iter().map(|&c| reg.get(c).peer);
+            self.trust.record_session_outcome(s.request.source, hosts, Experience::Positive);
             self.trust_epoch += 1;
         }
         self.sessions.teardown(id, &mut self.state)

@@ -96,8 +96,9 @@ impl ServiceDirectory {
     }
 
     /// Looks up the replica list for `function_name` from `from`. Returns
-    /// the metadata list (empty if nothing registered) and the query route;
-    /// the routing cost is recorded into `trace`.
+    /// the metadata list, borrowed from the replica root's store (empty if
+    /// nothing registered), and the query route; the routing cost is
+    /// recorded into `trace`.
     pub fn lookup(
         &self,
         net: &PastryNetwork,
@@ -105,14 +106,14 @@ impl ServiceDirectory {
         function_name: &str,
         latency: &mut dyn FnMut(PeerId, PeerId) -> f64,
         trace: &mut TraceBuffer,
-    ) -> Option<(Vec<ServiceMeta>, RouteOutcome)> {
+    ) -> Option<(&[ServiceMeta], RouteOutcome)> {
         let key = function_key(function_name);
         let out = net.route_traced(from, NodeId::new(key), latency, trace)?;
         let list = self
             .store
             .get(out.destination().index())
             .and_then(|row| {
-                row.binary_search_by_key(&key, |&(k, _)| k).ok().map(|pos| row[pos].1.clone())
+                row.binary_search_by_key(&key, |&(k, _)| k).ok().map(|pos| row[pos].1.as_slice())
             })
             .unwrap_or_default();
         Some((list, out))

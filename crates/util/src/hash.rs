@@ -111,56 +111,70 @@ impl Digest {
     }
 }
 
+/// SHA-1's initial hash state.
+const SHA1_INIT: [u32; 5] = [0x67452301, 0xEFCDAB89, 0x98BADCFE, 0x10325476, 0xC3D2E1F0];
+
 /// Computes the SHA-1 digest of `data`.
 pub fn sha1(data: &[u8]) -> Digest {
-    let mut h: [u32; 5] = [0x67452301, 0xEFCDAB89, 0x98BADCFE, 0x10325476, 0xC3D2E1F0];
-
-    // Message padding: 0x80, zeros, then the 64-bit big-endian bit length.
+    let mut h = SHA1_INIT;
+    let mut blocks = data.chunks_exact(64);
+    for block in &mut blocks {
+        sha1_block(&mut h, block);
+    }
+    // Message padding, in one stack block or two: the tail, 0x80, zeros,
+    // then the 64-bit big-endian bit length.
+    let tail = blocks.remainder();
+    let mut pad = [0u8; 128];
+    pad[..tail.len()].copy_from_slice(tail);
+    pad[tail.len()] = 0x80;
+    let len = if tail.len() < 56 { 64 } else { 128 };
     let bit_len = (data.len() as u64).wrapping_mul(8);
-    let mut msg = Vec::with_capacity(data.len() + 72);
-    msg.extend_from_slice(data);
-    msg.push(0x80);
-    while msg.len() % 64 != 56 {
-        msg.push(0);
+    pad[len - 8..len].copy_from_slice(&bit_len.to_be_bytes());
+    for block in pad[..len].chunks_exact(64) {
+        sha1_block(&mut h, block);
     }
-    msg.extend_from_slice(&bit_len.to_be_bytes());
+    sha1_digest(&h)
+}
 
+/// Folds one 64-byte block into the hash state `h`.
+fn sha1_block(h: &mut [u32; 5], block: &[u8]) {
     let mut w = [0u32; 80];
-    for block in msg.chunks_exact(64) {
-        for (i, word) in block.chunks_exact(4).enumerate() {
-            w[i] = u32::from_be_bytes([word[0], word[1], word[2], word[3]]);
-        }
-        for i in 16..80 {
-            w[i] = (w[i - 3] ^ w[i - 8] ^ w[i - 14] ^ w[i - 16]).rotate_left(1);
-        }
-
-        let (mut a, mut b, mut c, mut d, mut e) = (h[0], h[1], h[2], h[3], h[4]);
-        for (i, &wi) in w.iter().enumerate() {
-            let (f, k) = match i {
-                0..=19 => ((b & c) | ((!b) & d), 0x5A827999),
-                20..=39 => (b ^ c ^ d, 0x6ED9EBA1),
-                40..=59 => ((b & c) | (b & d) | (c & d), 0x8F1BBCDC),
-                _ => (b ^ c ^ d, 0xCA62C1D6),
-            };
-            let tmp = a
-                .rotate_left(5)
-                .wrapping_add(f)
-                .wrapping_add(e)
-                .wrapping_add(k)
-                .wrapping_add(wi);
-            e = d;
-            d = c;
-            c = b.rotate_left(30);
-            b = a;
-            a = tmp;
-        }
-        h[0] = h[0].wrapping_add(a);
-        h[1] = h[1].wrapping_add(b);
-        h[2] = h[2].wrapping_add(c);
-        h[3] = h[3].wrapping_add(d);
-        h[4] = h[4].wrapping_add(e);
+    for (i, word) in block.chunks_exact(4).enumerate() {
+        w[i] = u32::from_be_bytes([word[0], word[1], word[2], word[3]]);
+    }
+    for i in 16..80 {
+        w[i] = (w[i - 3] ^ w[i - 8] ^ w[i - 14] ^ w[i - 16]).rotate_left(1);
     }
 
+    let (mut a, mut b, mut c, mut d, mut e) = (h[0], h[1], h[2], h[3], h[4]);
+    for (i, &wi) in w.iter().enumerate() {
+        let (f, k) = match i {
+            0..=19 => ((b & c) | ((!b) & d), 0x5A827999),
+            20..=39 => (b ^ c ^ d, 0x6ED9EBA1),
+            40..=59 => ((b & c) | (b & d) | (c & d), 0x8F1BBCDC),
+            _ => (b ^ c ^ d, 0xCA62C1D6),
+        };
+        let tmp = a
+            .rotate_left(5)
+            .wrapping_add(f)
+            .wrapping_add(e)
+            .wrapping_add(k)
+            .wrapping_add(wi);
+        e = d;
+        d = c;
+        c = b.rotate_left(30);
+        b = a;
+        a = tmp;
+    }
+    h[0] = h[0].wrapping_add(a);
+    h[1] = h[1].wrapping_add(b);
+    h[2] = h[2].wrapping_add(c);
+    h[3] = h[3].wrapping_add(d);
+    h[4] = h[4].wrapping_add(e);
+}
+
+/// The digest of the final hash state `h`.
+fn sha1_digest(h: &[u32; 5]) -> Digest {
     let mut out = [0u8; 20];
     for (i, word) in h.iter().enumerate() {
         out[i * 4..i * 4 + 4].copy_from_slice(&word.to_be_bytes());
@@ -208,6 +222,35 @@ mod tests {
             let d = sha1(&data);
             assert_eq!(d, sha1(&data), "determinism at len {len}");
             assert!(seen.insert(d.0), "collision at len {len}");
+        }
+    }
+
+    /// SHA-1 over a message padded in a heap `Vec` — the padding `sha1`
+    /// used before it padded in a stack block — as the oracle for it.
+    fn sha1_vec_padded(data: &[u8]) -> Digest {
+        let mut h = SHA1_INIT;
+        let bit_len = (data.len() as u64).wrapping_mul(8);
+        let mut msg = Vec::with_capacity(data.len() + 72);
+        msg.extend_from_slice(data);
+        msg.push(0x80);
+        while msg.len() % 64 != 56 {
+            msg.push(0);
+        }
+        msg.extend_from_slice(&bit_len.to_be_bytes());
+        for block in msg.chunks_exact(64) {
+            sha1_block(&mut h, block);
+        }
+        sha1_digest(&h)
+    }
+
+    #[test]
+    fn sha1_stack_padding_matches_vec_padding_at_every_length() {
+        // Every tail length, one- and two-block paddings and the 55/56 and
+        // 63/64-byte edges of the first three blocks included.
+        let data: Vec<u8> = (0..=192u32).map(|i| (i.wrapping_mul(151) ^ 0x5A) as u8).collect();
+        for len in 0..=192 {
+            let msg = &data[..len];
+            assert_eq!(sha1(msg), sha1_vec_padded(msg), "length {len}");
         }
     }
 

@@ -171,7 +171,7 @@ fn patterns_are_acyclic_permutations() {
         };
         let mut base: Vec<u64> = g.functions().iter().map(|f| f.raw()).collect();
         base.sort_unstable();
-        for p in g.patterns() {
+        for p in g.patterns().iter() {
             assert!(p.topo_order().is_some());
             let mut fs: Vec<u64> = p.functions().iter().map(|f| f.raw()).collect();
             fs.sort_unstable();
@@ -191,9 +191,10 @@ fn merge_respects_branch_candidates() {
         let cands: Vec<Vec<(usize, ComponentId)>> = (0..n_cands)
             .map(|i| vec![(0, ComponentId::new(i as u64)), (1, ComponentId::new(100 + i as u64))])
             .collect();
-        let merged = merge_branches(&pattern, &branches, std::slice::from_ref(&cands), 100);
-        assert_eq!(merged.len(), n_cands);
-        for m in merged {
+        let mut merged = Vec::new();
+        merge_branches(&pattern, &branches, &[cands.concat()], 100, &mut merged);
+        assert_eq!(merged.len(), n_cands * pattern.len());
+        for m in merged.chunks(pattern.len()) {
             assert!(cands.iter().any(|c| c[0].1 == m[0] && c[1].1 == m[1]));
         }
     }
